@@ -5,10 +5,15 @@ postprocess, pipeline, experiment {offset|patch-size}, synth. Exit codes:
 0 success, 1 usage or input error, 2 partial failure (some cases failed
 or were unpaired; the rest were processed and written).
 
+A subcommand takes only the shared options it reads: ``--jobs`` (worker
+processes; ``LABENCH_JOBS`` sets the default) on evaluate, quality and
+synth; ``--format csv|json`` on evaluate, quality and both experiments;
+``--seed`` on preprocess (augmentation) and synth.
+
 Outputs are deterministic: rows are sorted by case or team id, floats
 print with 6 significant digits, and gzip payloads carry a fixed mtime,
 so identical inputs and seeds give byte-identical files regardless of
-``--jobs``. ``LABENCH_JOBS`` sets the default worker count.
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import os
@@ -25,17 +31,11 @@ from pathlib import Path
 from . import phantom, pipeline, postprocess, preprocess
 from .errors import DegeneratePartition, DegenerateSample, LabenchError
 from .grids import Mask, Volume, downsample
-from .metrics import (
-    CASE_CSV_COLUMNS,
-    case_csv_rows,
-    case_json_obj,
-    evaluate_case,
-    read_case_csv,
-)
+from .metrics import case_csv_rows, case_json_obj, dice, evaluate_case, read_case_csv
 from .nrrd_io import read_nrrd, write_nrrd
 from .quality import assess_quality, quality_distribution
 from .stats import (
-    CaseMetrics,
+    LEADERBOARD_METRICS,
     TeamResult,
     build_leaderboard,
     compare_groups,
@@ -63,14 +63,17 @@ def _default_jobs() -> int:
         return 1
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="tabular output format"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=_default_jobs(), help="worker processes (env LABENCH_JOBS)"
-    )
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared options named (seed, format, jobs) that a subcommand reads."""
+    specs = {
+        "seed": dict(type=int, default=0, help="global random seed"),
+        "format": dict(choices=("csv", "json"), default="csv", help="tabular output format"),
+        "jobs": dict(
+            type=int, default=_default_jobs(), help="worker processes (env LABENCH_JOBS)"
+        ),
+    }
+    for name in names:
+        parser.add_argument(f"--{name}", **specs[name])
 
 
 def _parse_ints(text: str, n: int, name: str) -> tuple[int, ...]:
@@ -99,7 +102,20 @@ def _require_file(path: str, name: str) -> Path:
     return p
 
 
-# --- evaluate ---------------------------------------------------------------
+def _write_table(path, header, rows, fmt: str):
+    if fmt == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
+    Path(path).write_text(buf.getvalue())
+
+
+# --- paired batches (evaluate, quality) ----------------------------------------
 
 
 def _case_id_of(path: Path) -> str:
@@ -132,16 +148,6 @@ def _read_mask_strict(path):
     return grid
 
 
-def _evaluate_one(task):
-    case_id, pred_path, truth_path = task
-    try:
-        pred = _read_mask_strict(pred_path)
-        truth = _read_mask_strict(truth_path)
-        return case_id, evaluate_case(pred, truth), None
-    except Exception as exc:  # report per-case failures, keep going
-        return case_id, None, f"{type(exc).__name__}: {exc}"
-
-
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
@@ -149,60 +155,57 @@ def _run_tasks(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks))
 
 
-def cmd_evaluate(args) -> int:
-    pred_dir = _require_dir(args.pred_dir, "prediction directory")
-    truth_dir = _require_dir(args.truth_dir, "truth directory")
-    preds = _index_dir(pred_dir)
-    truths = _index_dir(truth_dir)
+def _catching(worker, task):
+    """Run one paired task; a failure becomes its ``Type: message`` text."""
+    try:
+        return task[0], worker(task), None
+    except Exception as exc:  # report per-item failures, keep going
+        return task[0], None, f"{type(exc).__name__}: {exc}"
 
-    shared = sorted(set(preds) & set(truths))
-    unpaired = sorted(set(preds) ^ set(truths))
-    tasks = [(cid, str(preds[cid]), str(truths[cid])) for cid in shared]
-    results = _run_tasks(_evaluate_one, tasks, args.jobs)
 
-    cases: dict[str, CaseMetrics] = {}
-    failures: list[str] = []
-    for case_id, metrics_row, error in results:
+def _run_paired(noun: str, worker, lefts, rights, jobs: int, write, *extra) -> int:
+    """Run ``worker((id, left_path, right_path, *extra))`` for every id both
+    indexes share and pass the results by id to ``write``. Then report the
+    ids found on one side only and the failed ones on stderr; exit 2 if
+    there were any."""
+    tasks = [(i, str(lefts[i]), str(rights[i]), *extra) for i in sorted(set(lefts) & set(rights))]
+    results, failures = {}, []
+    for item_id, value, error in _run_tasks(functools.partial(_catching, worker), tasks, jobs):
         if error is None:
-            cases[case_id] = metrics_row
+            results[item_id] = value
         else:
-            failures.append(f"{case_id}: {error}")
-
-    out = Path(args.out)
-    if args.format == "json":
-        out.write_text(json.dumps(case_json_obj(cases), indent=2) + "\n")
-    else:
-        out.write_text(case_csv_rows(cases))
-
-    for case_id in unpaired:
-        sys.stderr.write(f"labench: unpaired case: {case_id}\n")
+            failures.append(f"{item_id}: {error}")
+    write(results)
+    unpaired = sorted(set(lefts) ^ set(rights))
+    for item_id in unpaired:
+        sys.stderr.write(f"labench: unpaired {noun}: {item_id}\n")
     for failure in sorted(failures):
-        sys.stderr.write(f"labench: failed case: {failure}\n")
+        sys.stderr.write(f"labench: failed {noun}: {failure}\n")
     return 2 if unpaired or failures else 0
 
 
+# --- evaluate -------------------------------------------------------------------
+
+
+def _evaluate_one(task):
+    _, pred_path, truth_path = task
+    return evaluate_case(_read_mask_strict(pred_path), _read_mask_strict(truth_path))
+
+
+def cmd_evaluate(args) -> int:
+    preds = _index_dir(_require_dir(args.pred_dir, "prediction directory"))
+    truths = _index_dir(_require_dir(args.truth_dir, "truth directory"))
+
+    def write(cases):
+        if args.format == "json":
+            Path(args.out).write_text(json.dumps(case_json_obj(cases), indent=2) + "\n")
+        else:
+            Path(args.out).write_text(case_csv_rows(cases))
+
+    return _run_paired("case", _evaluate_one, preds, truths, args.jobs, write)
+
+
 # --- rank --------------------------------------------------------------------
-
-
-def _team_from_metrics_csv(path: Path, attributes: dict[str, str]) -> TeamResult:
-    rows = read_case_csv(path)
-    cases = {}
-    for case_id, row in rows.items():
-        cases[case_id] = CaseMetrics(
-            dice=row["dice"],
-            iou=row["iou"],
-            sensitivity=row["sensitivity"],
-            specificity=row["specificity"],
-            hd_mm=row["hd_mm"],
-            stsd_mm=row["stsd_mm"],
-            diameter_pred_mm=0.0,
-            diameter_true_mm=0.0,
-            diameter_err_pct=row["diameter_err_pct"],
-            volume_pred_cm3=0.0,
-            volume_true_cm3=0.0,
-            volume_err_pct=row["volume_err_pct"],
-        )
-    return TeamResult(team_id=path.stem, cases=cases, attributes=attributes)
 
 
 def _read_attributes(path: Path) -> dict[str, dict[str, str]]:
@@ -236,7 +239,8 @@ def cmd_rank(args) -> int:
     teams = []
     for metrics_path in args.metrics:
         path = _require_file(metrics_path, "metrics file")
-        teams.append(_team_from_metrics_csv(path, attr_map.get(path.stem, {})))
+        rows = read_case_csv(path, LEADERBOARD_METRICS)
+        teams.append(TeamResult(path.stem, rows, attr_map.get(path.stem, {})))
 
     board = build_leaderboard(teams)
     (out_dir / "leaderboard.csv").write_text(leaderboard_csv(board))
@@ -284,8 +288,8 @@ def _rank_metadata(source: str) -> dict:
 
 
 def _read_quality_csv(path: Path) -> dict[str, float]:
-    with open(path, newline="") as fh:
-        return {row["scan_id"]: float(row["snr"]) for row in csv.DictReader(fh)}
+    rows = read_case_csv(path, ("snr",), key="scan_id")
+    return {scan_id: row["snr"] for scan_id, row in rows.items() if row["snr"] is not None}
 
 
 def _quality_dice_correlation(teams, snr_by_case: dict[str, float]):
@@ -293,7 +297,7 @@ def _quality_dice_correlation(teams, snr_by_case: dict[str, float]):
     if len(case_ids) < 2:
         return None
     mean_dice = [
-        sum(team.cases[cid].dice for team in teams) / len(teams) for cid in case_ids
+        sum(team.cases[cid]["dice"] for team in teams) / len(teams) for cid in case_ids
     ]
     snr = [snr_by_case[cid] for cid in case_ids]
     try:
@@ -307,62 +311,24 @@ def _quality_dice_correlation(teams, snr_by_case: dict[str, float]):
 
 
 def _quality_one(task):
-    scan_id, scan_path, mask_path, margin = task
-    try:
-        scan = read_nrrd(scan_path, as_mask=False)
-        mask = _read_mask_strict(mask_path)
-        report = assess_quality(scan, mask, margin=margin)
-        return scan_id, report, None
-    except Exception as exc:
-        return scan_id, None, f"{type(exc).__name__}: {exc}"
+    _, scan_path, mask_path, margin = task
+    scan = read_nrrd(scan_path, as_mask=False)
+    return assess_quality(scan, _read_mask_strict(mask_path), margin=margin)
 
 
 def cmd_quality(args) -> int:
-    scans_dir = _require_dir(args.scans, "scan directory")
-    masks_dir = _require_dir(args.masks, "mask directory")
-    scans = _index_dir(scans_dir, prefer_label=False)
-    masks = _index_dir(masks_dir)
-    shared = sorted(set(scans) & set(masks))
-    unpaired = sorted(set(scans) ^ set(masks))
+    scans = _index_dir(_require_dir(args.scans, "scan directory"), prefer_label=False)
+    masks = _index_dir(_require_dir(args.masks, "mask directory"))
 
-    tasks = [(sid, str(scans[sid]), str(masks[sid]), args.margin) for sid in shared]
-    results = _run_tasks(_quality_one, tasks, args.jobs)
+    def write(reports):
+        rows = [(sid, r.snr, r.cr, r.het, r.band) for sid, r in sorted(reports.items())]
+        _write_table(args.out, ("scan_id", "snr", "cr", "het", "band"), rows, args.format)
+        if reports:
+            dist = quality_distribution(reports.values()).items()
+            summary = ", ".join(f"{band}: {cnt} ({frac:.0%})" for band, (cnt, frac) in dist)
+            sys.stderr.write(f"labench: band distribution: {summary}\n")
 
-    rows = {}
-    failures = []
-    for scan_id, report, error in results:
-        if error is None:
-            rows[scan_id] = report
-        else:
-            failures.append(f"{scan_id}: {error}")
-
-    out = Path(args.out)
-    if args.format == "json":
-        payload = [
-            {"scan_id": sid, "snr": r.snr, "cr": r.cr, "het": r.het, "band": r.band}
-            for sid, r in sorted(rows.items())
-        ]
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("scan_id", "snr", "cr", "het", "band"))
-        for sid in sorted(rows):
-            r = rows[sid]
-            writer.writerow(
-                (sid, format(r.snr, ".6g"), format(r.cr, ".6g"), format(r.het, ".6g"), r.band)
-            )
-        out.write_text(buf.getvalue())
-
-    if rows:
-        dist = quality_distribution(rows.values())
-        summary = ", ".join(f"{band}: {cnt} ({frac:.0%})" for band, (cnt, frac) in dist.items())
-        sys.stderr.write(f"labench: band distribution: {summary}\n")
-    for scan_id in unpaired:
-        sys.stderr.write(f"labench: unpaired scan: {scan_id}\n")
-    for failure in sorted(failures):
-        sys.stderr.write(f"labench: failed scan: {failure}\n")
-    return 2 if unpaired or failures else 0
+    return _run_paired("scan", _quality_one, scans, masks, args.jobs, write, args.margin)
 
 
 # --- preprocess -----------------------------------------------------------------
@@ -466,26 +432,11 @@ def cmd_pipeline(args) -> int:
     predicted = pipeline.run_pipeline(scan, localizer, segmenter, roi)
     write_nrrd(predicted, args.out, encoding=args.encoding)
     if truth is not None:
-        from .metrics import dice as dice_fn
-
-        sys.stderr.write(f"labench: dice vs truth: {dice_fn(predicted, truth):.6g}\n")
+        sys.stderr.write(f"labench: dice vs truth: {dice(predicted, truth):.6g}\n")
     return 0
 
 
 # --- experiment --------------------------------------------------------------------
-
-
-def _write_table(path, header, rows, fmt: str):
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
-    Path(path).write_text(buf.getvalue())
 
 
 def cmd_experiment_offset(args) -> int:
@@ -578,7 +529,7 @@ def _build_parser() -> _Parser:
     p.add_argument("pred_dir", help="directory of <id>.nrrd prediction masks")
     p.add_argument("truth_dir", help="directory of <id>_label.nrrd (or <id>.nrrd) truths")
     p.add_argument("--out", required=True, help="per-case metrics file")
-    _common_options(p)
+    _add_options(p, "format", "jobs")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="build a leaderboard from per-team metrics files")
@@ -587,7 +538,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--quality", help="per-scan quality CSV for the quality/dice correlation")
     p.add_argument("--summary", help="rank a pre-aggregated per-team summary CSV instead")
     p.add_argument("--out-dir", required=True, help="directory for leaderboard.csv + report.json")
-    _common_options(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("quality", help="assess per-scan SNR/CR/HET quality")
@@ -595,7 +545,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--masks", required=True, help="directory of cavity masks")
     p.add_argument("--out", required=True, help="per-scan quality file")
     p.add_argument("--margin", type=int, default=3, help="foreground dilation margin (voxels)")
-    _common_options(p)
+    _add_options(p, "format", "jobs")
     p.set_defaults(func=cmd_quality)
 
     p = sub.add_parser("preprocess", help="downsample / normalize / CLAHE / augment a volume")
@@ -609,7 +559,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mask-out", help="where to write the transformed mask")
     p.add_argument("--variant", type=int, default=0, help="augmentation variant index")
     p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
-    _common_options(p)
+    _add_options(p, "seed")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("postprocess", help="chain mask clean-up operators")
@@ -622,7 +572,6 @@ def _build_parser() -> _Parser:
         help="operators in order: largest[:conn], dilate|erode|close|open[:cross|cube[:r]], smooth[:iters]",
     )
     p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
-    _common_options(p)
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("pipeline", help="run localize-crop-segment-pad on one scan")
@@ -636,7 +585,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--downsample-factor", type=int, default=4)
     p.add_argument("--out", required=True, help="output mask (.nrrd)")
     p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
-    _common_options(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("experiment", help="pipeline geometry sweeps")
@@ -650,7 +598,7 @@ def _build_parser() -> _Parser:
     pe.add_argument("--axis", choices=("x", "y", "z"), default="x")
     pe.add_argument("--roi", default="240,160,96")
     pe.add_argument("--out", required=True)
-    _common_options(pe)
+    _add_options(pe, "format")
     pe.set_defaults(func=cmd_experiment_offset)
 
     pp = exp_sub.add_parser("patch-size", help="background share vs patch size")
@@ -659,7 +607,7 @@ def _build_parser() -> _Parser:
     pp.add_argument("--sizes", default="400x400,360x360,320x320,280x280,240x160")
     pp.add_argument("--z-extent", type=int, default=96)
     pp.add_argument("--out", required=True)
-    _common_options(pp)
+    _add_options(pp, "format")
     pp.set_defaults(func=cmd_experiment_patch_size)
 
     p = sub.add_parser("synth", help="write a synthetic phantom cohort")
@@ -669,7 +617,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--spacing", default="0.625")
     p.add_argument("--tier-fractions", default="0.15,0.70,0.15")
     p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
-    _common_options(p)
+    _add_options(p, "seed", "jobs")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -152,11 +152,7 @@ class InfeasibleTier(LabenchError):
     """Requested quality band unreachable with the given intensities."""
 
 
-# --- cli ----------------------------------------------------------------
+# --- CSV inputs ---------------------------------------------------------
 
-class UnpairedCases(LabenchError):
-    pass
-
-
-class ParseFailure(LabenchError):
-    pass
+class MalformedCsv(LabenchError):
+    """A CSV input lacks a needed column or holds a non-numeric cell."""

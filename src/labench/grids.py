@@ -13,10 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
 
 VoxelIndex = tuple[int, int, int]
+
+# 6- and 26-connected neighbourhoods shared by labeling and morphology
+CROSS6 = ndimage.generate_binary_structure(3, 1)
+CUBE26 = ndimage.generate_binary_structure(3, 3)
+
+AXES = {"x": 0, "y": 1, "z": 2}
 
 INTENSITY_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float32))
 
@@ -146,6 +153,14 @@ def check_same_geometry(a: Grid, b: Grid) -> None:
         raise GeometryMismatch(
             f"grids disagree: dims {a.dims} vs {b.dims}, spacing {a.spacing} vs {b.spacing}"
         )
+
+
+def axis_index(axis: int | str) -> int:
+    """Axis number of ``"x"``/``"y"``/``"z"`` or of 0..2."""
+    ax = AXES.get(axis, axis) if isinstance(axis, str) else int(axis)
+    if ax not in (0, 1, 2):
+        raise ValueError(f"axis must be one of x, y, z (or 0..2), got {axis!r}")
+    return ax
 
 
 def linear_index(idx: VoxelIndex, dims: tuple[int, int, int]) -> int:

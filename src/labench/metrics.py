@@ -21,10 +21,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateTruth, EmptyMask
-from .grids import Mask, check_same_geometry
-
-_CROSS6 = ndimage.generate_binary_structure(3, 1)
+from .errors import DegenerateTruth, EmptyMask, MalformedCsv
+from .grids import CROSS6, Mask, axis_index, check_same_geometry
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def surface_voxels(m: Mask) -> np.ndarray:
     ix, iy, iz = np.nonzero(m.bits)
     box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in (ix, iy, iz))
     inside = m.bits[box]
-    interior = ndimage.binary_erosion(inside, structure=_CROSS6, border_value=0)
+    interior = ndimage.binary_erosion(inside, structure=CROSS6, border_value=0)
     out = np.zeros(m.dims, dtype=bool)
     out[box] = inside & ~interior
     return out
@@ -151,6 +149,13 @@ def _surface_distance_fields(a: Mask, b: Mask) -> tuple[np.ndarray, np.ndarray]:
     return dt_to_b[sa], dt_to_a[sb]
 
 
+def _hd_stsd(a: Mask, b: Mask) -> tuple[float, float]:
+    """Symmetric Hausdorff and mean surface distance from one pair of fields."""
+    d_a_to_b, d_b_to_a = _surface_distance_fields(a, b)
+    hd = float(max(d_a_to_b.max(), d_b_to_a.max()))
+    return hd, float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
+
+
 def hausdorff_mm(a: Mask, b: Mask, mode: str = "symmetric") -> float:
     """Worst-case surface-to-surface distance in mm.
 
@@ -163,10 +168,9 @@ def hausdorff_mm(a: Mask, b: Mask, mode: str = "symmetric") -> float:
         raise ValueError(f"mode must be 'directed' or 'symmetric', got {mode!r}")
     if a.is_empty or b.is_empty:
         raise EmptyMask("Hausdorff distance requires two non-empty masks")
-    d_a_to_b, d_b_to_a = _surface_distance_fields(a, b)
     if mode == "directed":
-        return float(d_b_to_a.max())
-    return float(max(d_a_to_b.max(), d_b_to_a.max()))
+        return float(_surface_distance_fields(a, b)[1].max())
+    return _hd_stsd(a, b)[0]
 
 
 def stsd_mm(a: Mask, b: Mask) -> float:
@@ -174,11 +178,7 @@ def stsd_mm(a: Mask, b: Mask) -> float:
     check_same_geometry(a, b)
     if a.is_empty or b.is_empty:
         raise EmptyMask("surface distance requires two non-empty masks")
-    d_a_to_b, d_b_to_a = _surface_distance_fields(a, b)
-    return float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
-
-
-_AXES = {"x": 0, "y": 1, "z": 2}
+    return _hd_stsd(a, b)[1]
 
 
 def la_diameter_mm(m: Mask, axis: int | str = "x") -> float:
@@ -187,9 +187,7 @@ def la_diameter_mm(m: Mask, axis: int | str = "x") -> float:
     The anterior-posterior diameter corresponds to the x axis in the
     challenge orientation; other datasets can select a different axis.
     """
-    ax = _AXES.get(axis, axis) if isinstance(axis, str) else int(axis)
-    if ax not in (0, 1, 2):
-        raise ValueError(f"axis must be one of x, y, z (or 0..2), got {axis!r}")
+    ax = axis_index(axis)
     if m.is_empty:
         raise EmptyMask("diameter of an empty mask is undefined")
     occupied = np.nonzero(m.bits.any(axis=tuple(i for i in range(3) if i != ax)))[0]
@@ -217,9 +215,7 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
         hd = stsd = None
         diameter_pred = 0.0
     else:
-        d_p_to_t, d_t_to_p = _surface_distance_fields(pred, truth)
-        hd = float(max(d_p_to_t.max(), d_t_to_p.max()))
-        stsd = float((d_p_to_t.sum() + d_t_to_p.sum()) / (d_p_to_t.size + d_t_to_p.size))
+        hd, stsd = _hd_stsd(pred, truth)
         diameter_pred = la_diameter_mm(pred, diameter_axis)
 
     diameter_true = la_diameter_mm(truth, diameter_axis)
@@ -290,14 +286,24 @@ def case_json_obj(cases: dict[str, CaseMetrics]) -> list[dict]:
     return out
 
 
-def read_case_csv(path) -> dict[str, dict[str, float | None]]:
-    """Read a per-case metrics CSV back into {case_id: {column: value}}."""
+def read_case_csv(path, columns, key: str = "case_id") -> dict[str, dict[str, float | None]]:
+    """Read the numeric ``columns`` of a per-case CSV into {row[key]: {column: value}}.
+
+    Blank cells read as None. A missing column or a non-numeric cell
+    raises MalformedCsv naming the file and the column.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows: dict[str, dict[str, float | None]] = {}
-        for row in reader:
-            case_id = row.pop("case_id")
-            rows[case_id] = {
-                k: (float(v) if v not in ("", None) else None) for k, v in row.items()
-            }
-    return rows
+        for column in (key, *columns):
+            if column not in (reader.fieldnames or ()):
+                raise MalformedCsv(f"{path} has no {column!r} column")
+        return {row[key]: {c: _number(path, c, row[c]) for c in columns} for row in reader}
+
+
+def _number(path, column: str, text: str | None) -> float | None:
+    if text in ("", None):
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise MalformedCsv(f"{path} column {column!r} holds non-numeric {text!r}") from None

@@ -21,13 +21,11 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import GeometryOutOfBounds, InfeasibleTier
-from .grids import Mask, Volume
+from .grids import CROSS6, Mask, Volume
 from .quality import DEFAULT_MARGIN
 
 DEFAULT_DIMS = (576, 576, 88)
 DEFAULT_SPACING = (0.625, 0.625, 0.625)
-
-_CROSS6 = ndimage.generate_binary_structure(3, 1)
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def _sigma_bg_for_band(spec: PhantomSpec, bits: np.ndarray, target_snr: float, m
         raise InfeasibleTier("mu_fg must exceed mu_bg to target any quality band")
     n_mask = int(np.count_nonzero(bits))
     if margin > 0:
-        dilated = ndimage.binary_dilation(bits, structure=_CROSS6, iterations=margin)
+        dilated = ndimage.binary_dilation(bits, structure=CROSS6, iterations=margin)
         n_dilated = int(np.count_nonzero(dilated))
     else:
         n_dilated = n_mask

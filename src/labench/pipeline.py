@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from . import grids
 from .errors import BoxInconsistent, EmptyMask, NoForeground
-from .grids import Grid, Mask, Volume, VoxelIndex, check_same_geometry
+from .grids import CUBE26, Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
 from .metrics import dice
 from .nrrd_io import read_nrrd
 from .postprocess import StructuringElement, close_mask, largest_component
 
 DEFAULT_ROI_SIZE = (240, 160, 96)
-
-_AXES = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True)
@@ -47,28 +46,25 @@ class RoiBox:
             raise ValueError(f"box size must be positive, got {self.size!r}")
 
 
+def _overlap(box: RoiBox, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Slices of the grid and of the box that cover their common part;
+    empty slices when the two are disjoint."""
+    grid_sl, box_sl = [], []
+    for o, w, n in zip(box.origin, box.size, dims):
+        lo = max(0, o)
+        hi = max(lo, min(n, o + w))
+        grid_sl.append(slice(lo, hi))
+        box_sl.append(slice(lo - o, hi - o))
+    return tuple(grid_sl), tuple(box_sl)
+
+
 def crop_box(grid: Grid, box: RoiBox) -> Grid:
     """Extract the box from a volume or mask, zero-padding out-of-bounds parts."""
-    if isinstance(grid, Mask):
-        src = grid.bits
-        patch = np.zeros(box.size, dtype=bool)
-    else:
-        src = grid.data
-        patch = np.zeros(box.size, dtype=src.dtype)
-    src_sl, dst_sl = [], []
-    for o, w, n in zip(box.origin, box.size, grid.dims):
-        lo = max(0, o)
-        hi = min(n, o + w)
-        if lo >= hi:
-            src_sl = None
-            break
-        src_sl.append(slice(lo, hi))
-        dst_sl.append(slice(lo - o, hi - o))
-    if src_sl is not None:
-        patch[tuple(dst_sl)] = src[tuple(src_sl)]
-    if isinstance(grid, Mask):
-        return Mask(patch, grid.spacing)
-    return Volume(patch, grid.spacing)
+    src = grid.bits if isinstance(grid, Mask) else grid.data
+    patch = np.zeros(box.size, dtype=src.dtype)
+    grid_sl, box_sl = _overlap(box, grid.dims)
+    patch[box_sl] = src[grid_sl]
+    return type(grid)(patch, grid.spacing)
 
 
 def crop(grid: Grid, center: VoxelIndex, size: tuple[int, int, int]) -> tuple[Grid, RoiBox]:
@@ -92,17 +88,8 @@ def uncrop(patch: Mask, box: RoiBox, full_dims: tuple[int, int, int]) -> Mask:
     if patch.dims != box.size:
         raise BoxInconsistent(f"patch dims {patch.dims} != box size {box.size}")
     full = np.zeros(full_dims, dtype=bool)
-    src_sl, dst_sl = [], []
-    for o, w, n in zip(box.origin, box.size, full_dims):
-        lo = max(0, o)
-        hi = min(n, o + w)
-        if lo >= hi:
-            src_sl = None
-            break
-        dst_sl.append(slice(lo, hi))
-        src_sl.append(slice(lo - o, hi - o))
-    if src_sl is not None:
-        full[tuple(dst_sl)] = patch.bits[tuple(src_sl)]
+    grid_sl, box_sl = _overlap(box, full_dims)
+    full[grid_sl] = patch.bits[box_sl]
     return Mask(full, patch.spacing)
 
 
@@ -139,9 +126,6 @@ def localize_oracle(truth: Mask) -> VoxelIndex:
     return centroid_index(truth.bits)
 
 
-_CUBE26 = ndimage.generate_binary_structure(3, 3)
-
-
 def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
     """Centroid of the largest bright component of a downsampled scan.
 
@@ -149,18 +133,18 @@ def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
     26-connected bright component, and maps its centroid back to full
     resolution (block centers), clamped to the volume bounds.
     """
-    from .grids import downsample  # local import avoids a cycle at module load
-
     f = int(downsample_factor)
     if f < 1:
         raise ValueError(f"downsample factor must be >= 1, got {downsample_factor}")
     f = min(f, *v.dims)
-    small = downsample(v, (f, f, f))
+    # looked up on the module, so a wrapper installed on grids.downsample
+    # (a profiler, say) sees this call too
+    small = grids.downsample(v, (f, f, f))
     threshold = otsu_threshold(small.data)
     bright = small.data > threshold
     if not bright.any():
         raise NoForeground("thresholding produced an empty foreground")
-    labels, n = ndimage.label(bright, structure=_CUBE26)
+    labels, n = ndimage.label(bright, structure=CUBE26)
     sizes = np.bincount(labels.ravel())[1:]
     bright = labels == (int(np.argmax(sizes)) + 1)
     cx, cy, cz = (float(c.mean()) for c in np.nonzero(bright))
@@ -174,8 +158,6 @@ def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
 class OracleLocalizer:
     """Centroid of the ground-truth mask (test fixture)."""
 
-    label = "oracle"
-
     def __init__(self, truth: Mask):
         self.truth = truth
 
@@ -184,8 +166,6 @@ class OracleLocalizer:
 
 
 class ThresholdLocalizer:
-    label = "threshold"
-
     def __init__(self, downsample_factor: int = 4):
         self.downsample_factor = downsample_factor
 
@@ -194,8 +174,6 @@ class ThresholdLocalizer:
 
 
 class FixedCenterLocalizer:
-    label = "fixed-center"
-
     def __call__(self, v: Volume) -> VoxelIndex:
         return tuple(n // 2 for n in v.dims)
 
@@ -205,8 +183,6 @@ class FixedCenterLocalizer:
 
 class OracleSegmenter:
     """Returns the ground truth restricted to the patch box."""
-
-    label = "oracle"
 
     def __init__(self, truth: Mask):
         self.truth = truth
@@ -222,8 +198,6 @@ class ThresholdSegmenter:
     at 0 for bit-exact behavior on noiseless data, raise it (~1-2 voxels)
     to get graceful instead of catastrophic degradation under voxel noise.
     """
-
-    label = "threshold"
 
     def __init__(self, closing_radius: int = 1, smooth_sigma: float = 0.0):
         self.closing_radius = closing_radius
@@ -255,7 +229,6 @@ class ExternalPredictionSegmenter:
     def __init__(self, directory, case_id: str):
         self.directory = Path(directory)
         self.case_id = case_id
-        self.label = f"external:{case_id}"
 
     def __call__(self, patch: Volume, box: RoiBox) -> Mask:
         full = read_nrrd(self.directory / f"{self.case_id}.nrrd", as_mask=True)
@@ -308,7 +281,7 @@ def offset_sweep(
     check_same_geometry(v, truth)
     if truth.is_empty:
         raise EmptyMask("offset sweep needs a non-empty truth mask")
-    ax = _AXES.get(axis, axis) if isinstance(axis, str) else int(axis)
+    ax = axis_index(axis)
     center = localize_oracle(truth)
     d100 = max_noloss_displacement(truth, roi_size, ax)
     curve = []

@@ -11,10 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import Mask
-
-_CROSS6 = ndimage.generate_binary_structure(3, 1)
-_CUBE26 = ndimage.generate_binary_structure(3, 3)
+from .grids import CROSS6, CUBE26, Mask
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,9 @@ class StructuringElement:
 
 def _structure(connectivity: int) -> np.ndarray:
     if connectivity == 6:
-        return _CROSS6
+        return CROSS6
     if connectivity == 26:
-        return _CUBE26
+        return CUBE26
     raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
 
 

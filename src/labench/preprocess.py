@@ -26,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConstantVolume, InvalidSpec, NoBaseData, TooManyTiles
-from .grids import Mask, Volume, check_same_geometry
+from .grids import AXES, Mask, Volume, check_same_geometry
 
 
 def normalize_intensity(v: Volume) -> Volume:
@@ -150,8 +150,6 @@ def histogram_equalize_slice(img: np.ndarray) -> np.ndarray:
 
 KINDS = ("rotate", "elastic", "perspective-scale", "flip")
 
-_FLIP_AXES = {"x": 0, "y": 1, "z": 2}
-
 
 @dataclass(frozen=True)
 class AugmentationSpec:
@@ -177,7 +175,7 @@ class AugmentationSpec:
         for name in ("angle_deg", "magnitude", "scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be finite")
-        if self.kind == "flip" and self.flip_axis not in _FLIP_AXES:
+        if self.kind == "flip" and self.flip_axis not in AXES:
             raise InvalidSpec(f"flip axis must be x, y or z, got {self.flip_axis!r}")
         if self.kind == "elastic" and self.grid_size < 2:
             raise InvalidSpec(f"elastic grid_size must be >= 2, got {self.grid_size}")
@@ -210,12 +208,13 @@ def _resample(data: np.ndarray, coords, order: int) -> np.ndarray:
 
 def _affine_pair(volume: Volume, mask: Mask, matrix: np.ndarray, center: np.ndarray):
     offset = center - matrix @ center
+    integer = np.issubdtype(volume.data.dtype, np.integer)
     new_data = ndimage.affine_transform(
-        volume.data.astype(np.float32), matrix, offset=offset, order=1,
-        mode="constant", cval=0.0, prefilter=False,
-    ).astype(volume.data.dtype) if np.issubdtype(volume.data.dtype, np.integer) else ndimage.affine_transform(
-        volume.data, matrix, offset=offset, order=1, mode="constant", cval=0.0, prefilter=False,
+        volume.data.astype(np.float32) if integer else volume.data, matrix, offset=offset,
+        order=1, mode="constant", cval=0.0, prefilter=False,
     )
+    if integer:
+        new_data = new_data.astype(volume.data.dtype)
     new_bits = ndimage.affine_transform(
         mask.bits.astype(np.uint8), matrix, offset=offset, order=0,
         mode="constant", cval=0, prefilter=False,
@@ -276,7 +275,7 @@ def _elastic(volume: Volume, mask: Mask, magnitude: float, grid_size: int, seed:
 
 
 def _flip(volume: Volume, mask: Mask, axis_name: str):
-    axis = _FLIP_AXES[axis_name]
+    axis = AXES[axis_name]
     return (
         Volume(np.ascontiguousarray(np.flip(volume.data, axis=axis)), volume.spacing),
         Mask(np.ascontiguousarray(np.flip(mask.bits, axis=axis)), mask.spacing),

@@ -25,11 +25,9 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
-from .grids import Mask, Volume, check_same_geometry
+from .grids import CROSS6, Mask, Volume, check_same_geometry
 
 BANDS = ("high", "medium", "low")
-
-_CROSS6 = ndimage.generate_binary_structure(3, 1)
 
 DEFAULT_MARGIN = 3
 
@@ -60,7 +58,7 @@ def assess_quality(scan: Volume, la: Mask, margin: int = DEFAULT_MARGIN) -> Qual
 
     fg_region = la.bits
     if margin > 0:
-        fg_region = ndimage.binary_dilation(la.bits, structure=_CROSS6, iterations=margin)
+        fg_region = ndimage.binary_dilation(la.bits, structure=CROSS6, iterations=margin)
 
     bg_region = ~fg_region
     if margin > 0:

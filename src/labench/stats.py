@@ -1,11 +1,14 @@
 """Cross-case aggregation, significance testing and leaderboard building.
 
-Significance uses the two-tailed Welch (unequal-variance) t-test; the
-t-distribution CDF is evaluated through the regularized incomplete beta
-function (continued fraction, ~1e-14 relative accuracy) so no statistics
-dependency is needed. A team's leaderboard p-value compares its per-case
-Dice sample against the pooled per-case Dice of all other teams; that
-pooling choice is recorded in the JSON report metadata.
+Significance uses the two-tailed Welch (unequal-variance) t-test. Its
+t-distribution tail is the regularized incomplete beta function from
+``scipy.special`` (``scipy.stats`` is not imported: it would add most of
+a second to every CLI start). A team's leaderboard p-value compares its
+per-case Dice sample against the pooled per-case Dice of all other teams;
+that pooling choice is recorded in the JSON report metadata.
+
+A team's cases are per-case rows as :func:`labench.metrics.read_case_csv`
+returns them: metric name to float, or None where the value is absent.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from scipy.special import betainc
+
 from .errors import (
     CaseSetMismatch,
     ConstantSample,
@@ -22,18 +27,14 @@ from .errors import (
     DegenerateSample,
     EmptyCases,
 )
-from .metrics import CaseMetrics
 
 LEADERBOARD_METRICS = ("dice", "iou", "sensitivity", "specificity", "hd_mm", "stsd_mm")
-
-# metrics where larger means better; used only for presentation, ranking is by Dice
-HIGHER_IS_BETTER = {"dice", "iou", "sensitivity", "specificity"}
 
 
 @dataclass
 class TeamResult:
     team_id: str
-    cases: dict[str, CaseMetrics]
+    cases: dict[str, dict[str, float | None]]
     attributes: dict[str, str] = field(default_factory=dict)
 
 
@@ -81,9 +82,7 @@ def aggregate(team: TeamResult) -> dict[str, tuple[float | None, float | None]]:
         raise EmptyCases(f"team {team.team_id!r} has no cases")
     out: dict[str, tuple[float | None, float | None]] = {}
     for metric in LEADERBOARD_METRICS:
-        values = [
-            getattr(c, metric) for c in team.cases.values() if getattr(c, metric) is not None
-        ]
+        values = [c[metric] for c in team.cases.values() if c[metric] is not None]
         out[metric] = mean_std(values) if values else (None, None)
     return out
 
@@ -104,73 +103,7 @@ def correlate(xs, ys) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-# --- regularized incomplete beta and the t-distribution ----------------------
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def t_two_tailed_p(t: float, df: float) -> float:
-    """Two-tailed tail probability of Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if t == 0.0:
-        return 1.0
-    return betainc_reg(df / 2.0, 0.5, df / (df + t * t))
+# --- Welch t-test ---------------------------------------------------------------
 
 
 def welch_ttest(xs, ys) -> float:
@@ -194,7 +127,8 @@ def welch_ttest(xs, ys) -> float:
     df = (v1 + v2) ** 2 / (
         (v1 * v1 / (n1 - 1) if v1 else 0.0) + (v2 * v2 / (n2 - 1) if v2 else 0.0)
     )
-    return t_two_tailed_p(t, df)
+    # two-tailed tail of Student's t: I_{df/(df+t^2)}(df/2, 1/2)
+    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 # --- group comparisons --------------------------------------------------------
@@ -277,11 +211,11 @@ def build_leaderboard(teams) -> Leaderboard:
         stats = aggregate(team)
         p_value = None
         others = [
-            c.dice for other in teams if other is not team for c in other.cases.values()
+            c["dice"] for other in teams if other is not team for c in other.cases.values()
         ]
         if others:
             try:
-                p_value = welch_ttest([c.dice for c in team.cases.values()], others)
+                p_value = welch_ttest([c["dice"] for c in team.cases.values()], others)
             except DegenerateSample:
                 p_value = None
         rows.append(

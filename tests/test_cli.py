@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from labench.cli import main
+import labench
+from labench.cli import _build_parser, main
 from labench.grids import Mask, Volume
 from labench.nrrd_io import read_nrrd, write_nrrd
 
@@ -47,6 +52,66 @@ def test_unknown_flag_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--out-dir", "x", "--bogus"])
     assert exc.value.code == 1
+
+
+# minimal argv per subcommand, and the shared options each one reads
+_BASE_ARGV = {
+    "evaluate": ["evaluate", "p", "t", "--out", "o"],
+    "rank": ["rank", "--out-dir", "o"],
+    "quality": ["quality", "--scans", "s", "--masks", "m", "--out", "o"],
+    "preprocess": ["preprocess", "in", "--out", "o"],
+    "postprocess": ["postprocess", "in", "--out", "o", "--ops", "largest"],
+    "pipeline": ["pipeline", "--scan", "s", "--out", "o"],
+    "offset": ["experiment", "offset", "--scan", "s", "--truth", "t", "--out", "o"],
+    "patch-size": ["experiment", "patch-size", "--scan", "s", "--truth", "t", "--out", "o"],
+    "synth": ["synth", "--out-dir", "o"],
+}
+_READS = {
+    "evaluate": ("format", "jobs"),
+    "quality": ("format", "jobs"),
+    "preprocess": ("seed",),
+    "offset": ("format",),
+    "patch-size": ("format",),
+    "synth": ("seed", "jobs"),
+}
+_VALUES = {"seed": ("9", 9), "format": ("json", "json"), "jobs": ("2", 2)}
+_ALL = [(cmd, opt) for cmd in _BASE_ARGV for opt in _VALUES]
+
+
+@pytest.mark.parametrize(
+    "command, option", [c for c in _ALL if c[1] not in _READS.get(c[0], ())]
+)
+def test_unread_shared_option_is_rejected(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_BASE_ARGV[command] + [f"--{option}", _VALUES[option][0]])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [c for c in _ALL if c[1] in _READS.get(c[0], ())])
+def test_read_shared_option_is_accepted(command, option):
+    text, value = _VALUES[option]
+    args = _build_parser().parse_args(_BASE_ARGV[command] + [f"--{option}", text])
+    assert getattr(args, option) == value
+
+
+@pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])
+def test_jobs_default_from_environment(command, monkeypatch):
+    monkeypatch.setenv("LABENCH_JOBS", "3")
+    assert _build_parser().parse_args(_BASE_ARGV[command]).jobs == 3
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats would add most of a second to every CLI start
+    src = str(Path(labench.__file__).resolve().parents[1])
+    code = "import labench.cli, sys; assert 'scipy.stats' not in sys.modules"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -145,6 +210,48 @@ def test_quality_command(tmp_path, capsys):
     rows = list(csv.DictReader(out.open()))
     assert rows[0]["scan_id"] == "s1"
     assert rows[0]["band"] in ("high", "medium", "low")
+
+
+def _quality_inputs(tmp_path):
+    # s0, s1 pair cleanly; s2's mask is not binary; s3 has no mask; s4 has no scan
+    scans, masks = tmp_path / "scans", tmp_path / "masks"
+    scans.mkdir()
+    masks.mkdir()
+    rng = np.random.default_rng(1)
+    bits = _blob()
+    for i in range(4):
+        data = rng.normal(100, 10, size=bits.shape)
+        data[bits] = rng.normal(300 + 50 * i, 10, size=int(bits.sum()))
+        write_nrrd(Volume(data.astype(np.float32)), scans / f"s{i}.nrrd")
+    for i in (0, 1, 4):
+        write_nrrd(Mask(bits), masks / f"s{i}_label.nrrd")
+    write_nrrd(Volume(np.where(bits, 2, 0).astype(np.uint8)), masks / "s2_label.nrrd")
+    return ["--scans", str(scans), "--masks", str(masks)]
+
+
+def test_quality_unpaired_and_failed_scans_exit_2(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert main(["quality", *_quality_inputs(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "labench: unpaired scan: s3" in err
+    assert "labench: unpaired scan: s4" in err
+    assert [line for line in err if line.startswith("labench: failed scan:")] == [
+        f"labench: failed scan: s2: LabenchError: {tmp_path / 'masks' / 's2_label.nrrd'} "
+        "is not a binary mask"
+    ]
+    assert [r["scan_id"] for r in csv.DictReader(out.open())] == ["s0", "s1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_quality_deterministic_across_jobs(tmp_path, capsys, fmt):
+    inputs = _quality_inputs(tmp_path)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"q{jobs}.{fmt}"
+        code = main(["quality", *inputs, "--out", str(out), "--format", fmt, "--jobs", jobs])
+        outputs.append((code, out.read_bytes(), capsys.readouterr().err))
+    assert outputs[0][0] == 2
+    assert outputs[0] == outputs[1]
 
 
 # --- preprocess / postprocess -------------------------------------------------------
@@ -343,3 +450,38 @@ def test_rank_per_case_with_attributes_and_quality(tmp_path):
     assert report["group_comparisons"][0]["attribute"] == "cnn_count"
     assert report["group_comparisons"][0]["groups"]["double"]["teams"] == 1
     assert report["quality_correlation"]["n"] == 3
+
+
+_METRICS_HEADER = "case_id,dice,iou,sensitivity,specificity,hd_mm,stsd_mm\n"
+
+
+@pytest.mark.parametrize(
+    "metrics_text, quality_text, bad_file, column",
+    [
+        pytest.param(
+            "case_id,dice,sensitivity,specificity,hd_mm,stsd_mm\nc0,0.9,0.9,0.99,8,1\n",
+            None, "team.csv", "iou", id="missing-column",
+        ),
+        pytest.param(
+            _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.9,n/a,0.9,0.99,8,1\n",
+            None, "team.csv", "iou", id="non-numeric-cell",
+        ),
+        pytest.param(
+            _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.8,0.7,0.9,0.99,8,1\n",
+            "id,snr,cr,het,band\nc0,0.5,2,0.2,high\n", "quality.csv", "scan_id",
+            id="quality-without-scan-id",
+        ),
+    ],
+)
+def test_rank_malformed_csv_named_error(
+    tmp_path, capsys, metrics_text, quality_text, bad_file, column
+):
+    (tmp_path / "team.csv").write_text(metrics_text)
+    argv = ["rank", "--metrics", str(tmp_path / "team.csv"), "--out-dir", str(tmp_path / "board")]
+    if quality_text is not None:
+        (tmp_path / "quality.csv").write_text(quality_text)
+        argv += ["--quality", str(tmp_path / "quality.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("labench: error: MalformedCsv: ")
+    assert str(tmp_path / bad_file) in err and repr(column) in err
