@@ -123,18 +123,17 @@ def _case_id_of(path: Path) -> str:
     return stem[:-6] if stem.endswith("_label") else stem
 
 
-def _index_dir(directory: Path, prefer_label: bool = True) -> dict[str, Path]:
+def _index_dir(directory: Path, labels: bool = True) -> dict[str, Path]:
     """Map case ids to files; ``<id>_label.nrrd`` wins over ``<id>.nrrd``
-    when both exist (the plain file is then a scan, not a mask)."""
+    when both exist (the plain file is then a scan, not a mask). Without
+    ``labels`` the label files are left out, so a mask is never taken as
+    a scan."""
     plain: dict[str, Path] = {}
     label: dict[str, Path] = {}
     for path in sorted(directory.glob("*.nrrd")):
         target = label if path.stem.endswith("_label") else plain
         target.setdefault(_case_id_of(path), path)
-    first, second = (label, plain) if prefer_label else (plain, label)
-    index = dict(second)
-    index.update(first)
-    return index
+    return {**plain, **label} if labels else plain
 
 
 def _read_mask_strict(path):
@@ -288,7 +287,7 @@ def _rank_metadata(source: str) -> dict:
 
 
 def _read_quality_csv(path: Path) -> dict[str, float]:
-    rows = read_case_csv(path, ("snr",), key="scan_id")
+    rows = read_case_csv(path, ("snr",), key="scan_id", nullable=("snr",))
     return {scan_id: row["snr"] for scan_id, row in rows.items() if row["snr"] is not None}
 
 
@@ -317,7 +316,7 @@ def _quality_one(task):
 
 
 def cmd_quality(args) -> int:
-    scans = _index_dir(_require_dir(args.scans, "scan directory"), prefer_label=False)
+    scans = _index_dir(_require_dir(args.scans, "scan directory"), labels=False)
     masks = _index_dir(_require_dir(args.masks, "mask directory"))
 
     def write(reports):

@@ -163,6 +163,31 @@ def axis_index(axis: int | str) -> int:
     return ax
 
 
+Box = tuple[slice, slice, slice]
+
+
+def bbox(bits: np.ndarray, pad: int = 0) -> Box | None:
+    """Slices of the smallest box holding every set voxel of ``bits``,
+    grown by ``pad`` voxels per side and clipped to the grid; None when
+    nothing is set.
+
+    The box comes from axis projections: one ``any`` along z over the
+    grid gives the x and y extents, and one over the x/y box the z extent.
+    """
+    if pad < 0:
+        raise ValueError(f"pad must be non-negative, got {pad}")
+    xy = bits.any(axis=2)
+    xs = np.flatnonzero(xy.any(axis=1))
+    if xs.size == 0:
+        return None
+    ys = np.flatnonzero(xy.any(axis=0))
+    zs = np.flatnonzero(bits[xs[0] : xs[-1] + 1, ys[0] : ys[-1] + 1].any(axis=(0, 1)))
+    return tuple(
+        slice(max(int(c[0]) - pad, 0), min(int(c[-1]) + 1 + pad, n))
+        for c, n in zip((xs, ys, zs), bits.shape)
+    )
+
+
 def linear_index(idx: VoxelIndex, dims: tuple[int, int, int]) -> int:
     """x-fastest linear index of a voxel."""
     ix, iy, iz = idx

@@ -6,10 +6,16 @@ are Euclidean distances in mm between surface voxel centers, weighted by
 the grid spacing. A surface voxel is a foreground voxel with at least one
 background 6-neighbor, where the grid border counts as background.
 
-Distance fields are computed with an exact Euclidean distance transform
-restricted to the union bounding box of the two surfaces, which is
-loss-free (every source and query voxel lies inside the box) and keeps a
-full-resolution case well under the per-case time budget.
+A case is scored inside the foreground box: the union of the prediction's
+and the truth's bounding boxes (:func:`labench.grids.bbox`, found from axis
+projections). Every voxel outside it is background in both masks, so the
+overlap counts taken inside it equal full-grid counts; only TN comes from
+the grid size. Diameters are box extents. A mask's extreme voxels are
+surface voxels, so the box is also the union box of the two surfaces, and
+the exact Euclidean distance transforms run on it loss-free (every source
+and query voxel lies inside). The foreground fills under 1% of a challenge
+grid, so the box is usually a small part of it; stray voxels near opposite
+corners make it span the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateTruth, EmptyMask, MalformedCsv
-from .grids import CROSS6, Mask, axis_index, check_same_geometry
+from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry
 
 
 @dataclass(frozen=True)
@@ -75,83 +81,94 @@ CASE_CSV_COLUMNS = (
 
 def surface_voxels(m: Mask) -> np.ndarray:
     """Boolean array marking boundary voxels of the mask."""
-    if m.is_empty:
-        return np.zeros(m.dims, dtype=bool)
-    # erosion only changes voxels near the mask, so work on the bounding
-    # box; everything beyond it is background either way
-    ix, iy, iz = np.nonzero(m.bits)
-    box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in (ix, iy, iz))
-    inside = m.bits[box]
-    interior = ndimage.binary_erosion(inside, structure=CROSS6, border_value=0)
     out = np.zeros(m.dims, dtype=bool)
-    out[box] = inside & ~interior
+    box = bbox(m.bits)
+    if box is not None:
+        # erosion only changes voxels near the mask, so work on the bounding
+        # box; everything beyond it is background either way
+        inside = m.bits[box]
+        interior = ndimage.binary_erosion(inside, structure=CROSS6, border_value=0)
+        out[box] = inside & ~interior
     return out
+
+
+def _crops(a: Mask, b: Mask) -> tuple[Box | None, Box | None, np.ndarray, np.ndarray]:
+    """Each mask's foreground box (None when empty), and both masks cropped
+    to the union of the two boxes.
+
+    Every voxel outside the union box is background in both masks, so
+    overlap counts and surfaces taken on the crops equal those of the
+    grid. With both masks empty the crops are empty.
+    """
+    box_a, box_b = bbox(a.bits), bbox(b.bits)
+    if box_a is None or box_b is None:
+        union = box_a or box_b or (slice(0, 0),) * 3
+    else:
+        union = tuple(
+            slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(box_a, box_b)
+        )
+    return box_a, box_b, a.bits[union], b.bits[union]
+
+
+def _confusion(pred: np.ndarray, truth: np.ndarray, nvox: int) -> ConfusionCounts:
+    """Counts from the two crops of :func:`_crops`; TN from the grid size."""
+    tp = int(np.count_nonzero(pred & truth))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    return ConfusionCounts(tp=tp, tn=nvox - tp - fp - fn, fp=fp, fn=fn)
 
 
 def confusion_counts(pred: Mask, truth: Mask) -> ConfusionCounts:
     check_same_geometry(pred, truth)
-    tp = int(np.count_nonzero(pred.bits & truth.bits))
-    fp = pred.count - tp
-    fn = truth.count - tp
-    tn = pred.nvox - tp - fp - fn
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    _, _, p, t = _crops(pred, truth)
+    return _confusion(p, t, pred.nvox)
 
 
 def dice(a: Mask, b: Mask) -> float:
     """Overlap score 2|A∩B| / (|A|+|B|); 1.0 when both masks are empty."""
-    check_same_geometry(a, b)
-    na, nb = a.count, b.count
-    if na == 0 and nb == 0:
-        return 1.0
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    return 2.0 * inter / (na + nb)
+    c = confusion_counts(a, b)
+    denom = 2 * c.tp + c.fp + c.fn
+    return 2.0 * c.tp / denom if denom else 1.0
 
 
 def iou(a: Mask, b: Mask) -> float:
     """Jaccard index |A∩B| / |A∪B|; 1.0 when both masks are empty."""
-    check_same_geometry(a, b)
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    union = a.count + b.count - inter
-    if union == 0:
-        return 1.0
-    return inter / union
+    c = confusion_counts(a, b)
+    union = c.tp + c.fp + c.fn
+    return c.tp / union if union else 1.0
+
+
+def _rates(counts: ConfusionCounts) -> tuple[float, float]:
+    if counts.tp + counts.fn == 0 or counts.tn + counts.fp == 0:
+        raise DegenerateTruth("truth must contain both foreground and background voxels")
+    return counts.tp / (counts.tp + counts.fn), counts.tn / (counts.tn + counts.fp)
 
 
 def sensitivity_specificity(pred: Mask, truth: Mask) -> tuple[float, float, ConfusionCounts]:
     """True-positive and true-negative rates of the prediction vs truth."""
     counts = confusion_counts(pred, truth)
-    if counts.tp + counts.fn == 0 or counts.tn + counts.fp == 0:
-        raise DegenerateTruth("truth must contain both foreground and background voxels")
-    sens = counts.tp / (counts.tp + counts.fn)
-    spec = counts.tn / (counts.tn + counts.fp)
-    return sens, spec, counts
+    return (*_rates(counts), counts)
 
 
-def _surface_distance_fields(a: Mask, b: Mask) -> tuple[np.ndarray, np.ndarray]:
+def _surface_distance_fields(a: np.ndarray, b: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
     """Distances (mm) from each A-surface voxel to B's surface and vice versa.
 
-    Returns (dists of surf(A) points to surf(B), dists of surf(B) points to
-    surf(A)), each a flat float array.
+    ``a`` and ``b`` are two masks cropped to their union foreground box
+    (:func:`_crops`), which is also the union box of their surfaces: a
+    mask's extreme voxels are surface voxels. Returns (dists of surf(A)
+    points to surf(B), dists of surf(B) points to surf(A)), each a flat
+    float array.
     """
-    surf_a = surface_voxels(a)
-    surf_b = surface_voxels(b)
-
-    either = surf_a | surf_b
-    ix, iy, iz = np.nonzero(either)
-    lo = (ix.min(), iy.min(), iz.min())
-    hi = (ix.max() + 1, iy.max() + 1, iz.max() + 1)
-    box = tuple(slice(l, h) for l, h in zip(lo, hi))
-    sa = surf_a[box]
-    sb = surf_b[box]
-
-    dt_to_b = ndimage.distance_transform_edt(~sb, sampling=a.spacing)
-    dt_to_a = ndimage.distance_transform_edt(~sa, sampling=a.spacing)
+    sa = surface_voxels(Mask(a, spacing))
+    sb = surface_voxels(Mask(b, spacing))
+    dt_to_b = ndimage.distance_transform_edt(~sb, sampling=spacing)
+    dt_to_a = ndimage.distance_transform_edt(~sa, sampling=spacing)
     return dt_to_b[sa], dt_to_a[sb]
 
 
-def _hd_stsd(a: Mask, b: Mask) -> tuple[float, float]:
+def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
     """Symmetric Hausdorff and mean surface distance from one pair of fields."""
-    d_a_to_b, d_b_to_a = _surface_distance_fields(a, b)
+    d_a_to_b, d_b_to_a = _surface_distance_fields(a, b, spacing)
     hd = float(max(d_a_to_b.max(), d_b_to_a.max()))
     return hd, float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
 
@@ -168,9 +185,10 @@ def hausdorff_mm(a: Mask, b: Mask, mode: str = "symmetric") -> float:
         raise ValueError(f"mode must be 'directed' or 'symmetric', got {mode!r}")
     if a.is_empty or b.is_empty:
         raise EmptyMask("Hausdorff distance requires two non-empty masks")
+    _, _, ca, cb = _crops(a, b)
     if mode == "directed":
-        return float(_surface_distance_fields(a, b)[1].max())
-    return _hd_stsd(a, b)[0]
+        return float(_surface_distance_fields(ca, cb, a.spacing)[1].max())
+    return _hd_stsd(ca, cb, a.spacing)[0]
 
 
 def stsd_mm(a: Mask, b: Mask) -> float:
@@ -178,7 +196,12 @@ def stsd_mm(a: Mask, b: Mask) -> float:
     check_same_geometry(a, b)
     if a.is_empty or b.is_empty:
         raise EmptyMask("surface distance requires two non-empty masks")
-    return _hd_stsd(a, b)[1]
+    _, _, ca, cb = _crops(a, b)
+    return _hd_stsd(ca, cb, a.spacing)[1]
+
+
+def _extent_mm(box: Box, ax: int, spacing) -> float:
+    return float(box[ax].stop - box[ax].start) * spacing[ax]
 
 
 def la_diameter_mm(m: Mask, axis: int | str = "x") -> float:
@@ -188,10 +211,10 @@ def la_diameter_mm(m: Mask, axis: int | str = "x") -> float:
     challenge orientation; other datasets can select a different axis.
     """
     ax = axis_index(axis)
-    if m.is_empty:
+    box = bbox(m.bits)
+    if box is None:
         raise EmptyMask("diameter of an empty mask is undefined")
-    occupied = np.nonzero(m.bits.any(axis=tuple(i for i in range(3) if i != ax)))[0]
-    return float(occupied[-1] - occupied[0] + 1) * m.spacing[ax]
+    return _extent_mm(box, ax, m.spacing)
 
 
 def la_volume_cm3(m: Mask) -> float:
@@ -207,18 +230,22 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
     prediction is legal: its surface distances are absent (None), its
     diameter and volume are 0 and the percent errors are 100.
     """
-    sens, spec, counts = sensitivity_specificity(pred, truth)
+    check_same_geometry(pred, truth)
+    ax = axis_index(diameter_axis)
+    box_p, box_t, p, t = _crops(pred, truth)
+    counts = _confusion(p, t, pred.nvox)
+    sens, spec = _rates(counts)
     dice_v = 2.0 * counts.tp / (2 * counts.tp + counts.fp + counts.fn)
     iou_v = counts.tp / (counts.tp + counts.fp + counts.fn)
 
-    if pred.is_empty:
+    if box_p is None:
         hd = stsd = None
         diameter_pred = 0.0
     else:
-        hd, stsd = _hd_stsd(pred, truth)
-        diameter_pred = la_diameter_mm(pred, diameter_axis)
+        hd, stsd = _hd_stsd(p, t, pred.spacing)
+        diameter_pred = _extent_mm(box_p, ax, pred.spacing)
 
-    diameter_true = la_diameter_mm(truth, diameter_axis)
+    diameter_true = _extent_mm(box_t, ax, truth.spacing)
     volume_pred = la_volume_cm3(pred)
     volume_true = la_volume_cm3(truth)
 
@@ -286,23 +313,32 @@ def case_json_obj(cases: dict[str, CaseMetrics]) -> list[dict]:
     return out
 
 
-def read_case_csv(path, columns, key: str = "case_id") -> dict[str, dict[str, float | None]]:
+def read_case_csv(
+    path, columns, key: str = "case_id", nullable=("hd_mm", "stsd_mm")
+) -> dict[str, dict[str, float | None]]:
     """Read the numeric ``columns`` of a per-case CSV into {row[key]: {column: value}}.
 
-    Blank cells read as None. A missing column or a non-numeric cell
-    raises MalformedCsv naming the file and the column.
+    Blank cells of the ``nullable`` columns read as None; by default these
+    are the surface distances, which an empty prediction leaves blank. A
+    missing column, a non-numeric cell or any other blank cell raises
+    MalformedCsv naming the file and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for column in (key, *columns):
             if column not in (reader.fieldnames or ()):
                 raise MalformedCsv(f"{path} has no {column!r} column")
-        return {row[key]: {c: _number(path, c, row[c]) for c in columns} for row in reader}
+        return {
+            row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
+            for row in reader
+        }
 
 
-def _number(path, column: str, text: str | None) -> float | None:
+def _number(path, row_id: str, column: str, text: str | None, nullable: bool) -> float | None:
     if text in ("", None):
-        return None
+        if nullable:
+            return None
+        raise MalformedCsv(f"{path} row {row_id!r} has a blank {column!r} cell")
     try:
         return float(text)
     except ValueError:

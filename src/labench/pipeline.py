@@ -116,8 +116,9 @@ def otsu_threshold(data: np.ndarray, bins: int = 256) -> float:
 
 def centroid_index(bits: np.ndarray) -> VoxelIndex:
     """Foreground centroid rounded half-up to a voxel index."""
-    coords = np.nonzero(bits)
-    return tuple(int(np.floor(c.mean() + 0.5)) for c in coords)
+    box = grids.bbox(bits)
+    coords = np.nonzero(bits[box])
+    return tuple(int(np.floor((c + sl.start).mean() + 0.5)) for c, sl in zip(coords, box))
 
 
 def localize_oracle(truth: Mask) -> VoxelIndex:
@@ -255,8 +256,8 @@ def max_noloss_displacement(truth: Mask, roi_size, axis: int = 0) -> int:
     """
     c = localize_oracle(truth)[axis]
     w = roi_size[axis]
-    occupied = np.nonzero(truth.bits.any(axis=tuple(i for i in range(3) if i != axis)))[0]
-    lo, hi = int(occupied[0]), int(occupied[-1])
+    extent = grids.bbox(truth.bits)[axis]
+    lo, hi = extent.start, extent.stop - 1
     d_max = lo - c + w // 2           # box start must stay at or below the mask start
     d_min = hi - c - (w - w // 2 - 1)  # box end must stay at or above the mask end
     if d_max < max(0, d_min):

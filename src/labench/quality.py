@@ -6,7 +6,7 @@ foreground heterogeneity. The exact formulas were never published; the
 ones here are the documented toolkit definitions:
 
     snr = sigma_bg / (mu_fg - mu_bg)      (error when mu_fg <= mu_bg)
-    cr  = mu_fg / mu_bg
+    cr  = mu_fg / mu_bg                   (error when mu_bg <= 0)
     het = sigma_fg / mu_fg
 
 where the foreground region is the mask dilated by ``margin`` voxels of
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
-from .grids import CROSS6, Mask, Volume, check_same_geometry
+from .grids import CROSS6, Mask, Volume, bbox, check_same_geometry
 
 BANDS = ("high", "medium", "low")
 
@@ -51,36 +51,34 @@ def quality_band(snr: float) -> str:
 
 def assess_quality(scan: Volume, la: Mask, margin: int = DEFAULT_MARGIN) -> QualityReport:
     check_same_geometry(scan, la)
-    if la.is_empty:
-        raise EmptyMask("quality assessment needs a non-empty cavity mask")
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
+    # the dilated foreground fits in the mask's box grown by the margin
+    box = bbox(la.bits, pad=margin)
+    if box is None:
+        raise EmptyMask("quality assessment needs a non-empty cavity mask")
 
-    fg_region = la.bits
+    fg_region = la.bits[box]
     if margin > 0:
-        fg_region = ndimage.binary_dilation(la.bits, structure=CROSS6, iterations=margin)
+        fg_region = ndimage.binary_dilation(fg_region, structure=CROSS6, iterations=margin)
 
-    bg_region = ~fg_region
-    if margin > 0:
-        # padding artifacts live at the grid edge; keep them out of the noise estimate
-        for axis in range(3):
-            sl = [slice(None)] * 3
-            sl[axis] = slice(0, margin)
-            bg_region[tuple(sl)] = False
-            sl[axis] = slice(-margin, None)
-            bg_region[tuple(sl)] = False
-    if not bg_region.any():
+    # padding artifacts live at the grid edge; keep them out of the noise estimate
+    bg_region = np.zeros(la.dims, dtype=bool)
+    bg_region[tuple(slice(margin, n - margin) for n in la.dims)] = True
+    bg_region[box] &= ~fg_region
+
+    fg = scan.data[box][fg_region].astype(np.float64)
+    bg = scan.data[bg_region].astype(np.float64)
+    if bg.size == 0:
         raise EmptyBackground("no background voxels after dilation and edge exclusion")
-
-    data = scan.data.astype(np.float64)
-    fg = data[fg_region]
-    bg = data[bg_region]
     mu_fg = float(fg.mean())
     mu_bg = float(bg.mean())
     if mu_fg <= mu_bg:
         raise DegenerateContrast(
             f"foreground mean {mu_fg:.6g} does not exceed background mean {mu_bg:.6g}"
         )
+    if mu_bg <= 0.0:
+        raise DegenerateContrast(f"background mean {mu_bg:.6g} leaves the contrast ratio undefined")
     snr = float(bg.std()) / (mu_fg - mu_bg)
     return QualityReport(
         snr=snr,

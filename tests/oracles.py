@@ -3,15 +3,19 @@
 These deliberately avoid the code paths they check: surfaces come from
 explicit neighbor loops, distances from all-pairs enumeration, histogram
 equalization from per-pixel rank counting, and the t-distribution CDF from
-numerical quadrature of the density.
+numerical quadrature of the density. The full-grid ``evaluate_case`` and
+``assess_quality`` are those functions as they were before the scoring path
+was confined to the foreground box; the box path must match them exactly.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, ndimage
 
-from labench.grids import Mask
+from labench.grids import CROSS6, Mask, Volume, axis_index
+from labench.metrics import CaseMetrics
+from labench.quality import QualityReport, quality_band
 
 
 def surface_points(m: Mask) -> np.ndarray:
@@ -106,3 +110,77 @@ def t_two_tailed_p_quadrature(t: float, df: float) -> float:
 
     tail, _ = integrate.quad(pdf, abs(t), math.inf)
     return 2.0 * tail
+
+
+def _full_grid_surface(bits: np.ndarray) -> np.ndarray:
+    return bits & ~ndimage.binary_erosion(bits, structure=CROSS6, border_value=0)
+
+
+def _full_grid_extent_mm(m: Mask, ax: int) -> float:
+    occupied = np.nonzero(m.bits.any(axis=tuple(i for i in range(3) if i != ax)))[0]
+    return float(occupied[-1] - occupied[0] + 1) * m.spacing[ax]
+
+
+def full_grid_evaluate_case(pred: Mask, truth: Mask, diameter_axis="x") -> CaseMetrics:
+    """Every count, surface and extent taken over the whole grid; the EDT
+    runs on the union box of the two surfaces found by ``np.nonzero``."""
+    ax = axis_index(diameter_axis)
+    tp = int(np.count_nonzero(pred.bits & truth.bits))
+    fp = pred.count - tp
+    fn = truth.count - tp
+    tn = pred.nvox - tp - fp - fn
+    if pred.is_empty:
+        hd = stsd = None
+        diameter_pred = 0.0
+    else:
+        surf_a, surf_b = _full_grid_surface(pred.bits), _full_grid_surface(truth.bits)
+        ix, iy, iz = np.nonzero(surf_a | surf_b)
+        box = tuple(slice(c.min(), c.max() + 1) for c in (ix, iy, iz))
+        sa, sb = surf_a[box], surf_b[box]
+        d_a_to_b = ndimage.distance_transform_edt(~sb, sampling=pred.spacing)[sa]
+        d_b_to_a = ndimage.distance_transform_edt(~sa, sampling=pred.spacing)[sb]
+        hd = float(max(d_a_to_b.max(), d_b_to_a.max()))
+        stsd = float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
+        diameter_pred = _full_grid_extent_mm(pred, ax)
+    diameter_true = _full_grid_extent_mm(truth, ax)
+    sx, sy, sz = pred.spacing
+    volume_pred = pred.count * sx * sy * sz / 1000.0
+    volume_true = truth.count * sx * sy * sz / 1000.0
+    return CaseMetrics(
+        dice=2.0 * tp / (2 * tp + fp + fn),
+        iou=tp / (tp + fp + fn),
+        sensitivity=tp / (tp + fn),
+        specificity=tn / (tn + fp),
+        hd_mm=hd,
+        stsd_mm=stsd,
+        diameter_pred_mm=diameter_pred,
+        diameter_true_mm=diameter_true,
+        diameter_err_pct=100.0 * abs(diameter_pred - diameter_true) / diameter_true,
+        volume_pred_cm3=volume_pred,
+        volume_true_cm3=volume_true,
+        volume_err_pct=100.0 * abs(volume_pred - volume_true) / volume_true,
+    )
+
+
+def full_grid_assess_quality(scan: Volume, la: Mask, margin: int) -> QualityReport:
+    """Dilation, region masks and the float64 copy over the whole grid."""
+    fg_region = la.bits
+    if margin > 0:
+        fg_region = ndimage.binary_dilation(la.bits, structure=CROSS6, iterations=margin)
+    bg_region = ~fg_region
+    if margin > 0:
+        for axis in range(3):
+            sl = [slice(None)] * 3
+            sl[axis] = slice(0, margin)
+            bg_region[tuple(sl)] = False
+            sl[axis] = slice(-margin, None)
+            bg_region[tuple(sl)] = False
+    data = scan.data.astype(np.float64)
+    fg = data[fg_region]
+    bg = data[bg_region]
+    mu_fg = float(fg.mean())
+    mu_bg = float(bg.mean())
+    snr = float(bg.std()) / (mu_fg - mu_bg)
+    return QualityReport(
+        snr=snr, cr=mu_fg / mu_bg, het=float(fg.std()) / mu_fg, band=quality_band(snr)
+    )

@@ -213,7 +213,8 @@ def test_quality_command(tmp_path, capsys):
 
 
 def _quality_inputs(tmp_path):
-    # s0, s1 pair cleanly; s2's mask is not binary; s3 has no mask; s4 has no scan
+    # s0, s1 pair cleanly; s2's mask is not binary; s3 has no mask; s4 has no
+    # scan, only a label file in the scan directory, which is not a scan
     scans, masks = tmp_path / "scans", tmp_path / "masks"
     scans.mkdir()
     masks.mkdir()
@@ -226,6 +227,7 @@ def _quality_inputs(tmp_path):
     for i in (0, 1, 4):
         write_nrrd(Mask(bits), masks / f"s{i}_label.nrrd")
     write_nrrd(Volume(np.where(bits, 2, 0).astype(np.uint8)), masks / "s2_label.nrrd")
+    write_nrrd(Mask(bits), scans / "s4_label.nrrd")
     return ["--scans", str(scans), "--masks", str(masks)]
 
 
@@ -456,25 +458,29 @@ _METRICS_HEADER = "case_id,dice,iou,sensitivity,specificity,hd_mm,stsd_mm\n"
 
 
 @pytest.mark.parametrize(
-    "metrics_text, quality_text, bad_file, column",
+    "metrics_text, quality_text, bad_file, column, case_id",
     [
         pytest.param(
             "case_id,dice,sensitivity,specificity,hd_mm,stsd_mm\nc0,0.9,0.9,0.99,8,1\n",
-            None, "team.csv", "iou", id="missing-column",
+            None, "team.csv", "iou", None, id="missing-column",
         ),
         pytest.param(
             _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.9,n/a,0.9,0.99,8,1\n",
-            None, "team.csv", "iou", id="non-numeric-cell",
+            None, "team.csv", "iou", None, id="non-numeric-cell",
+        ),
+        pytest.param(
+            _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,,0.7,0.9,0.99,8,1\n",
+            None, "team.csv", "dice", "c1", id="blank-dice-cell",
         ),
         pytest.param(
             _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.8,0.7,0.9,0.99,8,1\n",
             "id,snr,cr,het,band\nc0,0.5,2,0.2,high\n", "quality.csv", "scan_id",
-            id="quality-without-scan-id",
+            None, id="quality-without-scan-id",
         ),
     ],
 )
 def test_rank_malformed_csv_named_error(
-    tmp_path, capsys, metrics_text, quality_text, bad_file, column
+    tmp_path, capsys, metrics_text, quality_text, bad_file, column, case_id
 ):
     (tmp_path / "team.csv").write_text(metrics_text)
     argv = ["rank", "--metrics", str(tmp_path / "team.csv"), "--out-dir", str(tmp_path / "board")]
@@ -485,3 +491,16 @@ def test_rank_malformed_csv_named_error(
     err = capsys.readouterr().err
     assert err.startswith("labench: error: MalformedCsv: ")
     assert str(tmp_path / bad_file) in err and repr(column) in err
+    if case_id is not None:
+        assert repr(case_id) in err
+
+
+def test_rank_accepts_blank_surface_distances(tmp_path):
+    # an empty prediction has no surface, so evaluate leaves hd_mm and stsd_mm blank
+    (tmp_path / "team.csv").write_text(
+        _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0,0,0,1,,\n"
+    )
+    out_dir = tmp_path / "board"
+    assert main(["rank", "--metrics", str(tmp_path / "team.csv"), "--out-dir", str(out_dir)]) == 0
+    (row,) = csv.DictReader((out_dir / "leaderboard.csv").open())
+    assert row["dice_mean"] == "0.45" and row["hd_mm_mean"] == "8"

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from labench.errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
-from labench.grids import Mask, Volume, check_same_geometry, downsample, linear_index
+from labench.grids import Mask, Volume, bbox, check_same_geometry, downsample, linear_index
 
 
 def test_flat_is_x_fastest():
@@ -103,3 +103,79 @@ def test_downsample_preserves_constant_mean(dims, seed):
     factor = tuple(min(2, d) for d in dims)
     out = downsample(v, factor)
     assert float(out.data.mean()) == value
+
+
+# --- bbox -------------------------------------------------------------------------
+
+
+def _extents(bits, pad=0):
+    """Reference box from np.nonzero: (start, stop) per axis, padded and clipped."""
+    coords = np.nonzero(bits)
+    if coords[0].size == 0:
+        return None
+    return tuple(
+        (max(int(c.min()) - pad, 0), min(int(c.max()) + 1 + pad, n))
+        for c, n in zip(coords, bits.shape)
+    )
+
+
+def _as_extents(box):
+    return None if box is None else tuple((s.start, s.stop) for s in box)
+
+
+def test_bbox_empty_is_none():
+    assert bbox(np.zeros((3, 4, 5), dtype=bool)) is None
+    assert bbox(np.zeros((3, 4, 5), dtype=bool), pad=2) is None
+
+
+def test_bbox_single_voxel():
+    bits = np.zeros((5, 6, 7), dtype=bool)
+    bits[2, 3, 4] = True
+    box = bbox(bits)
+    assert box == (slice(2, 3), slice(3, 4), slice(4, 5))
+    assert bits[box].shape == (1, 1, 1) and bits[box].all()
+    assert _as_extents(bbox(bits, pad=1)) == ((1, 4), (2, 5), (3, 6))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("side", [0, -1])
+def test_bbox_touching_each_face(axis, side):
+    bits = np.zeros((4, 5, 6), dtype=bool)
+    index = [slice(1, 3), slice(1, 4), slice(2, 5)]
+    index[axis] = side
+    bits[tuple(index)] = True
+    assert _as_extents(bbox(bits)) == _extents(bits)
+    extent = bbox(bits)[axis]
+    assert (extent.start == 0) if side == 0 else (extent.stop == bits.shape[axis])
+
+
+def test_bbox_pad_is_clipped_to_the_grid():
+    bits = np.zeros((4, 5, 6), dtype=bool)
+    bits[0, 2, 5] = True
+    assert _as_extents(bbox(bits, pad=2)) == ((0, 3), (0, 5), (3, 6))
+    assert _as_extents(bbox(bits, pad=100)) == ((0, 4), (0, 5), (0, 6))
+    with pytest.raises(ValueError):
+        bbox(bits, pad=-1)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_bbox_memory_order(order):
+    bits = np.zeros((7, 8, 9), dtype=bool, order=order)
+    bits[1:3, 4:8, 2] = True
+    bits[5, 5, 6] = True
+    assert _as_extents(bbox(bits)) == ((1, 6), (4, 8), (2, 7))
+    assert _as_extents(bbox(bits.T)) == _extents(bits.T)
+
+
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    st.floats(0.0, 0.3),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_bbox_matches_nonzero_extents(dims, density, pad, fortran, seed):
+    bits = np.random.default_rng(seed).random(dims) < density
+    if fortran:
+        bits = np.asfortranarray(bits)
+    assert _as_extents(bbox(bits, pad)) == _extents(bits, pad)

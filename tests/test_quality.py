@@ -119,6 +119,15 @@ def test_degenerate_contrast():
         assess_quality(Volume(data), Mask(bits), margin=0)
 
 
+@pytest.mark.parametrize("bg", [0.0, -10.0])
+def test_nonpositive_background_mean_is_degenerate_contrast(bg):
+    # a 0/1 mask scored as its own scan has background mean 0
+    bits = _two_level_phantom()
+    data = np.where(bits, 1.0, bg).astype(np.float32)
+    with pytest.raises(DegenerateContrast, match="background mean"):
+        assess_quality(Volume(data), Mask(bits), margin=0)
+
+
 def test_empty_mask_and_empty_background():
     data = np.zeros((4, 4, 4), dtype=np.float32)
     with pytest.raises(EmptyMask):
@@ -126,6 +135,10 @@ def test_empty_mask_and_empty_background():
     full = np.ones((4, 4, 4), dtype=bool)
     with pytest.raises(EmptyBackground):
         assess_quality(Volume(data), Mask(full), margin=0)
+    single = np.zeros((4, 4, 4), dtype=bool)
+    single[1, 1, 1] = True
+    with pytest.raises(EmptyBackground):  # the edge exclusion takes the whole grid
+        assess_quality(Volume(data), Mask(single), margin=2)
 
 
 def test_quality_distribution():
