@@ -78,9 +78,13 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def _parse_ints(text: str, n: int, name: str) -> tuple[int, ...]:
     parts = [p for p in text.replace("x", ",").split(",") if p]
-    if len(parts) != n:
+    try:
+        values = tuple(int(p) for p in parts)
+    except ValueError:
+        values = ()
+    if len(values) != n:
         raise SystemExit(_fail(f"{name} needs {n} comma-separated integers, got {text!r}"))
-    return tuple(int(p) for p in parts)
+    return values
 
 
 def _fail(message: str) -> int:
@@ -347,6 +351,8 @@ def cmd_preprocess(args) -> int:
     if args.normalize:
         volume = preprocess.normalize_intensity(volume)
     if args.clahe:
+        if args.clahe.count(",") != 2:
+            raise SystemExit(_fail(f"--clahe needs tiles and a clip limit, e.g. 8,8,3.0, got {args.clahe!r}"))
         tx, ty, clip = args.clahe.split(",")
         volume = preprocess.clahe_slicewise(volume, (int(tx), int(ty)), float(clip))
     if args.augment:
@@ -472,21 +478,11 @@ def cmd_experiment_patch_size(args) -> int:
 
 def _synth_one(task):
     base, i, tier, seed, out_dir, encoding, digits = task
-    volume, mask, _ = phantom.generate_cohort(
-        base, 1, seed=seed + i, tier_fractions=_single_tier_fraction(tier)
-    )[0]
+    volume, mask = phantom.cohort_member(base, seed + i, tier)
     case_id = f"case_{i:0{digits}d}"
     write_nrrd(volume, Path(out_dir) / f"{case_id}.nrrd", encoding=encoding)
     write_nrrd(mask, Path(out_dir) / f"{case_id}_label.nrrd", encoding=encoding)
     return case_id, tier, seed + i
-
-
-def _single_tier_fraction(tier: str) -> tuple[float, float, float]:
-    return {
-        "high": (1.0, 0.0, 0.0),
-        "medium": (0.0, 1.0, 0.0),
-        "low": (0.0, 0.0, 1.0),
-    }[tier]
 
 
 def cmd_synth(args) -> int:
@@ -496,11 +492,12 @@ def cmd_synth(args) -> int:
     spacing = tuple(float(s) for s in args.spacing.split(","))
     if len(spacing) == 1:
         spacing = spacing * 3
+    if len(spacing) != 3:
+        raise SystemExit(_fail(f"--spacing needs 1 or 3 comma-separated numbers, got {args.spacing!r}"))
     fractions = tuple(float(f) for f in args.tier_fractions.split(","))
     base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
 
-    counts = phantom.tier_counts(args.count, fractions)
-    tiers = ["high"] * counts[0] + ["medium"] * counts[1] + ["low"] * counts[2]
+    tiers = phantom.cohort_tiers(args.count, fractions)
     digits = max(3, len(str(args.count - 1)))
     tasks = [
         (base, i, tier, args.seed, str(out_dir), args.encoding, digits)
@@ -508,12 +505,7 @@ def cmd_synth(args) -> int:
     ]
     results = _run_tasks(_synth_one, tasks, args.jobs)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("id", "tier", "seed"))
-    for case_id, tier, seed in sorted(results):
-        writer.writerow((case_id, tier, seed))
-    (out_dir / "manifest.csv").write_text(buf.getvalue())
+    _write_table(out_dir / "manifest.csv", ("id", "tier", "seed"), sorted(results), "csv")
     return 0
 
 
@@ -633,7 +625,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except LabenchError as exc:
+    except (LabenchError, ValueError) as exc:  # a rejected argument value
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -48,6 +48,10 @@ class UnsupportedSpaceDirections(NrrdError):
     """Non-diagonal (non-axis-aligned) space directions."""
 
 
+class UnsupportedField(NrrdError):
+    """Header fields that move the payload: data file, line/byte skip."""
+
+
 class DimensionMismatch(NrrdError):
     """Payload byte count disagrees with the header-implied count."""
 

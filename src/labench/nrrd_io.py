@@ -3,9 +3,12 @@
 Supports the subset the challenge data actually uses: 3D grids, sample
 types ``unsigned char`` / ``unsigned short`` / ``float``, ``raw`` or
 ``gzip`` encodings, little-endian payloads, and geometry given either as
-``spacings`` or as diagonal ``space directions``. Unrecognized header
-fields are ignored; detached headers, big-endian data and non-orthogonal
-axes are rejected.
+``spacings`` or as diagonal ``space directions``. Header fields that
+change where the payload starts or lives (``data file``, ``line skip``,
+``byte skip``) are rejected, as are big-endian data and non-orthogonal
+axes; other fields the reader does not use are ignored. A gzip payload
+is inflated to at most one byte past the header-implied size, which
+bounds the memory an oversized payload can take.
 
 The payload raster order is x-fastest, matching :mod:`labench.grids`.
 """
@@ -29,6 +32,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedEncoding,
     UnsupportedEndian,
+    UnsupportedField,
     UnsupportedSpaceDirections,
     UnsupportedType,
 )
@@ -80,6 +84,10 @@ def _parse_header(blob: bytes) -> tuple[dict[str, str], int]:
             raise MalformedHeader(f"unparsable header line: {text!r}")
         key, value = text.split(": ", 1)
         fields[key.strip().lower()] = value.strip()
+
+
+# fields that move or split the payload, in every spelling the format allows
+_UNSUPPORTED_FIELDS = ("data file", "datafile", "line skip", "lineskip", "byte skip", "byteskip")
 
 
 def _require(fields: dict[str, str], name: str) -> str:
@@ -167,13 +175,22 @@ def read_nrrd(path, as_mask: bool | None = None) -> Grid:
 
     spacing = _spacing_from_fields(fields)
 
+    for name in _UNSUPPORTED_FIELDS:
+        if name in fields:
+            raise UnsupportedField(f"header field {name!r} is not supported")
+
+    expected = sizes[0] * sizes[1] * sizes[2] * dtype.itemsize
     payload = blob[offset:]
     if encoding in ("gzip", "gz"):
+        inflater = zlib.decompressobj(wbits=31)
         try:
-            payload = gzip.decompress(payload)
-        except (OSError, EOFError, zlib.error) as exc:
+            payload = inflater.decompress(payload, expected + 1)
+        except zlib.error as exc:
             raise DimensionMismatch(f"gzip payload corrupt: {exc}") from exc
-    expected = sizes[0] * sizes[1] * sizes[2] * dtype.itemsize
+        if len(payload) > expected or inflater.unused_data:
+            raise DimensionMismatch(f"gzip payload holds more than the {expected} bytes the header implies")
+        if not inflater.eof:
+            raise DimensionMismatch("gzip payload ends before its end-of-stream marker")
     if len(payload) != expected:
         raise DimensionMismatch(
             f"payload is {len(payload)} bytes, header implies {expected}"

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GeometryOutOfBounds, InfeasibleTier
-from .grids import CROSS6, Mask, Volume
-from .quality import DEFAULT_MARGIN
+from .grids import Mask, Volume
+from .quality import BANDS, DEFAULT_MARGIN, foreground_region
 
 DEFAULT_DIMS = (576, 576, 88)
 DEFAULT_SPACING = (0.625, 0.625, 0.625)
@@ -134,6 +133,15 @@ def _bounds_check(spec: PhantomSpec) -> None:
 
 
 def _voxelize(spec: PhantomSpec) -> np.ndarray:
+    """The mask bits of a spec, after the geometry checks."""
+    if min(spec.semi_axes_mm) <= 0:
+        raise ValueError(f"semi-axes must be positive, got {spec.semi_axes_mm!r}")
+    for tube in spec.tubes:
+        if tube.radius_mm <= 0 or tube.length_mm <= 0:
+            raise ValueError("tube radius and length must be positive")
+    if not spec.allow_clip:
+        _bounds_check(spec)
+
     nx, ny, nz = spec.dims
     sx, sy, sz = spec.spacing
     xs = (np.arange(nx, dtype=np.float64) + 0.5) * sx
@@ -166,23 +174,19 @@ def _voxelize(spec: PhantomSpec) -> np.ndarray:
     return solid
 
 
-def generate(spec: PhantomSpec) -> tuple[Volume, Mask]:
-    """Deterministic (scan, truth mask) pair from a phantom spec."""
-    if min(spec.semi_axes_mm) <= 0:
-        raise ValueError(f"semi-axes must be positive, got {spec.semi_axes_mm!r}")
-    for tube in spec.tubes:
-        if tube.radius_mm <= 0 or tube.length_mm <= 0:
-            raise ValueError("tube radius and length must be positive")
-    if not spec.allow_clip:
-        _bounds_check(spec)
-
-    bits = _voxelize(spec)
+def _draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
+    """Scan intensities for the voxelized spec, from ``spec.seed``."""
     rng = np.random.default_rng(spec.seed)
     data = rng.normal(spec.mu_bg, spec.sigma_bg, size=spec.dims)
     n_fg = int(np.count_nonzero(bits))
     if n_fg:
         data[bits] = rng.normal(spec.mu_fg, spec.sigma_fg, size=n_fg)
     return Volume(data.astype(np.float32), spec.spacing), Mask(bits, spec.spacing)
+
+
+def generate(spec: PhantomSpec) -> tuple[Volume, Mask]:
+    """Deterministic (scan, truth mask) pair from a phantom spec."""
+    return _draw(spec, _voxelize(spec))
 
 
 # --- quality-tier cohorts -----------------------------------------------------
@@ -217,6 +221,12 @@ def tier_counts(n: int, fractions=DEFAULT_TIER_FRACTIONS) -> tuple[int, int, int
     return tuple(counts)
 
 
+def cohort_tiers(n: int, fractions=DEFAULT_TIER_FRACTIONS) -> list[str]:
+    """The tier of each of n members: the :func:`tier_counts` of each
+    band in high, medium, low order."""
+    return [tier for tier, k in zip(BANDS, tier_counts(n, fractions)) for _ in range(k)]
+
+
 def _jittered_spec(base: PhantomSpec, member_seed: int, variation: CohortVariation) -> PhantomSpec:
     """Jitter geometry and intensity; tubes and the valve plane follow the
     body so attachment (and therefore mask connectivity) is preserved."""
@@ -248,20 +258,27 @@ def _jittered_spec(base: PhantomSpec, member_seed: int, variation: CohortVariati
     )
 
 
-def _sigma_bg_for_band(spec: PhantomSpec, bits: np.ndarray, target_snr: float, margin: int) -> float:
-    """Back-compute the background noise level that lands assess_quality at
-    the target snr, correcting for the dilation rim's pull on the
-    foreground mean."""
+def cohort_member(
+    base: PhantomSpec,
+    seed: int,
+    tier: str,
+    variation: CohortVariation | None = None,
+    margin: int = DEFAULT_MARGIN,
+) -> tuple[Volume, Mask]:
+    """One cohort member: ``base`` jittered with ``seed``, its noise level
+    chosen so that :func:`labench.quality.assess_quality` at ``margin``
+    lands in ``tier``."""
+    spec = _jittered_spec(base, seed, variation or CohortVariation())
     if spec.mu_fg <= spec.mu_bg:
         raise InfeasibleTier("mu_fg must exceed mu_bg to target any quality band")
-    n_mask = int(np.count_nonzero(bits))
-    if margin > 0:
-        dilated = ndimage.binary_dilation(bits, structure=CROSS6, iterations=margin)
-        n_dilated = int(np.count_nonzero(dilated))
-    else:
-        n_dilated = n_mask
-    w = n_mask / n_dilated
-    return target_snr * w * (spec.mu_fg - spec.mu_bg)
+    bits = _voxelize(spec)
+    if not bits.any():
+        raise GeometryOutOfBounds(f"cohort member with seed {seed} has an empty mask")
+    # the dilated foreground's rim of background scales the measured contrast by w
+    _, region = foreground_region(bits, margin)
+    w = np.count_nonzero(bits) / np.count_nonzero(region)
+    sigma_bg = TIER_SNR_TARGETS[tier] * w * (spec.mu_fg - spec.mu_bg)
+    return _draw(replace(spec, sigma_bg=sigma_bg), bits)
 
 
 def generate_cohort(
@@ -272,23 +289,10 @@ def generate_cohort(
     tier_fractions=DEFAULT_TIER_FRACTIONS,
     margin: int = DEFAULT_MARGIN,
 ) -> list[tuple[Volume, Mask, str]]:
-    """Deterministic cohort with a declared quality-band mix.
-
-    Member i jitters the base geometry with seed ``seed + i`` and draws
-    its noise level so that :func:`labench.quality.assess_quality` lands
-    in the member's assigned band.
-    """
-    variation = variation or CohortVariation()
-    counts = tier_counts(n, tier_fractions)
-    tiers = ["high"] * counts[0] + ["medium"] * counts[1] + ["low"] * counts[2]
-
-    members = []
-    for i, tier in enumerate(tiers):
-        spec = _jittered_spec(base, seed + i, variation)
-        bits = _voxelize(spec)
-        if not bits.any():
-            raise GeometryOutOfBounds(f"cohort member {i} has an empty mask")
-        sigma_bg = _sigma_bg_for_band(spec, bits, TIER_SNR_TARGETS[tier], margin)
-        volume, mask = generate(replace(spec, sigma_bg=sigma_bg))
-        members.append((volume, mask, tier))
-    return members
+    """Deterministic cohort with a declared quality-band mix: member i is
+    :func:`cohort_member` with seed ``seed + i`` and the i-th entry of
+    :func:`cohort_tiers`."""
+    return [
+        (*cohort_member(base, seed + i, tier, variation, margin), tier)
+        for i, tier in enumerate(cohort_tiers(n, tier_fractions))
+    ]

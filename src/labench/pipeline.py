@@ -25,7 +25,7 @@ from scipy import ndimage
 
 from . import grids
 from .errors import BoxInconsistent, EmptyMask, NoForeground
-from .grids import CUBE26, Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
+from .grids import Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
 from .metrics import dice
 from .nrrd_io import read_nrrd
 from .postprocess import StructuringElement, close_mask, largest_component
@@ -142,12 +142,10 @@ def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
     # (a profiler, say) sees this call too
     small = grids.downsample(v, (f, f, f))
     threshold = otsu_threshold(small.data)
-    bright = small.data > threshold
-    if not bright.any():
+    bright = Mask(small.data > threshold, small.spacing)
+    if bright.is_empty:
         raise NoForeground("thresholding produced an empty foreground")
-    labels, n = ndimage.label(bright, structure=CUBE26)
-    sizes = np.bincount(labels.ravel())[1:]
-    bright = labels == (int(np.argmax(sizes)) + 1)
+    bright = largest_component(bright, connectivity=26).bits
     cx, cy, cz = (float(c.mean()) for c in np.nonzero(bright))
     # block centers: downsampled index c covers full-res [c*f, c*f + f)
     return tuple(

@@ -32,20 +32,7 @@ class StructuringElement:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
 
     def footprint(self) -> np.ndarray:
-        r = self.radius
-        if self.kind == "cube":
-            return np.ones((2 * r + 1,) * 3, dtype=bool)
-        grid = np.abs(np.arange(-r, r + 1))
-        manhattan = grid[:, None, None] + grid[None, :, None] + grid[None, None, :]
-        return manhattan <= r
-
-
-def _structure(connectivity: int) -> np.ndarray:
-    if connectivity == 6:
-        return CROSS6
-    if connectivity == 26:
-        return CUBE26
-    raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
+        return ndimage.iterate_structure(CROSS6 if self.kind == "cross" else CUBE26, self.radius)
 
 
 def largest_component(m: Mask, connectivity: int = 26) -> Mask:
@@ -54,28 +41,19 @@ def largest_component(m: Mask, connectivity: int = 26) -> Mask:
     Size ties are broken by the smallest minimum x-fastest linear index.
     An empty mask passes through unchanged.
     """
-    structure = _structure(connectivity)
+    if connectivity not in (6, 26):
+        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     if m.is_empty:
         return m
-    labels, n = ndimage.label(m.bits, structure=structure)
+    labels, n = ndimage.label(m.bits, structure=CROSS6 if connectivity == 6 else CUBE26)
     if n == 1:
         return m
     sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
     best = int(np.argmax(sizes)) + 1
     tied = np.nonzero(sizes == sizes[best - 1])[0] + 1
     if tied.size > 1:
-        # first nonzero occurrence in x-fastest order decides the tie
-        flat = labels.transpose(2, 1, 0).ravel()
-        first = {label: None for label in tied}
-        remaining = len(first)
-        for idx in np.nonzero(np.isin(flat, tied))[0]:
-            label = int(flat[idx])
-            if first[label] is None:
-                first[label] = int(idx)
-                remaining -= 1
-                if remaining == 0:
-                    break
-        best = min(tied, key=lambda lab: first[int(lab)])
+        flat = labels.ravel(order="F")
+        best = int(flat[np.argmax(np.isin(flat, tied))])
     return Mask(labels == best, m.spacing)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
-from .grids import CROSS6, Mask, Volume, bbox, check_same_geometry
+from .grids import CROSS6, Box, Mask, Volume, bbox, check_same_geometry
 
 BANDS = ("high", "medium", "low")
 
@@ -49,18 +49,24 @@ def quality_band(snr: float) -> str:
     return "low"
 
 
-def assess_quality(scan: Volume, la: Mask, margin: int = DEFAULT_MARGIN) -> QualityReport:
-    check_same_geometry(scan, la)
+def foreground_region(bits: np.ndarray, margin: int) -> tuple[Box, np.ndarray]:
+    """The box of ``bits`` grown by ``margin`` voxels and, inside it, ``bits``
+    dilated ``margin`` times by the 6-connected cross: the quality foreground.
+    The dilation cannot reach past the box, so it equals the full-grid one."""
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
-    # the dilated foreground fits in the mask's box grown by the margin
-    box = bbox(la.bits, pad=margin)
+    box = bbox(bits, pad=margin)
     if box is None:
         raise EmptyMask("quality assessment needs a non-empty cavity mask")
-
-    fg_region = la.bits[box]
+    region = bits[box]
     if margin > 0:
-        fg_region = ndimage.binary_dilation(fg_region, structure=CROSS6, iterations=margin)
+        region = ndimage.binary_dilation(region, structure=CROSS6, iterations=margin)
+    return box, region
+
+
+def assess_quality(scan: Volume, la: Mask, margin: int = DEFAULT_MARGIN) -> QualityReport:
+    check_same_geometry(scan, la)
+    box, fg_region = foreground_region(la.bits, margin)
 
     # padding artifacts live at the grid edge; keep them out of the noise estimate
     bg_region = np.zeros(la.dims, dtype=bool)

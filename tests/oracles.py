@@ -6,16 +6,28 @@ equalization from per-pixel rank counting, and the t-distribution CDF from
 numerical quadrature of the density. The full-grid ``evaluate_case`` and
 ``assess_quality`` are those functions as they were before the scoring path
 was confined to the foreground box; the box path must match them exactly.
+``two_pass_cohort`` is the cohort composition that ``generate_cohort`` must
+reproduce bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, ndimage
 
 from labench.grids import CROSS6, Mask, Volume, axis_index
 from labench.metrics import CaseMetrics
-from labench.quality import QualityReport, quality_band
+from labench.phantom import (
+    DEFAULT_TIER_FRACTIONS,
+    TIER_SNR_TARGETS,
+    CohortVariation,
+    _jittered_spec,
+    _voxelize,
+    generate,
+    tier_counts,
+)
+from labench.quality import DEFAULT_MARGIN, QualityReport, quality_band
 
 
 def surface_points(m: Mask) -> np.ndarray:
@@ -184,3 +196,23 @@ def full_grid_assess_quality(scan: Volume, la: Mask, margin: int) -> QualityRepo
     return QualityReport(
         snr=snr, cr=mu_fg / mu_bg, het=float(fg.std()) / mu_fg, band=quality_band(snr)
     )
+
+
+def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS, margin=DEFAULT_MARGIN):
+    """``generate_cohort`` as it was composed before each member was
+    voxelized once: voxelize for the noise level, with the foreground
+    dilated over the whole grid, then ``generate`` voxelizes again."""
+    counts = tier_counts(n, tier_fractions)
+    tiers = ["high"] * counts[0] + ["medium"] * counts[1] + ["low"] * counts[2]
+    members = []
+    for i, tier in enumerate(tiers):
+        spec = _jittered_spec(base, seed + i, CohortVariation())
+        bits = _voxelize(spec)
+        dilated = bits
+        if margin > 0:
+            dilated = ndimage.binary_dilation(bits, structure=CROSS6, iterations=margin)
+        w = int(np.count_nonzero(bits)) / int(np.count_nonzero(dilated))
+        sigma_bg = TIER_SNR_TARGETS[tier] * w * (spec.mu_fg - spec.mu_bg)
+        volume, mask = generate(replace(spec, sigma_bg=sigma_bg))
+        members.append((volume, mask, tier))
+    return members

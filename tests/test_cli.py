@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import labench
+from labench import phantom
 from labench.cli import _build_parser, main
 from labench.grids import Mask, Volume
 from labench.nrrd_io import read_nrrd, write_nrrd
@@ -93,6 +94,35 @@ def test_read_shared_option_is_accepted(command, option):
     text, value = _VALUES[option]
     args = _build_parser().parse_args(_BASE_ARGV[command] + [f"--{option}", text])
     assert getattr(args, option) == value
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["synth", "--dims", "4,4,q"], "'4,4,q'"),
+        (["synth", "--tier-fractions", "0.5,0.5"], "(0.5, 0.5)"),
+        (["synth", "--count", "0"], "got 0"),
+        (["synth", "--spacing", "1,1"], "'1,1'"),
+        (["preprocess", "{scan}", "--clahe", "8,8"], "'8,8'"),
+        (["postprocess", "{mask}", "--ops", "dilate:ball"], "'ball'"),
+        (["postprocess", "{mask}", "--ops", "smooth:0"], "got 0"),
+        (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
+    ],
+    ids=["dims", "tier-fractions", "count", "spacing", "clahe", "ops-kind", "ops-smooth", "offsets"],
+)
+def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):
+    _write_pair(tmp_path, "c", _blob(), scan=np.where(_blob(), 600.0, 200.0).astype(np.float32))
+    paths = {"scan": tmp_path / "c.nrrd", "mask": tmp_path / "c_label.nrrd"}
+    argv = [a.format(**paths) for a in argv]
+    out = "--out-dir" if argv[0] == "synth" else "--out"
+    try:
+        code = main(argv + [out, str(tmp_path / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("labench: error: ") and value in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])
@@ -386,6 +416,19 @@ def test_synth_writes_cohort_and_manifest(tmp_path):
         assert (out_dir / f"{row['id']}_label.nrrd").exists()
     grid = read_nrrd(out_dir / f"{manifest[0]['id']}.nrrd", as_mask=False)
     assert grid.dims == (40, 40, 28)
+
+
+def test_synth_cases_are_the_cohort_members(tmp_path):
+    out_dir = tmp_path / "cohort"
+    argv = ["synth", "--out-dir", str(out_dir), "--count", "3", "--dims", "32,32,24"]
+    assert main(argv + ["--spacing", "1.0", "--seed", "5", "--tier-fractions", "0.34,0.33,0.33"]) == 0
+    base = phantom.default_phantom_spec(dims=(32, 32, 24), spacing=(1.0, 1.0, 1.0))
+    members = phantom.generate_cohort(base, 3, seed=5, tier_fractions=(0.34, 0.33, 0.33))
+    manifest = list(csv.DictReader((out_dir / "manifest.csv").open()))
+    for row, (volume, mask, tier) in zip(manifest, members):
+        assert row["tier"] == tier
+        assert read_nrrd(out_dir / f"{row['id']}.nrrd", as_mask=False) == volume
+        assert read_nrrd(out_dir / f"{row['id']}_label.nrrd", as_mask=True) == mask
 
 
 def test_synth_deterministic_across_runs_and_jobs(tmp_path):

@@ -1,4 +1,6 @@
 import gzip
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from labench.errors import (
     NotNrrdFile,
     UnsupportedEncoding,
     UnsupportedEndian,
+    UnsupportedField,
     UnsupportedSpaceDirections,
 )
 from labench.grids import Mask, Volume
@@ -182,6 +185,9 @@ def test_rejects_non_diagonal_space_directions(tmp_path):
             lambda lines: [l.replace("spacings: 1 1 1", "spacings: 0 1 1") for l in lines],
             NonPositiveSpacing,
         ),
+        (lambda lines: lines + ["data file: payload.raw"], UnsupportedField),
+        (lambda lines: lines + ["line skip: 0"], UnsupportedField),
+        (lambda lines: lines + ["byte skip: -1"], UnsupportedField),
     ],
 )
 def test_header_errors(tmp_path, mutate, error):
@@ -215,6 +221,41 @@ def test_payload_count_mismatch(tmp_path):
     )
     with pytest.raises(DimensionMismatch):
         read_nrrd(path)
+
+
+_GZIP_2x2x2 = ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 2", "encoding: gzip"]
+
+
+def test_gzip_payload_checks(tmp_path):
+    path = tmp_path / "g.nrrd"
+    for payload in (
+        gzip.compress(bytes(7)),  # too short
+        gzip.compress(bytes(9)),  # too long
+        gzip.compress(bytes(8))[:-6],  # truncated inside the trailer
+        gzip.compress(bytes(8))[:12],  # truncated inside the deflate stream
+        gzip.compress(bytes(8)) + b"junk",  # data after the gzip stream
+        b"\x1f\x8b" + bytes(16),  # corrupt
+    ):
+        _write(path, _GZIP_2x2x2, payload)
+        with pytest.raises(DimensionMismatch):
+            read_nrrd(path)
+
+
+def test_oversized_gzip_payload_is_rejected_in_bounded_memory(tmp_path):
+    # a 2x2x2 grid whose payload inflates to 200 MB
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 31)
+    chunk = bytes(1 << 20)
+    payload = b"".join(deflate.compress(chunk) for _ in range(200)) + deflate.flush()
+    path = tmp_path / "bomb.nrrd"
+    _write(path, _GZIP_2x2x2, payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch):
+            read_nrrd(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_gzip_output_is_byte_stable(tmp_path, rng):

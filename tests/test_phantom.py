@@ -16,6 +16,7 @@ from labench.phantom import (
     tier_counts,
 )
 from labench.quality import assess_quality
+from oracles import two_pass_cohort
 
 DESK_DIMS = (72, 72, 48)
 DESK_SPACING = (1.0, 1.0, 1.0)
@@ -147,6 +148,19 @@ def test_cohort_masks_connected():
     for _, mask, _ in members:
         _, n = ndimage.label(mask.bits, structure=np.ones((3, 3, 3)))
         assert n == 1
+
+
+@pytest.mark.parametrize("margin", [0, 3])
+def test_cohort_equals_two_pass_composition(margin):
+    base = _desk_spec()
+    fractions = (0.34, 0.33, 0.33)
+    members = generate_cohort(base, 3, seed=4, tier_fractions=fractions, margin=margin)
+    expected = two_pass_cohort(base, 3, seed=4, tier_fractions=fractions, margin=margin)
+    assert [t for _, _, t in members] == ["high", "medium", "low"]
+    for (v, m, t), (ev, em, et) in zip(members, expected):
+        assert t == et
+        assert v.data.tobytes() == ev.data.tobytes()
+        assert m.bits.tobytes() == em.bits.tobytes()
 
 
 def test_infeasible_tier():

@@ -148,6 +148,15 @@ def test_localize_threshold_prefers_larger_component():
     assert all(abs(f - t) <= 1 for f, t in zip(found, (11, 15, 11)))
 
 
+def test_localize_threshold_tie_goes_to_first_component_in_x_fastest_order():
+    # two equal blobs: the one at high x, low z comes first in x-fastest
+    # order, the one at low x, high z in C order
+    data = np.full((20, 8, 20), 50.0, dtype=np.float32)
+    data[2:6, 2:6, 14:18] = 900.0
+    data[14:18, 2:6, 2:6] = 900.0
+    assert localize_threshold(Volume(data), downsample_factor=1) == (16, 4, 4)
+
+
 def test_localize_threshold_uniform_volume_errors():
     v = Volume(np.full((16, 16, 16), 5.0, dtype=np.float32))
     with pytest.raises(NoForeground):

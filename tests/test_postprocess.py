@@ -106,6 +106,17 @@ def test_single_voxel_cross_dilation_is_seven():
     assert set(map(tuple, np.argwhere(out.bits))) == expected
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_footprints_are_l1_and_chebyshev_balls(radius):
+    offsets = np.abs(np.arange(-radius, radius + 1))
+    l1 = offsets[:, None, None] + offsets[None, :, None] + offsets[None, None, :]
+    cross = StructuringElement("cross", radius).footprint()
+    cube = StructuringElement("cube", radius).footprint()
+    assert cross.dtype == cube.dtype == np.bool_
+    assert np.array_equal(cross, l1 <= radius)
+    assert np.array_equal(cube, np.ones((2 * radius + 1,) * 3, dtype=bool))
+
+
 def test_cube_element_dilation_is_27():
     bits = np.zeros((5, 5, 5), dtype=bool)
     bits[2, 2, 2] = True
