@@ -486,8 +486,6 @@ def _synth_one(task):
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dims = _parse_ints(args.dims, 3, "--dims")
     spacing = tuple(float(s) for s in args.spacing.split(","))
     if len(spacing) == 1:
@@ -498,6 +496,8 @@ def cmd_synth(args) -> int:
     base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
 
     tiers = phantom.cohort_tiers(args.count, fractions)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     digits = max(3, len(str(args.count - 1)))
     tasks = [
         (base, i, tier, args.seed, str(out_dir), args.encoding, digits)

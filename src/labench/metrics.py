@@ -12,10 +12,12 @@ projections). Every voxel outside it is background in both masks, so the
 overlap counts taken inside it equal full-grid counts; only TN comes from
 the grid size. Diameters are box extents. A mask's extreme voxels are
 surface voxels, so the box is also the union box of the two surfaces, and
-the exact Euclidean distance transforms run on it loss-free (every source
-and query voxel lies inside). The foreground fills under 1% of a challenge
-grid, so the box is usually a small part of it; stray voxels near opposite
-corners make it span the grid.
+the exact Euclidean feature transform of each surface (nearest surface
+voxel per box voxel) runs on it loss-free: every source and query voxel
+lies inside. Distances are formed only at the other surface's voxels, so
+no distance map spans the box. The foreground fills under 1% of a
+challenge grid, so the box is usually a small part of it; stray voxels
+near opposite corners make it span the grid.
 """
 
 from __future__ import annotations
@@ -150,6 +152,23 @@ def sensitivity_specificity(pred: Mask, truth: Mask) -> tuple[float, float, Conf
     return (*_rates(counts), counts)
 
 
+def _distances_to(surface: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
+    """Distance (mm) from each ``query`` voxel, in C order, to the nearest
+    ``surface`` voxel. Only the feature transform spans the box; distances
+    are formed at the query voxels with the float operations of
+    ``distance_transform_edt`` in its order, so they equal its map bit for bit.
+    """
+    ft = ndimage.distance_transform_edt(
+        ~surface, sampling=spacing, return_distances=False, return_indices=True
+    )
+    at = np.nonzero(query)
+    d = (ft[(slice(None), *at)] - np.stack(at)).astype(np.float64)
+    for ax, s in enumerate(spacing):
+        d[ax] *= s
+    np.multiply(d, d, d)
+    return np.sqrt(np.add.reduce(d, axis=0))
+
+
 def _surface_distance_fields(a: np.ndarray, b: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
     """Distances (mm) from each A-surface voxel to B's surface and vice versa.
 
@@ -161,9 +180,7 @@ def _surface_distance_fields(a: np.ndarray, b: np.ndarray, spacing) -> tuple[np.
     """
     sa = surface_voxels(Mask(a, spacing))
     sb = surface_voxels(Mask(b, spacing))
-    dt_to_b = ndimage.distance_transform_edt(~sb, sampling=spacing)
-    dt_to_a = ndimage.distance_transform_edt(~sa, sampling=spacing)
-    return dt_to_b[sa], dt_to_a[sb]
+    return _distances_to(sb, sa, spacing), _distances_to(sa, sb, spacing)
 
 
 def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
@@ -187,7 +204,9 @@ def hausdorff_mm(a: Mask, b: Mask, mode: str = "symmetric") -> float:
         raise EmptyMask("Hausdorff distance requires two non-empty masks")
     _, _, ca, cb = _crops(a, b)
     if mode == "directed":
-        return float(_surface_distance_fields(ca, cb, a.spacing)[1].max())
+        sa = surface_voxels(Mask(ca, a.spacing))
+        sb = surface_voxels(Mask(cb, a.spacing))
+        return float(_distances_to(sa, sb, a.spacing).max())
     return _hd_stsd(ca, cb, a.spacing)[0]
 
 

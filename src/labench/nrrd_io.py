@@ -180,7 +180,7 @@ def read_nrrd(path, as_mask: bool | None = None) -> Grid:
             raise UnsupportedField(f"header field {name!r} is not supported")
 
     expected = sizes[0] * sizes[1] * sizes[2] * dtype.itemsize
-    payload = blob[offset:]
+    payload = memoryview(blob)[offset:]
     if encoding in ("gzip", "gz"):
         inflater = zlib.decompressobj(wbits=31)
         try:
@@ -221,7 +221,7 @@ def write_nrrd(grid: Grid, path, encoding: str = "raw") -> None:
     else:
         arr = grid.data
     dtype = arr.dtype
-    payload = arr.ravel(order="F").astype(dtype.newbyteorder("<"), copy=False).tobytes()
+    payload = arr.ravel(order="F").astype(dtype.newbyteorder("<"), copy=False)
     if encoding == "gzip":
         payload = gzip.compress(payload, compresslevel=6, mtime=0)
 
@@ -238,6 +238,8 @@ def write_nrrd(grid: Grid, path, encoding: str = "raw") -> None:
     header = ("\n".join(lines) + "\n\n").encode("ascii")
 
     try:
-        Path(path).write_bytes(header + payload)
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import CROSS6, CUBE26, Mask
+from .grids import CROSS6, CUBE26, Mask, bbox
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,26 @@ def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
     are, background when fewer than half are, and keeps its value on an
     exact 13-13 tie. Out-of-grid neighbors replicate the nearest edge
     voxel so flat regions touching the border are fixed points.
+
+    The filter runs on the foreground box grown by ``iterations + 1``: each
+    pass grows the foreground by at most one voxel, so the box faces stay
+    background and every voxel outside keeps its value. Where the box is
+    clipped at the grid edge, the replicated edge is the same as before.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    bits = m.bits
+    box = bbox(m.bits, pad=iterations + 1)
+    if box is None:
+        return m
+    bits = m.bits[box]
     for _ in range(iterations):
         neighbors = ndimage.convolve(
             bits.astype(np.uint8), _NEIGHBOR_KERNEL, mode="nearest"
         )
         new = np.where(neighbors > 13, True, np.where(neighbors < 13, False, bits))
         if np.array_equal(new, bits):
-            bits = new
             break
         bits = new
-    return Mask(bits, m.spacing)
+    out = np.zeros(m.dims, dtype=bool)
+    out[box] = bits
+    return Mask(out, m.spacing)

@@ -7,7 +7,8 @@ numerical quadrature of the density. The full-grid ``evaluate_case`` and
 ``assess_quality`` are those functions as they were before the scoring path
 was confined to the foreground box; the box path must match them exactly.
 ``two_pass_cohort`` is the cohort composition that ``generate_cohort`` must
-reproduce bit for bit.
+reproduce bit for bit, and ``full_grid_smooth_surface`` the majority filter
+over the whole grid that the boxed ``smooth_surface`` must equal.
 """
 
 import math
@@ -216,3 +217,18 @@ def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS, marg
         volume, mask = generate(replace(spec, sigma_bg=sigma_bg))
         members.append((volume, mask, tier))
     return members
+
+
+def full_grid_smooth_surface(m: Mask, iterations: int = 1) -> Mask:
+    """``smooth_surface`` as it was before it ran on the foreground box:
+    the 26-neighbor majority filter convolved over the whole grid."""
+    kernel = np.ones((3, 3, 3), dtype=np.uint8)
+    kernel[1, 1, 1] = 0
+    bits = m.bits
+    for _ in range(iterations):
+        neighbors = ndimage.convolve(bits.astype(np.uint8), kernel, mode="nearest")
+        new = np.where(neighbors > 13, True, np.where(neighbors < 13, False, bits))
+        if np.array_equal(new, bits):
+            break
+        bits = new
+    return Mask(bits, m.spacing)

@@ -123,6 +123,8 @@ def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value)
     err = capsys.readouterr().err
     assert err.startswith("labench: error: ") and value in err
     assert "Traceback" not in err
+    if argv[0] == "synth":
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])

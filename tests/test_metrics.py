@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -173,6 +175,25 @@ def test_distance_transform_equals_brute_force(rng):
             brute_force_hd(a, b, "directed"), abs=1e-9
         )
         assert stsd_mm(a, b) == pytest.approx(brute_force_stsd(a, b), abs=1e-9)
+
+
+def test_evaluate_case_memory_is_bounded_by_the_box():
+    # a compact blob plus two corner cubes: the union box spans the grid,
+    # so only the feature transforms may take grid-sized memory
+    dims, spacing = (128, 128, 64), (0.7, 0.9, 1.3)
+    truth = np.zeros(dims, dtype=bool)
+    truth[40:80, 50:90, 20:45] = True
+    pred = np.roll(truth, (2, -1, 1), axis=(0, 1, 2))
+    pred[1:4, 1:4, 1:4] = True
+    pred[-4:-1, -4:-1, -4:-1] = True
+    p, t = Mask(pred, spacing), Mask(truth, spacing)
+    tracemalloc.start()
+    try:
+        evaluate_case(p, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * pred.size
 
 
 def test_diameter_examples():

@@ -258,6 +258,20 @@ def test_oversized_gzip_payload_is_rejected_in_bounded_memory(tmp_path):
     assert peak < 10 * 2**20
 
 
+def test_raw_read_holds_one_copy_of_the_payload(tmp_path, rng):
+    v = Volume(rng.normal(size=(96, 80, 48)).astype(np.float32))
+    path = tmp_path / "v.nrrd"
+    write_nrrd(v, path)
+    tracemalloc.start()
+    try:
+        back = read_nrrd(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, v.data)
+    assert peak < 1.2 * path.stat().st_size
+
+
 def test_gzip_output_is_byte_stable(tmp_path, rng):
     data = rng.integers(0, 255, size=(6, 6, 6)).astype(np.uint8)
     v = Volume(data)

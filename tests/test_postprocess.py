@@ -15,6 +15,7 @@ from labench.postprocess import (
 )
 
 from conftest import mask_from
+from oracles import full_grid_smooth_surface
 
 
 def _flood_fill_components(bits, connectivity):
@@ -202,6 +203,32 @@ def test_smoothing_fills_interior_hole():
     out = smooth_surface(mask_from(bits), 1)
     assert out.bits[3, 3, 3]
     assert out.count == 7 * 7 * 7
+
+
+def _smoothing_inputs(rng, dims=(14, 12, 10)):
+    # random noise in random sub-boxes, some of which touch the grid faces,
+    # plus fixed border-touching shapes and an empty mask
+    yield np.zeros(dims, dtype=bool)
+    slab = np.zeros(dims, dtype=bool)
+    slab[:3] = True
+    yield slab
+    corner = np.zeros(dims, dtype=bool)
+    corner[-4:, :5, -3:] = True
+    yield corner
+    for _ in range(40):
+        lo = rng.integers(0, np.array(dims) - 1)
+        hi = [int(rng.integers(a + 1, n + 1)) for a, n in zip(lo, dims)]
+        bits = np.zeros(dims, dtype=bool)
+        region = tuple(slice(a, b) for a, b in zip(lo, hi))
+        bits[region] = rng.random(bits[region].shape) < rng.uniform(0.3, 0.8)
+        yield bits
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_smoothing_in_box_equals_full_grid(rng, iterations):
+    for bits in _smoothing_inputs(rng):
+        m = mask_from(bits)
+        assert smooth_surface(m, iterations) == full_grid_smooth_surface(m, iterations)
 
 
 def test_operators_preserve_binarity_and_empty_safety(rng):
