@@ -39,9 +39,9 @@ from .pipeline import (
     uncrop,
 )
 from .preprocess import (
-    AugmentationPipeline,
     AugmentationSpec,
     apply_augmentation,
+    augment,
     clahe_slicewise,
     normalize_intensity,
 )

@@ -10,10 +10,19 @@ processes; ``LABENCH_JOBS`` sets the default) on evaluate, quality and
 synth; ``--format csv|json`` on evaluate, quality and both experiments;
 ``--seed`` on preprocess (augmentation) and synth.
 
-Outputs are deterministic: rows are sorted by case or team id, floats
-print with 6 significant digits, and gzip payloads carry a fixed mtime,
-so identical inputs and seeds give byte-identical files regardless of
-``--jobs``.
+Every table (per-case metrics, scan quality, leaderboard, experiment
+curves, the synth manifest) goes through :func:`_write_table`. Its CSV
+form has a header row and ``\n`` line ends, prints floats with 6
+significant digits and leaves absent values blank; its JSON form
+(``--format json``) is a list of records indented by 2, with floats at
+full precision and absent values ``null``. ``report.json`` is written by
+:func:`_write_json` with the same indent. Per-case, per-scan and
+manifest rows are sorted by id, leaderboard rows by rank, and gzip
+payloads carry a fixed mtime, so identical inputs and seeds give
+byte-identical files regardless of ``--jobs``.
+
+A mask input must hold only 0 and 1; ``read_nrrd(as_mask=True)`` raises
+NotBinaryMask for any other value.
 """
 
 from __future__ import annotations
@@ -22,16 +31,16 @@ import argparse
 import concurrent.futures
 import csv
 import functools
-import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import phantom, pipeline, postprocess, preprocess
-from .errors import DegeneratePartition, DegenerateSample, LabenchError
-from .grids import Mask, Volume, downsample
-from .metrics import case_csv_rows, case_json_obj, dice, evaluate_case, read_case_csv
+from .errors import DegeneratePartition, DegenerateSample, LabenchError, MalformedCsv
+from .grids import Volume, checked_spacing, downsample
+from .metrics import CaseMetrics, dice, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
 from .quality import assess_quality, quality_distribution
 from .stats import (
@@ -40,10 +49,26 @@ from .stats import (
     build_leaderboard,
     compare_groups,
     correlate,
-    leaderboard_csv,
     leaderboard_from_summary,
-    leaderboard_json_obj,
-    read_summary_csv,
+)
+
+# per-case CSV columns; the JSON form holds every CaseMetrics field
+CASE_CSV_COLUMNS = (
+    "case_id",
+    "dice",
+    "iou",
+    "sensitivity",
+    "specificity",
+    "hd_mm",
+    "stsd_mm",
+    "diameter_err_pct",
+    "volume_err_pct",
+)
+
+LEADERBOARD_COLUMNS = (
+    "team_id",
+    *(f"{m}_{s}" for m in LEADERBOARD_METRICS for s in ("mean", "std")),
+    "p_value",
 )
 
 
@@ -106,17 +131,52 @@ def _require_file(path: str, name: str) -> Path:
     return p
 
 
-def _write_table(path, header, rows, fmt: str):
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _write_table(path, header, rows, fmt: str) -> None:
+    """Write ``rows`` under ``header`` in the table format of the module docstring."""
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(path, [dict(zip(header, row)) for row in rows])
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
-    Path(path).write_text(buf.getvalue())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
+
+
+def read_case_csv(
+    path, columns, key: str = "case_id", nullable=("hd_mm", "stsd_mm")
+) -> dict[str, dict[str, float | None]]:
+    """Read the numeric ``columns`` of a per-case CSV into {row[key]: {column: value}}.
+
+    Blank cells of the ``nullable`` columns read as None; by default these
+    are the surface distances, which an empty prediction leaves blank. A
+    missing column, a non-numeric cell or any other blank cell raises
+    MalformedCsv naming the file and the column.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in (key, *columns):
+            if column not in (reader.fieldnames or ()):
+                raise MalformedCsv(f"{path} has no {column!r} column")
+        return {
+            row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
+            for row in reader
+        }
+
+
+def _number(path, row_id: str, column: str, text: str | None, nullable: bool) -> float | None:
+    if text in ("", None):
+        if nullable:
+            return None
+        raise MalformedCsv(f"{path} row {row_id!r} has a blank {column!r} cell")
+    try:
+        return float(text)
+    except ValueError:
+        raise MalformedCsv(f"{path} column {column!r} holds non-numeric {text!r}") from None
 
 
 # --- paired batches (evaluate, quality) ----------------------------------------
@@ -138,17 +198,6 @@ def _index_dir(directory: Path, labels: bool = True) -> dict[str, Path]:
         target = label if path.stem.endswith("_label") else plain
         target.setdefault(_case_id_of(path), path)
     return {**plain, **label} if labels else plain
-
-
-def _read_mask_strict(path):
-    """Read a mask file; 0/1 grids of any sample type binarize, anything
-    else is an error rather than a silent nonzero test."""
-    grid = read_nrrd(path)
-    if isinstance(grid, Volume):
-        if not bool(((grid.data == 0) | (grid.data == 1)).all()):
-            raise LabenchError(f"{path} is not a binary mask")
-        return Mask(grid.data != 0, grid.spacing)
-    return grid
 
 
 def _run_tasks(worker, tasks, jobs: int):
@@ -192,7 +241,7 @@ def _run_paired(noun: str, worker, lefts, rights, jobs: int, write, *extra) -> i
 
 def _evaluate_one(task):
     _, pred_path, truth_path = task
-    return evaluate_case(_read_mask_strict(pred_path), _read_mask_strict(truth_path))
+    return evaluate_case(read_nrrd(pred_path, as_mask=True), read_nrrd(truth_path, as_mask=True))
 
 
 def cmd_evaluate(args) -> int:
@@ -201,9 +250,11 @@ def cmd_evaluate(args) -> int:
 
     def write(cases):
         if args.format == "json":
-            Path(args.out).write_text(json.dumps(case_json_obj(cases), indent=2) + "\n")
+            columns = tuple(f.name for f in fields(CaseMetrics))
         else:
-            Path(args.out).write_text(case_csv_rows(cases))
+            columns = CASE_CSV_COLUMNS[1:]
+        rows = [(cid, *(getattr(c, col) for col in columns)) for cid, c in sorted(cases.items())]
+        _write_table(args.out, ("case_id", *columns), rows, args.format)
 
     return _run_paired("case", _evaluate_one, preds, truths, args.jobs, write)
 
@@ -224,13 +275,10 @@ def cmd_rank(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.summary:
-        board = leaderboard_from_summary(read_summary_csv(_require_file(args.summary, "summary")))
-        (out_dir / "leaderboard.csv").write_text(leaderboard_csv(board))
-        report = {
-            "metadata": _rank_metadata("published-summary ingest"),
-            "leaderboard": leaderboard_json_obj(board),
-        }
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+        with open(_require_file(args.summary, "summary"), newline="") as fh:
+            board = leaderboard_from_summary(csv.DictReader(fh))
+        _write_leaderboard(out_dir, board)
+        _write_report(out_dir, "published-summary ingest", board)
         return 0
 
     if not args.metrics:
@@ -246,7 +294,7 @@ def cmd_rank(args) -> int:
         teams.append(TeamResult(path.stem, rows, attr_map.get(path.stem, {})))
 
     board = build_leaderboard(teams)
-    (out_dir / "leaderboard.csv").write_text(leaderboard_csv(board))
+    _write_leaderboard(out_dir, board)
 
     comparisons = []
     attribute_names = sorted({name for attrs in attr_map.values() for name in attrs})
@@ -271,23 +319,44 @@ def cmd_rank(args) -> int:
         quality_rows = _read_quality_csv(_require_file(args.quality, "quality csv"))
         quality_corr = _quality_dice_correlation(teams, quality_rows)
 
-    report = {
-        "metadata": _rank_metadata("per-case metrics"),
-        "leaderboard": leaderboard_json_obj(board),
-        "group_comparisons": comparisons,
-        "quality_correlation": quality_corr,
-    }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(
+        out_dir,
+        "per-case metrics",
+        board,
+        group_comparisons=comparisons,
+        quality_correlation=quality_corr,
+    )
     return 0
 
 
-def _rank_metadata(source: str) -> dict:
-    return {
+def _write_leaderboard(out_dir: Path, board) -> None:
+    rows = []
+    for row in board.rows:
+        stats = [s for m in LEADERBOARD_METRICS for s in (row.means[m], row.stds[m])]
+        rows.append((row.team_id, *stats, row.p_value))
+    _write_table(out_dir / "leaderboard.csv", LEADERBOARD_COLUMNS, rows, "csv")
+
+
+def _write_report(out_dir: Path, source: str, board, **sections) -> None:
+    """Write report.json: run metadata, the ranked leaderboard, then ``sections``."""
+    metadata = {
         "source": source,
         "hd_mode": "symmetric",
         "ranking": "mean dice desc; ties by mean stsd asc, then team id",
         "p_value": "two-tailed Welch t-test, team per-case dice vs pooled other teams",
     }
+    leaderboard = [
+        {
+            "rank": rank,
+            "team_id": row.team_id,
+            "means": row.means,
+            "stds": row.stds,
+            "p_value": row.p_value,
+        }
+        for rank, row in enumerate(board.rows, start=1)
+    ]
+    report = {"metadata": metadata, "leaderboard": leaderboard, **sections}
+    _write_json(out_dir / "report.json", report)
 
 
 def _read_quality_csv(path: Path) -> dict[str, float]:
@@ -316,10 +385,12 @@ def _quality_dice_correlation(teams, snr_by_case: dict[str, float]):
 def _quality_one(task):
     _, scan_path, mask_path, margin = task
     scan = read_nrrd(scan_path, as_mask=False)
-    return assess_quality(scan, _read_mask_strict(mask_path), margin=margin)
+    return assess_quality(scan, read_nrrd(mask_path, as_mask=True), margin=margin)
 
 
 def cmd_quality(args) -> int:
+    if args.margin < 0:
+        return _fail(f"--margin must be non-negative, got {args.margin}")
     scans = _index_dir(_require_dir(args.scans, "scan directory"), labels=False)
     masks = _index_dir(_require_dir(args.masks, "mask directory"))
 
@@ -359,9 +430,7 @@ def cmd_preprocess(args) -> int:
         if mask is None:
             raise SystemExit(_fail("--augment needs --mask (transforms apply to both)"))
         specs = preprocess.load_augmentation_specs(_require_file(args.augment, "augment config"))
-        pipe = preprocess.AugmentationPipeline(specs, base_seed=args.seed)
-        pipe.register(volume, mask)
-        volume, mask = pipe.variant(args.variant)
+        volume, mask = preprocess.augment(volume, mask, specs, args.seed + args.variant)
 
     write_nrrd(volume, args.out, encoding=args.encoding)
     if mask is not None and args.mask_out:
@@ -492,6 +561,7 @@ def cmd_synth(args) -> int:
         spacing = spacing * 3
     if len(spacing) != 3:
         raise SystemExit(_fail(f"--spacing needs 1 or 3 comma-separated numbers, got {args.spacing!r}"))
+    spacing = checked_spacing(spacing)
     fractions = tuple(float(f) for f in args.tier_fractions.split(","))
     base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
 

@@ -56,6 +56,10 @@ class DimensionMismatch(NrrdError):
     """Payload byte count disagrees with the header-implied count."""
 
 
+class NotBinaryMask(NrrdError):
+    """A grid read as a mask holds a value other than 0 or 1."""
+
+
 class NonPositiveSpacing(LabenchError):
     """Spacing components must be strictly positive and finite."""
 
@@ -108,10 +112,6 @@ class TooManyTiles(LabenchError):
 
 class InvalidSpec(LabenchError):
     """Malformed augmentation specification."""
-
-
-class NoBaseData(LabenchError):
-    """Augmentation pipeline used before a base pair was registered."""
 
 
 # --- pipeline -----------------------------------------------------------

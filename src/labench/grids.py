@@ -28,7 +28,8 @@ AXES = {"x": 0, "y": 1, "z": 2}
 INTENSITY_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float32))
 
 
-def _checked_spacing(spacing) -> tuple[float, float, float]:
+def checked_spacing(spacing) -> tuple[float, float, float]:
+    """``spacing`` as three floats; NonPositiveSpacing unless each is finite and > 0."""
     s = tuple(float(x) for x in spacing)
     if len(s) != 3 or not all(np.isfinite(x) and x > 0.0 for x in s):
         raise NonPositiveSpacing(
@@ -54,7 +55,7 @@ class Volume:
             )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing", _checked_spacing(self.spacing))
+        object.__setattr__(self, "spacing", checked_spacing(self.spacing))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -105,7 +106,7 @@ class Mask:
             raise ValueError(f"mask bits must be a non-empty 3D array, got shape {bits.shape}")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "spacing", _checked_spacing(self.spacing))
+        object.__setattr__(self, "spacing", checked_spacing(self.spacing))
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 """Per-case segmentation metrics.
 
-Overlap scores (Dice, IoU, sensitivity, specificity) are exact voxel
+The module computes values only; :mod:`labench.cli` writes and reads the
+per-case tables. Overlap scores (Dice, IoU, sensitivity, specificity) are exact voxel
 counts; boundary distances (Hausdorff, symmetric mean surface distance)
 are Euclidean distances in mm between surface voxel centers, weighted by
 the grid spacing. A surface voxel is a foreground voxel with at least one
@@ -22,14 +23,12 @@ near opposite corners make it span the grid.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateTruth, EmptyMask, MalformedCsv
+from .errors import DegenerateTruth, EmptyMask
 from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry
 
 
@@ -50,7 +49,7 @@ class CaseMetrics:
     """All per-case metric values for one prediction/truth pair.
 
     ``hd_mm`` and ``stsd_mm`` are None when the prediction is empty (no
-    surface to measure against); the CSV form leaves those cells blank.
+    surface to measure against); the per-case table leaves those cells blank.
     """
 
     dice: float
@@ -65,20 +64,6 @@ class CaseMetrics:
     volume_pred_cm3: float
     volume_true_cm3: float
     volume_err_pct: float
-
-
-# Fixed serialization order for per-case rows.
-CASE_CSV_COLUMNS = (
-    "case_id",
-    "dice",
-    "iou",
-    "sensitivity",
-    "specificity",
-    "hd_mm",
-    "stsd_mm",
-    "diameter_err_pct",
-    "volume_err_pct",
-)
 
 
 def surface_voxels(m: Mask) -> np.ndarray:
@@ -190,23 +175,13 @@ def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
     return hd, float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
 
 
-def hausdorff_mm(a: Mask, b: Mask, mode: str = "symmetric") -> float:
-    """Worst-case surface-to-surface distance in mm.
-
-    ``directed`` is the max over b's surface of the min distance to a's
-    surface; ``symmetric`` (the reporting default) is the max of the two
-    directed values.
-    """
+def hausdorff_mm(a: Mask, b: Mask) -> float:
+    """Symmetric Hausdorff distance in mm: the larger of the two directed
+    worst-case distances from one surface to the other."""
     check_same_geometry(a, b)
-    if mode not in ("directed", "symmetric"):
-        raise ValueError(f"mode must be 'directed' or 'symmetric', got {mode!r}")
     if a.is_empty or b.is_empty:
         raise EmptyMask("Hausdorff distance requires two non-empty masks")
     _, _, ca, cb = _crops(a, b)
-    if mode == "directed":
-        sa = surface_voxels(Mask(ca, a.spacing))
-        sb = surface_voxels(Mask(cb, a.spacing))
-        return float(_distances_to(sa, sb, a.spacing).max())
     return _hd_stsd(ca, cb, a.spacing)[0]
 
 
@@ -299,66 +274,3 @@ def dice_profile_z(pred: Mask, truth: Mask) -> list[tuple[int, float | None]]:
         denom = int(np_[z] + nt[z])
         profile.append((z, 2.0 * int(inter[z]) / denom if denom else None))
     return profile
-
-
-# --- serialization --------------------------------------------------------
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else format(value, ".6g")
-
-
-def case_csv_rows(cases: dict[str, CaseMetrics]) -> str:
-    """Render per-case metrics as CSV text, rows sorted by case id."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CASE_CSV_COLUMNS)
-    for case_id in sorted(cases):
-        c = cases[case_id]
-        writer.writerow(
-            [case_id] + [_fmt(getattr(c, col)) for col in CASE_CSV_COLUMNS[1:]]
-        )
-    return buf.getvalue()
-
-
-def case_json_obj(cases: dict[str, CaseMetrics]) -> list[dict]:
-    """Per-case metrics as JSON-ready records, sorted by case id."""
-    out = []
-    for case_id in sorted(cases):
-        rec: dict = {"case_id": case_id}
-        for f in dataclass_fields(CaseMetrics):
-            rec[f.name] = getattr(cases[case_id], f.name)
-        out.append(rec)
-    return out
-
-
-def read_case_csv(
-    path, columns, key: str = "case_id", nullable=("hd_mm", "stsd_mm")
-) -> dict[str, dict[str, float | None]]:
-    """Read the numeric ``columns`` of a per-case CSV into {row[key]: {column: value}}.
-
-    Blank cells of the ``nullable`` columns read as None; by default these
-    are the surface distances, which an empty prediction leaves blank. A
-    missing column, a non-numeric cell or any other blank cell raises
-    MalformedCsv naming the file and the column.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in (key, *columns):
-            if column not in (reader.fieldnames or ()):
-                raise MalformedCsv(f"{path} has no {column!r} column")
-        return {
-            row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
-            for row in reader
-        }
-
-
-def _number(path, row_id: str, column: str, text: str | None, nullable: bool) -> float | None:
-    if text in ("", None):
-        if nullable:
-            return None
-        raise MalformedCsv(f"{path} row {row_id!r} has a blank {column!r} cell")
-    try:
-        return float(text)
-    except ValueError:
-        raise MalformedCsv(f"{path} column {column!r} holds non-numeric {text!r}") from None

@@ -28,6 +28,7 @@ from .errors import (
     MalformedHeader,
     MissingHeaderField,
     NonPositiveSpacing,
+    NotBinaryMask,
     NotNrrdFile,
     UnsupportedDimension,
     UnsupportedEncoding,
@@ -140,7 +141,8 @@ def read_nrrd(path, as_mask: bool | None = None) -> Grid:
 
     A grid is returned as a Mask when its declared type is 8-bit and every
     value is 0 or 1; pass ``as_mask=True`` or ``as_mask=False`` to override
-    the heuristic (True binarizes any sample type by nonzero test).
+    the heuristic. ``as_mask=True`` takes any sample type but raises
+    NotBinaryMask for a value other than 0 or 1.
     """
     try:
         blob = Path(path).read_bytes()
@@ -200,10 +202,14 @@ def read_nrrd(path, as_mask: bool | None = None) -> Grid:
     arr = arr.astype(dtype, copy=False).reshape(sizes, order="F")
 
     if as_mask is None:
-        as_mask = dtype == np.uint8 and bool((arr <= 1).all())
-    if as_mask:
-        return Mask(arr != 0, spacing)
-    return Volume(arr, spacing)
+        as_mask = dtype == np.uint8 and arr.max() <= 1
+    if not as_mask:
+        return Volume(arr, spacing)
+    bits = arr != 0
+    # unsigned samples are non-negative, so a maximum of 1 leaves only 0 and 1
+    if not (arr.max() <= 1 if dtype.kind == "u" else np.array_equal(arr == 1, bits)):
+        raise NotBinaryMask(f"{path} is not a binary mask")
+    return Mask(bits, spacing)
 
 
 def write_nrrd(grid: Grid, path, encoding: str = "raw") -> None:

@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConstantVolume, InvalidSpec, NoBaseData, TooManyTiles
+from .errors import ConstantVolume, InvalidSpec, TooManyTiles
 from .grids import AXES, Mask, Volume, check_same_geometry
 
 
@@ -135,15 +134,6 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
     for z in range(v.dims[2]):
         out[:, :, z] = _clahe_slice(v.data[:, :, z], (tx, ty), clip_limit)
     return Volume(out, v.spacing)
-
-
-def histogram_equalize_slice(img: np.ndarray) -> np.ndarray:
-    """Plain (global) histogram equalization of one integer slice."""
-    levels = int(np.iinfo(img.dtype).max) + 1
-    hist = np.bincount(img.ravel(), minlength=levels)
-    cdf = np.cumsum(hist) / img.size
-    mapped = np.floor(cdf * (levels - 1) + 0.5)
-    return mapped[img.astype(np.int64)].astype(img.dtype)
 
 
 # --- augmentation -----------------------------------------------------------
@@ -295,44 +285,10 @@ def apply_augmentation(v: Volume, m: Mask, spec: AugmentationSpec) -> tuple[Volu
     return _flip(v, m, spec.flip_axis)
 
 
-class AugmentationPipeline:
-    """Deterministic variant generator over a registered base pair.
-
-    Variant ``i`` applies the configured transforms in order, with each
-    transform's seed shifted by ``base_seed + i``; offline materialization
-    and the online stream therefore produce identical variants for the
-    same indices.
-    """
-
-    def __init__(self, specs, base_seed: int = 0):
-        self.specs = [s.validated() for s in specs]
-        self.base_seed = int(base_seed)
-        self._base: tuple[Volume, Mask] | None = None
-
-    def register(self, v: Volume, m: Mask) -> None:
-        check_same_geometry(v, m)
-        self._base = (v, m)
-
-    def variant(self, index: int) -> tuple[Volume, Mask]:
-        if self._base is None:
-            raise NoBaseData("no base volume/mask registered")
-        v, m = self._base
-        for spec in self.specs:
-            shifted = replace(spec, seed=spec.seed + self.base_seed + index)
-            v, m = apply_augmentation(v, m, shifted)
-        return v, m
-
-    def offline(self, count: int) -> list[tuple[Volume, Mask]]:
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count > 0 and self._base is None:
-            raise NoBaseData("no base volume/mask registered")
-        return [self.variant(i) for i in range(count)]
-
-    def online(self) -> Iterator[tuple[Volume, Mask]]:
-        if self._base is None:
-            raise NoBaseData("no base volume/mask registered")
-        index = 0
-        while True:
-            yield self.variant(index)
-            index += 1
+def augment(v: Volume, m: Mask, specs, seed: int) -> tuple[Volume, Mask]:
+    """Apply ``specs`` in order to a volume and its mask, each spec's seed
+    shifted by ``seed``; the same specs and seed give the same pair."""
+    check_same_geometry(v, m)
+    for spec in specs:
+        v, m = apply_augmentation(v, m, replace(spec, seed=spec.seed + seed))
+    return v, m

@@ -7,14 +7,12 @@ a second to every CLI start). A team's leaderboard p-value compares its
 per-case Dice sample against the pooled per-case Dice of all other teams;
 that pooling choice is recorded in the JSON report metadata.
 
-A team's cases are per-case rows as :func:`labench.metrics.read_case_csv`
-returns them: metric name to float, or None where the value is absent.
+The module computes values only; :mod:`labench.cli` reads the per-case
+tables into :class:`TeamResult` rows and writes the leaderboard.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +31,9 @@ LEADERBOARD_METRICS = ("dice", "iou", "sensitivity", "specificity", "hd_mm", "st
 
 @dataclass
 class TeamResult:
+    """One team's per-case rows, case id to {metric name: value}; a value is
+    None where it is absent (the surface distances of an empty prediction)."""
+
     team_id: str
     cases: dict[str, dict[str, float | None]]
     attributes: dict[str, str] = field(default_factory=dict)
@@ -258,44 +259,3 @@ def _opt_float(value) -> float | None:
     if value is None or value == "":
         return None
     return float(value)
-
-
-LEADERBOARD_CSV_COLUMNS = (
-    ("team_id",)
-    + tuple(f"{m}_{s}" for m in LEADERBOARD_METRICS for s in ("mean", "std"))
-    + ("p_value",)
-)
-
-
-def leaderboard_csv(board: Leaderboard) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LEADERBOARD_CSV_COLUMNS)
-    for row in board.rows:
-        record = [row.team_id]
-        for metric in LEADERBOARD_METRICS:
-            for stat in (row.means[metric], row.stds[metric]):
-                record.append("" if stat is None else format(stat, ".6g"))
-        record.append("" if row.p_value is None else format(row.p_value, ".6g"))
-        writer.writerow(record)
-    return buf.getvalue()
-
-
-def read_summary_csv(path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def leaderboard_json_obj(board: Leaderboard) -> list[dict]:
-    out = []
-    for rank, row in enumerate(board.rows, start=1):
-        out.append(
-            {
-                "rank": rank,
-                "team_id": row.team_id,
-                "means": dict(row.means),
-                "stds": dict(row.stds),
-                "p_value": row.p_value,
-            }
-        )
-    return out

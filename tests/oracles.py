@@ -57,11 +57,9 @@ def _pairwise_min_dists(points_a, points_b, spacing) -> np.ndarray:
     return np.sqrt(d2.min(axis=1))
 
 
-def brute_force_hd(a: Mask, b: Mask, mode: str = "symmetric") -> float:
+def brute_force_hd(a: Mask, b: Mask) -> float:
     pa, pb = surface_points(a), surface_points(b)
     b_to_a = _pairwise_min_dists(pb, pa, a.spacing)
-    if mode == "directed":
-        return float(b_to_a.max())
     a_to_b = _pairwise_min_dists(pa, pb, a.spacing)
     return float(max(a_to_b.max(), b_to_a.max()))
 

@@ -103,12 +103,17 @@ def test_read_shared_option_is_accepted(command, option):
         (["synth", "--tier-fractions", "0.5,0.5"], "(0.5, 0.5)"),
         (["synth", "--count", "0"], "got 0"),
         (["synth", "--spacing", "1,1"], "'1,1'"),
+        (["synth", "--spacing", "0"], "NonPositiveSpacing: spacing must be"),
+        (["synth", "--spacing", "1,-1,1"], "(1.0, -1.0, 1.0)"),
         (["preprocess", "{scan}", "--clahe", "8,8"], "'8,8'"),
         (["postprocess", "{mask}", "--ops", "dilate:ball"], "'ball'"),
         (["postprocess", "{mask}", "--ops", "smooth:0"], "got 0"),
         (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
     ],
-    ids=["dims", "tier-fractions", "count", "spacing", "clahe", "ops-kind", "ops-smooth", "offsets"],
+    ids=[
+        "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
+        "clahe", "ops-kind", "ops-smooth", "offsets",
+    ],
 )
 def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):
     _write_pair(tmp_path, "c", _blob(), scan=np.where(_blob(), 600.0, 200.0).astype(np.float32))
@@ -270,10 +275,18 @@ def test_quality_unpaired_and_failed_scans_exit_2(tmp_path, capsys):
     assert "labench: unpaired scan: s3" in err
     assert "labench: unpaired scan: s4" in err
     assert [line for line in err if line.startswith("labench: failed scan:")] == [
-        f"labench: failed scan: s2: LabenchError: {tmp_path / 'masks' / 's2_label.nrrd'} "
+        f"labench: failed scan: s2: NotBinaryMask: {tmp_path / 'masks' / 's2_label.nrrd'} "
         "is not a binary mask"
     ]
     assert [r["scan_id"] for r in csv.DictReader(out.open())] == ["s0", "s1"]
+
+
+def test_quality_negative_margin_exits_1_before_reading(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    argv = ["quality", *_quality_inputs(tmp_path), "--out", str(out), "--margin", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "labench: error: --margin must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -332,6 +345,16 @@ def test_postprocess_chain(tmp_path):
     cleaned = read_nrrd(out)
     assert not cleaned.bits[0, 0, 0]
     assert cleaned.count > 0
+
+
+def test_postprocess_rejects_a_probability_map(tmp_path, capsys):
+    probability = np.where(_blob(), 0.9, 0.3).astype(np.float32)
+    write_nrrd(Volume(probability), tmp_path / "p.nrrd")
+    out = tmp_path / "clean.nrrd"
+    assert main(["postprocess", str(tmp_path / "p.nrrd"), "--out", str(out), "--ops", "largest"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"labench: error: NotBinaryMask: {tmp_path / 'p.nrrd'} is not a binary mask\n"
+    assert not out.exists()
 
 
 # --- pipeline / experiment -----------------------------------------------------------
@@ -457,6 +480,20 @@ def test_rank_summary_golden_ordering(tmp_path):
     assert {rows[3]["team_id"], rows[4]["team_id"]} == {"yang", "vesal"}
     report = json.loads((out_dir / "report.json").read_text())
     assert report["leaderboard"][0]["team_id"] == "xia"
+
+
+def test_leaderboard_csv_shape(tmp_path):
+    for team, dices in (("a", (0.9, 0.92)), ("b", (0.8, 0.82))):
+        rows = "".join(f"c{i},{d},0.8,0.9,0.99,8,1\n" for i, d in enumerate(dices))
+        (tmp_path / f"{team}.csv").write_text(_METRICS_HEADER + rows)
+    out_dir = tmp_path / "board"
+    teams = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    assert main(["rank", "--metrics", *teams, "--out-dir", str(out_dir)]) == 0
+    lines = (out_dir / "leaderboard.csv").read_text().split("\n")
+    assert lines[0].startswith("team_id,dice_mean,dice_std,iou_mean")
+    assert lines[0].endswith(",stsd_mm_mean,stsd_mm_std,p_value")
+    assert len(lines) == 4 and lines[3] == ""
+    assert lines[1].startswith("a,0.91,0.0141421,")
 
 
 def test_rank_per_case_with_attributes_and_quality(tmp_path):

@@ -138,14 +138,12 @@ def test_hausdorff_examples():
     assert hausdorff_mm(a625, b625) == pytest.approx(3.125, abs=1e-12)
 
 
-def test_hausdorff_directed_vs_symmetric():
+def test_hausdorff_is_the_larger_directed_distance():
     dims = (16, 4, 4)
     a = _cube(dims, (0, 0, 0), (12, 1, 1))
     b = _cube(dims, (0, 0, 0), (1, 1, 1))
-    # directed per the printed orientation: max over B's surface to A
-    assert hausdorff_mm(a, b, mode="directed") == 0.0
-    assert hausdorff_mm(b, a, mode="directed") == 11.0
-    assert hausdorff_mm(a, b, mode="symmetric") == 11.0
+    # B lies on A's surface (directed 0), A's far end is 11 from B
+    assert hausdorff_mm(a, b) == 11.0
     assert hausdorff_mm(a, b) == hausdorff_mm(b, a)
 
 
@@ -171,9 +169,6 @@ def test_distance_transform_equals_brute_force(rng):
         a = random_blob_mask(rng, dims=(20, 20, 20), spacing=(0.7, 1.0, 1.3))
         b = random_blob_mask(rng, dims=(20, 20, 20), spacing=(0.7, 1.0, 1.3))
         assert hausdorff_mm(a, b) == pytest.approx(brute_force_hd(a, b), abs=1e-9)
-        assert hausdorff_mm(a, b, "directed") == pytest.approx(
-            brute_force_hd(a, b, "directed"), abs=1e-9
-        )
         assert stsd_mm(a, b) == pytest.approx(brute_force_stsd(a, b), abs=1e-9)
 
 

@@ -11,6 +11,7 @@ from labench.errors import (
     DimensionMismatch,
     MissingHeaderField,
     NonPositiveSpacing,
+    NotBinaryMask,
     NotNrrdFile,
     UnsupportedEncoding,
     UnsupportedEndian,
@@ -117,16 +118,37 @@ def test_mask_detection_heuristic_and_override(tmp_path):
     )
     assert isinstance(read_nrrd(path), Mask)
     assert isinstance(read_nrrd(path, as_mask=False), Volume)
-    # values beyond {0,1} stay a volume unless forced
+    # values beyond {0,1} stay a volume, and cannot be read as a mask
     _write(
         path,
         ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 1", "encoding: raw"],
         bytes([0, 2, 1, 0]),
     )
     assert isinstance(read_nrrd(path), Volume)
-    forced = read_nrrd(path, as_mask=True)
-    assert isinstance(forced, Mask)
-    assert forced.count == 2
+    with pytest.raises(NotBinaryMask, match="is not a binary mask"):
+        read_nrrd(path, as_mask=True)
+
+
+@pytest.mark.parametrize(
+    "values,binary",
+    [
+        ([0.0, 1.0, 1.0, 0.0], True),
+        ([0.0, 0.3, 0.9, 0.0], False),
+        ([0.0, -1.0, 1.0, 0.0], False),
+        ([0.0, np.nan, 1.0, 0.0], False),
+        ([0.0, 2.0, 1.0, 0.0], False),
+    ],
+    ids=["zero-one", "probabilities", "negative", "nan", "two"],
+)
+def test_float_grid_reads_as_mask_only_when_binary(tmp_path, values, binary):
+    path = tmp_path / "f.nrrd"
+    data = np.asarray(values, dtype=np.float32).reshape((2, 2, 1), order="F")
+    write_nrrd(Volume(data), path)
+    if binary:
+        assert read_nrrd(path, as_mask=True) == Mask(data == 1)
+    else:
+        with pytest.raises(NotBinaryMask):
+            read_nrrd(path, as_mask=True)
 
 
 def test_space_directions_diagonal(tmp_path):
