@@ -72,6 +72,52 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
                                 "--augment", p("augment.json"),
                                 "--mask", p("cohort", "case_000_label.nrrd"),
                                 "--mask-out", p("aug_label.nrrd"), "--seed", "3", "--variant", "2"]),
+        ("preprocess-downsample-normalize", ["preprocess", p("cohort", "case_001.nrrd"),
+                                             "--out", p("small.nrrd"), "--downsample", "2,2,1",
+                                             "--normalize"]),
+        ("preprocess-clahe", ["preprocess", p("cohort", "case_002.nrrd"), "--out", p("clahe.nrrd"),
+                              "--clahe", "3,3,2.0", "--encoding", "gzip"]),
+        *_pipeline_commands(p),
+        ("pipeline-external", ["pipeline", "--scan", p("cohort", "case_000.nrrd"),
+                               "--segmenter", "external", "--pred-dir", p("shift"),
+                               "--case-id", "case_000", *ROI, "--downsample-factor", "2",
+                               "--out", p("pipe", "threshold-external.nrrd")]),
+        ("postprocess", ["postprocess", p("pipe", "threshold-threshold.nrrd"),
+                         "--out", p("post.nrrd"), "--encoding", "gzip", "--ops", "largest:6",
+                         "close:cube:1", "open", "smooth:2", "dilate", "erode"]),
+        *_offset_commands(p),
+        ("patch-size", ["experiment", "patch-size", "--scan", p("cohort", "case_000.nrrd"),
+                        "--truth", p("cohort", "case_000_label.nrrd"),
+                        "--sizes", "24x24,16x16,10x8,3x2", "--z-extent", "10", "--out", p("sizes.csv")]),
+    ]
+
+
+ROI = ["--roi", "16,14,10"]
+
+
+def _pipeline_commands(p) -> list[tuple[str, list[str]]]:
+    """Every localizer with the threshold and oracle segmenters, on case_001."""
+    return [
+        (f"pipeline-{loc}-{seg}",
+         ["pipeline", "--scan", p("cohort", "case_001.nrrd"),
+          "--truth", p("cohort", "case_001_label.nrrd"), "--localizer", loc, "--segmenter", seg,
+          *ROI, "--downsample-factor", "2", "--out", p("pipe", f"{loc}-{seg}.nrrd")])
+        for loc in ("threshold", "oracle", "fixed")
+        for seg in ("threshold", "oracle")
+    ]
+
+
+def _offset_commands(p) -> list[tuple[str, list[str]]]:
+    """Offset curves of both segmenters along x and z, in both table formats."""
+    return [
+        (f"offset-{seg}-{axis}-{fmt}",
+         ["experiment", "offset", "--scan", p("cohort", "case_002.nrrd"),
+          "--truth", p("cohort", "case_002_label.nrrd"), "--segmenter", seg, "--axis", axis,
+          "--offsets", "0,50,100,150,200", *ROI, "--out", p("offset", f"{seg}-{axis}.{fmt}"),
+          "--format", fmt])
+        for seg in ("oracle", "threshold")
+        for axis in ("x", "z")
+        for fmt in ("csv", "json")
     ]
 
 
@@ -79,6 +125,8 @@ def run_all(root: Path) -> dict[str, tuple[int, str]]:
     """Run every command in ``root``; return each one's exit code and stderr."""
     (root / "augment.json").write_text(json.dumps(AUGMENT))
     (root / "attributes.csv").write_text("team_id,shape\nshift,moved\nslab,cut\n")
+    (root / "pipe").mkdir()
+    (root / "offset").mkdir()
     streams = {}
     for name, argv in _commands(root):
         err = io.StringIO()
