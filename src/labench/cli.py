@@ -8,7 +8,9 @@ or were unpaired; the rest were processed and written).
 A subcommand takes only the shared options it reads: ``--jobs`` (worker
 processes; ``LABENCH_JOBS`` sets the default) on evaluate, quality and
 synth; ``--format csv|json`` on evaluate, quality and both experiments;
-``--seed`` on preprocess (augmentation) and synth.
+``--seed`` on preprocess (augmentation) and synth; ``--encoding raw|gzip``
+(NRRD payload of written files) on preprocess, postprocess, pipeline and
+synth.
 
 Every table (per-case metrics, scan quality, leaderboard, experiment
 curves, the synth manifest) goes through :func:`_write_table`. Its CSV
@@ -89,10 +91,11 @@ def _default_jobs() -> int:
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Add the shared options named (seed, format, jobs) that a subcommand reads."""
+    """Add the shared options named (seed, format, jobs, encoding) that a subcommand reads."""
     specs = {
         "seed": dict(type=int, default=0, help="global random seed"),
         "format": dict(choices=("csv", "json"), default="csv", help="tabular output format"),
+        "encoding": dict(choices=("raw", "gzip"), default="raw", help="NRRD payload encoding"),
         "jobs": dict(
             type=int, default=_default_jobs(), help="worker processes (env LABENCH_JOBS)"
         ),
@@ -157,15 +160,21 @@ def read_case_csv(
     missing column, a non-numeric cell or any other blank cell raises
     MalformedCsv naming the file and the column.
     """
+    return {
+        row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
+        for row in _read_rows(path, (key, *columns))
+    }
+
+
+def _read_rows(path, columns) -> list[dict[str, str]]:
+    """The rows of a CSV file; MalformedCsv naming the file and the column
+    if one of ``columns`` is missing."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for column in (key, *columns):
+        for column in columns:
             if column not in (reader.fieldnames or ()):
                 raise MalformedCsv(f"{path} has no {column!r} column")
-        return {
-            row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
-            for row in reader
-        }
+        return list(reader)
 
 
 def _number(path, row_id: str, column: str, text: str | None, nullable: bool) -> float | None:
@@ -263,23 +272,18 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_attributes(path: Path) -> dict[str, dict[str, str]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "team_id" not in reader.fieldnames:
-            raise SystemExit(_fail(f"attributes file {path} needs a team_id column"))
-        return {row["team_id"]: {k: v for k, v in row.items() if k != "team_id"} for row in reader}
+    return {
+        row["team_id"]: {k: v for k, v in row.items() if k != "team_id"}
+        for row in _read_rows(path, ("team_id",))
+    }
 
 
 def cmd_rank(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # every input is read and checked before the output directory exists
     if args.summary:
-        with open(_require_file(args.summary, "summary"), newline="") as fh:
-            board = leaderboard_from_summary(csv.DictReader(fh))
-        _write_leaderboard(out_dir, board)
-        _write_report(out_dir, "published-summary ingest", board)
-        return 0
+        rows = _read_rows(_require_file(args.summary, "summary"), ("team_id",))
+        board = leaderboard_from_summary(rows)
+        return _write_rank(args.out_dir, "published-summary ingest", board)
 
     if not args.metrics:
         raise SystemExit(_fail("rank needs --metrics files or --summary"))
@@ -292,9 +296,12 @@ def cmd_rank(args) -> int:
         path = _require_file(metrics_path, "metrics file")
         rows = read_case_csv(path, LEADERBOARD_METRICS)
         teams.append(TeamResult(path.stem, rows, attr_map.get(path.stem, {})))
-
     board = build_leaderboard(teams)
-    _write_leaderboard(out_dir, board)
+
+    quality_corr = None
+    if args.quality:
+        quality_rows = _read_quality_csv(_require_file(args.quality, "quality csv"))
+        quality_corr = _quality_dice_correlation(teams, quality_rows)
 
     comparisons = []
     attribute_names = sorted({name for attrs in attr_map.values() for name in attrs})
@@ -314,31 +321,25 @@ def cmd_rank(args) -> int:
             }
         )
 
-    quality_corr = None
-    if args.quality:
-        quality_rows = _read_quality_csv(_require_file(args.quality, "quality csv"))
-        quality_corr = _quality_dice_correlation(teams, quality_rows)
-
-    _write_report(
-        out_dir,
+    return _write_rank(
+        args.out_dir,
         "per-case metrics",
         board,
         group_comparisons=comparisons,
         quality_correlation=quality_corr,
     )
-    return 0
 
 
-def _write_leaderboard(out_dir: Path, board) -> None:
+def _write_rank(out_dir, source: str, board, **sections) -> int:
+    """Create ``out_dir`` and write leaderboard.csv and report.json into it:
+    run metadata, the ranked leaderboard, then ``sections``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for row in board.rows:
         stats = [s for m in LEADERBOARD_METRICS for s in (row.means[m], row.stds[m])]
         rows.append((row.team_id, *stats, row.p_value))
     _write_table(out_dir / "leaderboard.csv", LEADERBOARD_COLUMNS, rows, "csv")
-
-
-def _write_report(out_dir: Path, source: str, board, **sections) -> None:
-    """Write report.json: run metadata, the ranked leaderboard, then ``sections``."""
     metadata = {
         "source": source,
         "hd_mode": "symmetric",
@@ -357,6 +358,7 @@ def _write_report(out_dir: Path, source: str, board, **sections) -> None:
     ]
     report = {"metadata": metadata, "leaderboard": leaderboard, **sections}
     _write_json(out_dir / "report.json", report)
+    return 0
 
 
 def _read_quality_csv(path: Path) -> dict[str, float]:
@@ -475,35 +477,36 @@ def cmd_postprocess(args) -> int:
 # --- pipeline --------------------------------------------------------------------
 
 
-def _build_localizer(args, truth):
-    if args.localizer == "oracle":
-        if truth is None:
-            raise SystemExit(_fail("--localizer oracle needs --truth"))
-        return pipeline.OracleLocalizer(truth)
-    if args.localizer == "fixed":
-        return pipeline.FixedCenterLocalizer()
-    return pipeline.ThresholdLocalizer(args.downsample_factor)
-
-
 def _build_segmenter(args, truth):
     if args.segmenter == "oracle":
         if truth is None:
             raise SystemExit(_fail("--segmenter oracle needs --truth"))
-        return pipeline.OracleSegmenter(truth)
+        return pipeline.MaskSegmenter(truth)
     if args.segmenter == "external":
         if not args.pred_dir or not args.case_id:
             raise SystemExit(_fail("--segmenter external needs --pred-dir and --case-id"))
-        return pipeline.ExternalPredictionSegmenter(args.pred_dir, args.case_id)
+        path = _require_file(str(Path(args.pred_dir, f"{args.case_id}.nrrd")), "external prediction")
+        return pipeline.MaskSegmenter(read_nrrd(path, as_mask=True))
     return pipeline.ThresholdSegmenter()
+
+
+def _center(args, scan, truth):
+    """The crop center that ``--localizer`` names."""
+    if args.localizer == "oracle":
+        if truth is None:
+            raise SystemExit(_fail("--localizer oracle needs --truth"))
+        return pipeline.localize_oracle(truth)
+    if args.localizer == "fixed":
+        return tuple(n // 2 for n in scan.dims)
+    return pipeline.localize_threshold(scan, args.downsample_factor)
 
 
 def cmd_pipeline(args) -> int:
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True) if args.truth else None
     roi = _parse_ints(args.roi, 3, "--roi")
-    localizer = _build_localizer(args, truth)
     segmenter = _build_segmenter(args, truth)
-    predicted = pipeline.run_pipeline(scan, localizer, segmenter, roi)
+    predicted = pipeline.run_pipeline(scan, _center(args, scan, truth), segmenter, roi)
     write_nrrd(predicted, args.out, encoding=args.encoding)
     if truth is not None:
         sys.stderr.write(f"labench: dice vs truth: {dice(predicted, truth):.6g}\n")
@@ -516,11 +519,7 @@ def cmd_pipeline(args) -> int:
 def cmd_experiment_offset(args) -> int:
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
-    segmenter = (
-        pipeline.OracleSegmenter(truth)
-        if args.segmenter == "oracle"
-        else pipeline.ThresholdSegmenter()
-    )
+    segmenter = _build_segmenter(args, truth)
     offsets = [float(p) for p in args.offsets.split(",")]
     roi = _parse_ints(args.roi, 3, "--roi")
     curve = pipeline.offset_sweep(scan, truth, segmenter, roi, offsets, axis=args.axis)
@@ -529,10 +528,9 @@ def cmd_experiment_offset(args) -> int:
 
 
 def cmd_experiment_patch_size(args) -> int:
-    scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
     sizes = [_parse_ints(s, 2, "--sizes entry") for s in args.sizes.split(",")]
-    rows = pipeline.patch_size_sweep(scan, truth, sizes, z_extent=args.z_extent)
+    rows = pipeline.patch_size_sweep(truth, sizes, z_extent=args.z_extent)
     _write_table(
         args.out,
         ("size_x", "size_y", "background_pct", "containment_pct"),
@@ -585,6 +583,8 @@ def cmd_synth(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="labench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
+    roi_default = ",".join(map(str, pipeline.DEFAULT_ROI_SIZE))
+    roi_help = f"ROI size in voxels; the default {roi_default} covers 150x100x60 mm at 0.625 mm"
 
     p = sub.add_parser("evaluate", parents=[], help="score prediction masks against truths")
     p.add_argument("pred_dir", help="directory of <id>.nrrd prediction masks")
@@ -619,8 +619,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mask", help="mask transformed alongside the volume")
     p.add_argument("--mask-out", help="where to write the transformed mask")
     p.add_argument("--variant", type=int, default=0, help="augmentation variant index")
-    p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
-    _add_options(p, "seed")
+    _add_options(p, "seed", "encoding")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("postprocess", help="chain mask clean-up operators")
@@ -632,7 +631,7 @@ def _build_parser() -> _Parser:
         required=True,
         help="operators in order: largest[:conn], dilate|erode|close|open[:cross|cube[:r]], smooth[:iters]",
     )
-    p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
+    _add_options(p, "encoding")
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("pipeline", help="run localize-crop-segment-pad on one scan")
@@ -642,10 +641,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--segmenter", choices=("threshold", "oracle", "external"), default="threshold")
     p.add_argument("--pred-dir", help="external predictions directory")
     p.add_argument("--case-id", help="case id for the external adapter")
-    p.add_argument("--roi", default="240,160,96", help="ROI size, default 240,160,96")
+    p.add_argument("--roi", default=roi_default, help=roi_help)
     p.add_argument("--downsample-factor", type=int, default=4)
     p.add_argument("--out", required=True, help="output mask (.nrrd)")
-    p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
+    _add_options(p, "encoding")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("experiment", help="pipeline geometry sweeps")
@@ -657,16 +656,15 @@ def _build_parser() -> _Parser:
     pe.add_argument("--segmenter", choices=("oracle", "threshold"), default="oracle")
     pe.add_argument("--offsets", default="0,25,50,75,100,125,150", help="percent offsets")
     pe.add_argument("--axis", choices=("x", "y", "z"), default="x")
-    pe.add_argument("--roi", default="240,160,96")
+    pe.add_argument("--roi", default=roi_default, help=roi_help)
     pe.add_argument("--out", required=True)
     _add_options(pe, "format")
     pe.set_defaults(func=cmd_experiment_offset)
 
     pp = exp_sub.add_parser("patch-size", help="background share vs patch size")
-    pp.add_argument("--scan", required=True)
     pp.add_argument("--truth", required=True)
     pp.add_argument("--sizes", default="400x400,360x360,320x320,280x280,240x160")
-    pp.add_argument("--z-extent", type=int, default=96)
+    pp.add_argument("--z-extent", type=int, default=pipeline.DEFAULT_ROI_SIZE[2])
     pp.add_argument("--out", required=True)
     _add_options(pp, "format")
     pp.set_defaults(func=cmd_experiment_patch_size)
@@ -677,8 +675,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dims", default="576,576,88")
     p.add_argument("--spacing", default="0.625")
     p.add_argument("--tier-fractions", default="0.15,0.70,0.15")
-    p.add_argument("--encoding", choices=("raw", "gzip"), default="raw")
-    _add_options(p, "seed", "jobs")
+    _add_options(p, "seed", "jobs", "encoding")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -27,7 +27,6 @@ from .errors import (
     IoFailure,
     MalformedHeader,
     MissingHeaderField,
-    NonPositiveSpacing,
     NotBinaryMask,
     NotNrrdFile,
     UnsupportedDimension,
@@ -37,7 +36,7 @@ from .errors import (
     UnsupportedSpaceDirections,
     UnsupportedType,
 )
-from .grids import Grid, Mask, Volume
+from .grids import Grid, Mask, Volume, checked_spacing
 
 _MAGIC = re.compile(rb"^NRRD000[1-5]$")
 
@@ -131,9 +130,7 @@ def _spacing_from_fields(fields: dict[str, str]) -> tuple[float, float, float]:
         spacing = (rows[0][0], rows[1][1], rows[2][2])
     else:
         spacing = (1.0, 1.0, 1.0)
-    if not all(np.isfinite(s) and s > 0.0 for s in spacing):
-        raise NonPositiveSpacing(f"non-positive spacing in header: {spacing!r}")
-    return spacing
+    return checked_spacing(spacing)
 
 
 def read_nrrd(path, as_mask: bool | None = None) -> Grid:

@@ -2,23 +2,22 @@
 
 The winning challenge pipelines detect the cavity centroid, crop a fixed
 240x160x96 region around it, segment inside the crop, and pad the result
-back to the scan resolution. Here the two CNNs are replaced by pluggable
-``Localizer`` and ``Segmenter`` callables so the geometry (and the offset
-and patch-size experiments that probe it) can be exercised without any
-trained model: localizers include threshold-centroid, truth-centroid
-(oracle) and fixed-center; segmenters include the truth oracle, an
-Otsu-threshold pipeline and an adapter over externally produced
-prediction files.
-
-Segmenters are called as ``segment(patch, box)``: the ROI box is the
-patch's provenance and is what lets the oracle and the external adapter
-align their output with the crop placement.
+back to the scan resolution. Here the two CNNs are replaced by plain
+values so the geometry (and the offset and patch-size experiments that
+probe it) can be exercised without any trained model. The first stage is
+a voxel center, found by :func:`localize_threshold` (threshold centroid),
+:func:`localize_oracle` (truth centroid) or taken as the grid center. The
+second is a segmenter called as ``segment(patch, box)``: a
+:class:`ThresholdSegmenter`, or a :class:`MaskSegmenter` over a full-grid
+mask (the truth as an oracle, or an external model's prediction). The
+ROI box is the patch's provenance and lets a mask segmenter align its
+output with the crop placement. This module reads no files; the CLI
+reads every input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -27,7 +26,6 @@ from . import grids
 from .errors import BoxInconsistent, EmptyMask, NoForeground
 from .grids import Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
 from .metrics import dice
-from .nrrd_io import read_nrrd
 from .postprocess import StructuringElement, close_mask, largest_component
 
 DEFAULT_ROI_SIZE = (240, 160, 96)
@@ -96,13 +94,13 @@ def uncrop(patch: Mask, box: RoiBox, full_dims: tuple[int, int, int]) -> Mask:
 # --- localizers -------------------------------------------------------------
 
 
-def otsu_threshold(data: np.ndarray, bins: int = 256) -> float:
+def otsu_threshold(data: np.ndarray) -> float:
     """Otsu's threshold (maximal between-class variance) over 256 bins."""
     flat = data.ravel().astype(np.float64)
     lo, hi = float(flat.min()), float(flat.max())
     if hi <= lo:
         raise NoForeground("constant volume has no separable foreground")
-    hist, edges = np.histogram(flat, bins=bins, range=(lo, hi))
+    hist, edges = np.histogram(flat, bins=256, range=(lo, hi))
     p = hist.astype(np.float64) / flat.size
     omega = np.cumsum(p)
     mu = np.cumsum(p * (edges[:-1] + edges[1:]) / 2.0)
@@ -114,17 +112,13 @@ def otsu_threshold(data: np.ndarray, bins: int = 256) -> float:
     return float(edges[k + 1])
 
 
-def centroid_index(bits: np.ndarray) -> VoxelIndex:
-    """Foreground centroid rounded half-up to a voxel index."""
-    box = grids.bbox(bits)
-    coords = np.nonzero(bits[box])
-    return tuple(int(np.floor((c + sl.start).mean() + 0.5)) for c, sl in zip(coords, box))
-
-
 def localize_oracle(truth: Mask) -> VoxelIndex:
+    """Truth foreground centroid rounded half-up to a voxel index."""
     if truth.is_empty:
         raise EmptyMask("cannot localize an empty truth mask")
-    return centroid_index(truth.bits)
+    box = grids.bbox(truth.bits)
+    coords = np.nonzero(truth.bits[box])
+    return tuple(int(np.floor((c + sl.start).mean() + 0.5)) for c, sl in zip(coords, box))
 
 
 def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
@@ -154,52 +148,29 @@ def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
     )
 
 
-class OracleLocalizer:
-    """Centroid of the ground-truth mask (test fixture)."""
-
-    def __init__(self, truth: Mask):
-        self.truth = truth
-
-    def __call__(self, v: Volume) -> VoxelIndex:
-        return localize_oracle(self.truth)
-
-
-class ThresholdLocalizer:
-    def __init__(self, downsample_factor: int = 4):
-        self.downsample_factor = downsample_factor
-
-    def __call__(self, v: Volume) -> VoxelIndex:
-        return localize_threshold(v, self.downsample_factor)
-
-
-class FixedCenterLocalizer:
-    def __call__(self, v: Volume) -> VoxelIndex:
-        return tuple(n // 2 for n in v.dims)
-
-
 # --- segmenters -------------------------------------------------------------
 
 
-class OracleSegmenter:
-    """Returns the ground truth restricted to the patch box."""
+class MaskSegmenter:
+    """Segments a patch as a fixed full-grid mask restricted to the patch
+    box: the truth (an oracle) or an external model's prediction."""
 
-    def __init__(self, truth: Mask):
-        self.truth = truth
+    def __init__(self, mask: Mask):
+        self.mask = mask
 
     def __call__(self, patch: Volume, box: RoiBox) -> Mask:
-        return crop_box(self.truth, box)
+        return crop_box(self.mask, box)
 
 
 class ThresholdSegmenter:
-    """Otsu threshold, largest 26-component, then morphological closing.
+    """Otsu threshold, largest 26-component, then closing with the radius-1 cross.
 
     ``smooth_sigma`` optionally Gaussian-filters the patch first; leave it
     at 0 for bit-exact behavior on noiseless data, raise it (~1-2 voxels)
     to get graceful instead of catastrophic degradation under voxel noise.
     """
 
-    def __init__(self, closing_radius: int = 1, smooth_sigma: float = 0.0):
-        self.closing_radius = closing_radius
+    def __init__(self, smooth_sigma: float = 0.0):
         self.smooth_sigma = smooth_sigma
 
     def __call__(self, patch: Volume, box: RoiBox) -> Mask:
@@ -212,37 +183,18 @@ class ThresholdSegmenter:
             return Mask(np.zeros(patch.dims, dtype=bool), patch.spacing)
         mask = Mask(data > threshold, patch.spacing)
         mask = largest_component(mask, connectivity=26)
-        if self.closing_radius > 0 and not mask.is_empty:
-            mask = close_mask(mask, StructuringElement("cross", self.closing_radius))
+        if not mask.is_empty:
+            mask = close_mask(mask, StructuringElement("cross", 1))
         return mask
-
-
-class ExternalPredictionSegmenter:
-    """Adapter over a directory of per-case NRRD prediction masks.
-
-    The directory holds one full-resolution ``<case_id>.nrrd`` mask per
-    case; segmenting a patch crops that mask with the patch's box, so
-    external model outputs flow through the same pipeline harness.
-    """
-
-    def __init__(self, directory, case_id: str):
-        self.directory = Path(directory)
-        self.case_id = case_id
-
-    def __call__(self, patch: Volume, box: RoiBox) -> Mask:
-        full = read_nrrd(self.directory / f"{self.case_id}.nrrd", as_mask=True)
-        return crop_box(full, box)
 
 
 # --- pipeline and experiments ------------------------------------------------
 
 
-def run_pipeline(v: Volume, localizer, segmenter, roi_size=DEFAULT_ROI_SIZE) -> Mask:
-    """localize -> crop -> segment -> pad back to the input geometry."""
-    center = localizer(v)
+def run_pipeline(v: Volume, center: VoxelIndex, segmenter, roi_size=DEFAULT_ROI_SIZE) -> Mask:
+    """Crop around ``center`` -> segment -> pad back to the input geometry."""
     patch, box = crop(v, center, roi_size)
-    pred_patch = segmenter(patch, box)
-    return uncrop(pred_patch, box, v.dims)
+    return uncrop(segmenter(patch, box), box, v.dims)
 
 
 def max_noloss_displacement(truth: Mask, roi_size, axis: int = 0) -> int:
@@ -289,17 +241,13 @@ def offset_sweep(
             raise ValueError(f"offsets must be non-negative, got {pct}")
         d = int(np.floor(pct / 100.0 * d100 + 0.5))
         shifted = tuple(c + (d if i == ax else 0) for i, c in enumerate(center))
-        patch, box = crop(v, shifted, roi_size)
-        pred = uncrop(segmenter(patch, box), box, v.dims)
+        pred = run_pipeline(v, shifted, segmenter, roi_size)
         curve.append((float(pct), dice(pred, truth)))
     return curve
 
 
 def patch_size_sweep(
-    v: Volume,
-    truth: Mask,
-    sizes,
-    z_extent: int = 96,
+    truth: Mask, sizes, z_extent: int = DEFAULT_ROI_SIZE[2]
 ) -> list[tuple[int, int, float, float]]:
     """Background share and cavity containment across candidate xy patch sizes.
 
@@ -308,7 +256,6 @@ def patch_size_sweep(
     background_pct is over the whole box (padding included) and
     containment_pct is the share of truth foreground inside the box.
     """
-    check_same_geometry(v, truth)
     if truth.is_empty:
         raise EmptyMask("patch-size sweep needs a non-empty truth mask")
     center = localize_oracle(truth)

@@ -64,18 +64,20 @@ _BASE_ARGV = {
     "postprocess": ["postprocess", "in", "--out", "o", "--ops", "largest"],
     "pipeline": ["pipeline", "--scan", "s", "--out", "o"],
     "offset": ["experiment", "offset", "--scan", "s", "--truth", "t", "--out", "o"],
-    "patch-size": ["experiment", "patch-size", "--scan", "s", "--truth", "t", "--out", "o"],
+    "patch-size": ["experiment", "patch-size", "--truth", "t", "--out", "o"],
     "synth": ["synth", "--out-dir", "o"],
 }
 _READS = {
     "evaluate": ("format", "jobs"),
     "quality": ("format", "jobs"),
-    "preprocess": ("seed",),
+    "preprocess": ("seed", "encoding"),
+    "postprocess": ("encoding",),
+    "pipeline": ("encoding",),
     "offset": ("format",),
     "patch-size": ("format",),
-    "synth": ("seed", "jobs"),
+    "synth": ("seed", "jobs", "encoding"),
 }
-_VALUES = {"seed": ("9", 9), "format": ("json", "json"), "jobs": ("2", 2)}
+_VALUES = {"seed": ("9", 9), "format": ("json", "json"), "jobs": ("2", 2), "encoding": ("gzip", "gzip")}
 _ALL = [(cmd, opt) for cmd in _BASE_ARGV for opt in _VALUES]
 
 
@@ -416,8 +418,7 @@ def test_experiment_patch_size_csv(tmp_path):
     _scan_with_truth(tmp_path)
     out = tmp_path / "sizes.csv"
     assert main([
-        "experiment", "patch-size", "--scan", str(tmp_path / "scan.nrrd"),
-        "--truth", str(tmp_path / "scan_label.nrrd"),
+        "experiment", "patch-size", "--truth", str(tmp_path / "scan_label.nrrd"),
         "--sizes", "28x28,24x24,16x16", "--z-extent", "12", "--out", str(out),
     ]) == 0
     rows = list(csv.DictReader(out.open()))
@@ -575,6 +576,7 @@ def test_rank_malformed_csv_named_error(
     assert str(tmp_path / bad_file) in err and repr(column) in err
     if case_id is not None:
         assert repr(case_id) in err
+    assert not (tmp_path / "board").exists()
 
 
 def test_rank_accepts_blank_surface_distances(tmp_path):
@@ -586,3 +588,36 @@ def test_rank_accepts_blank_surface_distances(tmp_path):
     assert main(["rank", "--metrics", str(tmp_path / "team.csv"), "--out-dir", str(out_dir)]) == 0
     (row,) = csv.DictReader((out_dir / "leaderboard.csv").open())
     assert row["dice_mean"] == "0.45" and row["hd_mm_mean"] == "8"
+
+
+@pytest.mark.parametrize("option", ["--summary", "--attributes"])
+def test_rank_table_without_team_id_is_malformed_csv(tmp_path, capsys, option):
+    (tmp_path / "team.csv").write_text(_METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\n")
+    (tmp_path / "bad.csv").write_text("team,dice_mean\nalpha,0.9\n")
+    argv = ["rank", option, str(tmp_path / "bad.csv"), "--out-dir", str(tmp_path / "board")]
+    if option == "--attributes":
+        argv += ["--metrics", str(tmp_path / "team.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"labench: error: MalformedCsv: {tmp_path / 'bad.csv'} has no 'team_id' column\n"
+    assert not (tmp_path / "board").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "rank needs --metrics files or --summary"),
+        (["--metrics", "absent.csv"], "'absent.csv' is not a file"),
+    ],
+    ids=["no-metrics", "missing-file"],
+)
+def test_rejected_rank_creates_no_output_directory(tmp_path, capsys, monkeypatch, extra, message):
+    monkeypatch.chdir(tmp_path)
+    argv = ["rank", "--out-dir", "board", *extra]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "board").exists()

@@ -86,8 +86,7 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
                          "--out", p("post.nrrd"), "--encoding", "gzip", "--ops", "largest:6",
                          "close:cube:1", "open", "smooth:2", "dilate", "erode"]),
         *_offset_commands(p),
-        ("patch-size", ["experiment", "patch-size", "--scan", p("cohort", "case_000.nrrd"),
-                        "--truth", p("cohort", "case_000_label.nrrd"),
+        ("patch-size", ["experiment", "patch-size", "--truth", p("cohort", "case_000_label.nrrd"),
                         "--sizes", "24x24,16x16,10x8,3x2", "--z-extent", "10", "--out", p("sizes.csv")]),
     ]
 

@@ -227,6 +227,21 @@ def test_header_errors(tmp_path, mutate, error):
         read_nrrd(path)
 
 
+def test_sign_flipped_spacing_fails_with_the_grids_rule_before_the_payload(tmp_path):
+    path = tmp_path / "flipped.nrrd"
+    _write(
+        path,
+        ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 2", "encoding: raw",
+         "space directions: (1,0,0) (0,-1,0) (0,0,1)"],
+        bytes(3),  # a short payload: the header must be rejected first
+    )
+    with pytest.raises(NonPositiveSpacing) as exc:
+        read_nrrd(path)
+    assert str(exc.value) == (
+        "spacing must be three strictly positive finite values, got (1.0, -1.0, 1.0)"
+    )
+
+
 def test_payload_count_mismatch(tmp_path):
     path = tmp_path / "short.nrrd"
     _write(

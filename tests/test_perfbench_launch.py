@@ -38,6 +38,13 @@ def test_launcher_traces_synth_pipeline_and_postprocess(tmp_path):
         "--downsample-factor", "2", "--out", tmp_path / "pred.nrrd",
     )
     assert {"cli.pipeline", "pipeline.localize_threshold", "pipeline.segment"} <= names
+    # without --truth, the only mask this run reads is the external prediction
+    names = _launch(
+        tmp_path, "external", "pipeline", "--scan", cohort / "case_000.nrrd",
+        "--segmenter", "external", "--pred-dir", cohort, "--case-id", "case_000_label",
+        "--roi", "16,16,16", "--downsample-factor", "2", "--out", tmp_path / "ext.nrrd",
+    )
+    assert {"cli.pipeline", "nrrd_io.read_volume", "nrrd_io.read_mask"} <= names
     names = _launch(
         tmp_path, "postprocess", "postprocess", tmp_path / "pred.nrrd",
         "--ops", "largest:26", "smooth:1", "--out", tmp_path / "clean.nrrd",

@@ -6,9 +6,7 @@ from labench.grids import Mask, Volume
 from labench.metrics import dice
 from labench.phantom import default_phantom_spec, generate
 from labench.pipeline import (
-    FixedCenterLocalizer,
-    OracleLocalizer,
-    OracleSegmenter,
+    MaskSegmenter,
     RoiBox,
     ThresholdSegmenter,
     crop,
@@ -168,7 +166,7 @@ def test_localize_threshold_uniform_volume_errors():
 
 def test_oracle_pipeline_is_exact():
     v, m = _blob_volume()
-    pred = run_pipeline(v, OracleLocalizer(m), OracleSegmenter(m), (24, 24, 24))
+    pred = run_pipeline(v, localize_oracle(m), MaskSegmenter(m), (24, 24, 24))
     assert dice(pred, m) == 1.0
     assert pred.dims == v.dims
 
@@ -178,7 +176,7 @@ def test_threshold_segmenter_exact_on_noiseless_phantom():
         dims=(64, 64, 40), spacing=(1.0, 1.0, 1.0), sigma_fg=0.0, sigma_bg=0.0
     )
     v, m = generate(spec)
-    pred = run_pipeline(v, OracleLocalizer(m), ThresholdSegmenter(), (48, 40, 32))
+    pred = run_pipeline(v, localize_oracle(m), ThresholdSegmenter(), (48, 40, 32))
     assert dice(pred, m) == 1.0
 
 
@@ -189,8 +187,9 @@ def test_fixed_center_on_off_center_phantom_matches_inbox_bound():
     m = Mask(bits)
     v = Volume(np.where(bits, 500.0, 10.0).astype(np.float32))
     roi = (16, 16, 16)
-    pred = run_pipeline(v, FixedCenterLocalizer(), OracleSegmenter(m), roi)
-    patch, _ = crop(m, FixedCenterLocalizer()(v), roi)
+    center = tuple(n // 2 for n in v.dims)
+    pred = run_pipeline(v, center, MaskSegmenter(m), roi)
+    patch, _ = crop(m, center, roi)
     k = patch.count
     assert dice(pred, m) == pytest.approx(2 * k / (m.count + k), abs=1e-15)
 
@@ -200,9 +199,9 @@ def test_pipeline_dice_bound_on_seeded_placements(rng):
     roi = (18, 18, 14)
     for _ in range(20):
         center = tuple(int(rng.integers(0, n)) for n in v.dims)
-        patch, box = crop(m, center, roi)
+        patch, _ = crop(m, center, roi)
         k = patch.count
-        pred = uncrop(OracleSegmenter(m)(crop(v, center, roi)[0], box), box, v.dims)
+        pred = run_pipeline(v, center, MaskSegmenter(m), roi)
         expected = 1.0 if m.count == 0 and k == 0 else 2 * k / (m.count + k)
         assert dice(pred, m) == pytest.approx(expected, abs=1e-15)
 
@@ -213,7 +212,7 @@ def test_pipeline_dice_bound_on_seeded_placements(rng):
 def test_offset_sweep_oracle_values():
     v, m = _blob_volume()
     roi = (24, 24, 20)
-    curve = offset_sweep(v, m, OracleSegmenter(m), roi, offsets=(0, 50, 100, 125, 150))
+    curve = offset_sweep(v, m, MaskSegmenter(m), roi, offsets=(0, 50, 100, 125, 150))
     by_pct = dict(curve)
     assert by_pct[0.0] == 1.0
     assert by_pct[50.0] == 1.0
@@ -231,7 +230,7 @@ def test_offset_sweep_oracle_values():
 def test_offset_sweep_non_increasing_for_convex_mask():
     v, m = _blob_volume()
     curve = offset_sweep(
-        v, m, OracleSegmenter(m), (24, 24, 20), offsets=tuple(range(0, 201, 20))
+        v, m, MaskSegmenter(m), (24, 24, 20), offsets=tuple(range(0, 201, 20))
     )
     dices = [d for _, d in curve]
     assert all(a >= b - 1e-15 for a, b in zip(dices, dices[1:]))
@@ -241,7 +240,7 @@ def test_offset_sweep_empty_truth_errors():
     v, m = _blob_volume()
     empty = mask_from(np.zeros(v.dims))
     with pytest.raises(EmptyMask):
-        offset_sweep(v, empty, OracleSegmenter(m), (8, 8, 8), offsets=(0,))
+        offset_sweep(v, empty, MaskSegmenter(m), (8, 8, 8), offsets=(0,))
 
 
 def test_patch_size_sweep_trends():
@@ -249,16 +248,15 @@ def test_patch_size_sweep_trends():
     bits = np.zeros(dims, dtype=bool)
     bits[22:42, 26:38, 8:22] = True  # 20 x 12 x 14 block at center
     m = Mask(bits)
-    v = Volume(np.where(bits, 300.0, 10.0).astype(np.float32))
     sizes = [(56, 56), (48, 48), (40, 40), (32, 24)]
-    rows = patch_size_sweep(v, m, sizes, z_extent=24)
+    rows = patch_size_sweep(m, sizes, z_extent=24)
     bg = [r[2] for r in rows]
     containment = [r[3] for r in rows]
     assert all(a > b for a, b in zip(bg, bg[1:]))  # strictly decreasing
     assert all(c == 100.0 for c in containment)
 
     # a box smaller than the mask cannot contain it
-    rows_small = patch_size_sweep(v, m, [(10, 10)], z_extent=24)
+    rows_small = patch_size_sweep(m, [(10, 10)], z_extent=24)
     assert rows_small[0][3] < 100.0
 
 
@@ -267,8 +265,7 @@ def test_patch_size_sweep_whole_volume_background_share():
     bits = np.zeros(dims, dtype=bool)
     bits[12:20, 12:20, 8:14] = True
     m = Mask(bits)
-    v = Volume(np.where(bits, 300.0, 10.0).astype(np.float32))
-    rows = patch_size_sweep(v, m, [(32, 32)], z_extent=22)
+    rows = patch_size_sweep(m, [(32, 32)], z_extent=22)
     wx, wy, bg_pct, cont = rows[0]
     assert cont == 100.0
     assert bg_pct == pytest.approx(100.0 * (1 - m.count / (32 * 32 * 22)), abs=1e-12)
