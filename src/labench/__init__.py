@@ -1,8 +1,8 @@
 """Benchmarking toolkit for left-atrium segmentation of 3D LGE-MRI volumes.
 
 Subsystems: NRRD volume I/O and grid types (:mod:`grids`, :mod:`nrrd_io`),
-scan quality scoring (:mod:`quality`), per-case segmentation metrics
-(:mod:`metrics`), pre- and post-processing operators (:mod:`preprocess`,
+scan quality scoring (:mod:`quality`), per-case scoring by the one scorer
+:func:`evaluate_case` (:mod:`metrics`), pre- and post-processing operators (:mod:`preprocess`,
 :mod:`postprocess`), the localize/crop/segment/pad pipeline with its
 geometry experiments (:mod:`pipeline`), cross-team statistics and
 leaderboards (:mod:`stats`), and a synthetic phantom generator for
@@ -12,19 +12,7 @@ desk-scale verification (:mod:`phantom`). The ``labench`` executable in
 
 from .errors import LabenchError
 from .grids import Mask, Volume, VoxelIndex, downsample
-from .metrics import (
-    CaseMetrics,
-    ConfusionCounts,
-    dice,
-    dice_profile_z,
-    evaluate_case,
-    hausdorff_mm,
-    iou,
-    la_diameter_mm,
-    la_volume_cm3,
-    sensitivity_specificity,
-    stsd_mm,
-)
+from .metrics import CaseMetrics, dice, dice_profile_z, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
 from .phantom import CohortVariation, PhantomSpec, Tube, default_phantom_spec, generate, generate_cohort
 from .pipeline import (

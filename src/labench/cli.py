@@ -41,7 +41,7 @@ from pathlib import Path
 
 from . import phantom, pipeline, postprocess, preprocess
 from .errors import DegeneratePartition, DegenerateSample, LabenchError, MalformedCsv
-from .grids import Volume, checked_spacing, downsample
+from .grids import check_same_geometry, checked_spacing, downsample
 from .metrics import CaseMetrics, dice, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
 from .quality import assess_quality, quality_distribution
@@ -281,7 +281,13 @@ def _read_attributes(path: Path) -> dict[str, dict[str, str]]:
 def cmd_rank(args) -> int:
     # every input is read and checked before the output directory exists
     if args.summary:
-        rows = _read_rows(_require_file(args.summary, "summary"), ("team_id",))
+        # every cell may be blank, and a column left out reads as blank
+        path = _require_file(args.summary, "summary")
+        rows = [
+            {"team_id": row["team_id"]}
+            | {c: _number(path, row["team_id"], c, row.get(c), True) for c in LEADERBOARD_COLUMNS[1:]}
+            for row in _read_rows(path, ("team_id",))
+        ]
         board = leaderboard_from_summary(rows)
         return _write_rank(args.out_dir, "published-summary ingest", board)
 
@@ -411,12 +417,15 @@ def cmd_quality(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.mask_out and not args.mask:
+        return _fail("--mask-out needs --mask")
+    if args.mask and args.downsample:
+        return _fail("--downsample cannot resample a --mask; leave one of them out")
     volume = read_nrrd(_require_file(args.input, "input volume"), as_mask=False)
-    if not isinstance(volume, Volume):
-        raise SystemExit(_fail("preprocess expects a grayscale volume"))
     mask = None
     if args.mask:
         mask = read_nrrd(_require_file(args.mask, "mask"), as_mask=True)
+        check_same_geometry(volume, mask)
 
     if args.downsample:
         factor = _parse_ints(args.downsample, 3, "--downsample")
@@ -477,7 +486,7 @@ def cmd_postprocess(args) -> int:
 # --- pipeline --------------------------------------------------------------------
 
 
-def _build_segmenter(args, truth):
+def _build_segmenter(args, scan, truth):
     if args.segmenter == "oracle":
         if truth is None:
             raise SystemExit(_fail("--segmenter oracle needs --truth"))
@@ -486,7 +495,9 @@ def _build_segmenter(args, truth):
         if not args.pred_dir or not args.case_id:
             raise SystemExit(_fail("--segmenter external needs --pred-dir and --case-id"))
         path = _require_file(str(Path(args.pred_dir, f"{args.case_id}.nrrd")), "external prediction")
-        return pipeline.MaskSegmenter(read_nrrd(path, as_mask=True))
+        prediction = read_nrrd(path, as_mask=True)
+        check_same_geometry(scan, prediction)
+        return pipeline.MaskSegmenter(prediction)
     return pipeline.ThresholdSegmenter()
 
 
@@ -504,8 +515,10 @@ def _center(args, scan, truth):
 def cmd_pipeline(args) -> int:
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True) if args.truth else None
+    if truth is not None:
+        check_same_geometry(scan, truth)
     roi = _parse_ints(args.roi, 3, "--roi")
-    segmenter = _build_segmenter(args, truth)
+    segmenter = _build_segmenter(args, scan, truth)
     predicted = pipeline.run_pipeline(scan, _center(args, scan, truth), segmenter, roi)
     write_nrrd(predicted, args.out, encoding=args.encoding)
     if truth is not None:
@@ -519,7 +532,7 @@ def cmd_pipeline(args) -> int:
 def cmd_experiment_offset(args) -> int:
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
-    segmenter = _build_segmenter(args, truth)
+    segmenter = _build_segmenter(args, scan, truth)
     offsets = [float(p) for p in args.offsets.split(",")]
     roi = _parse_ints(args.roi, 3, "--roi")
     curve = pipeline.offset_sweep(scan, truth, segmenter, roi, offsets, axis=args.axis)

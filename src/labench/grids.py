@@ -1,11 +1,10 @@
 """In-memory 3D grids: grayscale volumes and binary masks.
 
-Arrays are indexed ``[ix, iy, iz]``. The canonical linear order is
-x-fastest, i.e. ``flat[ix + iy*nx + iz*nx*ny]``, which is the raster order
-of the NRRD files this package reads and writes; :meth:`Volume.flat` and
-:meth:`Volume.from_flat` convert at that boundary. Grids are immutable
-after construction (the constructor marks the underlying array read-only),
-so they are safe to share across threads.
+Arrays are indexed ``[ix, iy, iz]``; a grid has no linear order of its
+own. The x-fastest raster order of the NRRD files is owned by
+:mod:`labench.nrrd_io`, which converts at the file boundary. Grids are
+immutable after construction (the constructor marks the underlying array
+read-only), so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -62,24 +61,8 @@ class Volume:
         return self.data.shape
 
     @property
-    def intensity_type(self) -> np.dtype:
-        return self.data.dtype
-
-    @property
     def nvox(self) -> int:
         return self.data.size
-
-    def flat(self) -> np.ndarray:
-        """Intensities in x-fastest linear order."""
-        return self.data.ravel(order="F")
-
-    @classmethod
-    def from_flat(cls, flat, dims, spacing=(1.0, 1.0, 1.0), dtype=None) -> "Volume":
-        arr = np.asarray(flat, dtype=dtype)
-        nx, ny, nz = dims
-        if arr.size != nx * ny * nz:
-            raise ValueError(f"flat data length {arr.size} != {nx}*{ny}*{nz}")
-        return cls(arr.reshape((nx, ny, nz), order="F"), spacing)
 
     def __eq__(self, other) -> bool:
         return (
@@ -124,17 +107,6 @@ class Mask:
     @property
     def is_empty(self) -> bool:
         return not self.bits.any()
-
-    def flat(self) -> np.ndarray:
-        return self.bits.ravel(order="F")
-
-    @classmethod
-    def from_flat(cls, flat, dims, spacing=(1.0, 1.0, 1.0)) -> "Mask":
-        arr = np.asarray(flat).astype(bool)
-        nx, ny, nz = dims
-        if arr.size != nx * ny * nz:
-            raise ValueError(f"flat data length {arr.size} != {nx}*{ny}*{nz}")
-        return cls(arr.reshape((nx, ny, nz), order="F"), spacing)
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,13 +159,6 @@ def bbox(bits: np.ndarray, pad: int = 0) -> Box | None:
         slice(max(int(c[0]) - pad, 0), min(int(c[-1]) + 1 + pad, n))
         for c, n in zip((xs, ys, zs), bits.shape)
     )
-
-
-def linear_index(idx: VoxelIndex, dims: tuple[int, int, int]) -> int:
-    """x-fastest linear index of a voxel."""
-    ix, iy, iz = idx
-    nx, ny, _ = dims
-    return ix + iy * nx + iz * nx * ny
 
 
 def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:

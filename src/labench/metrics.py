@@ -1,11 +1,18 @@
 """Per-case segmentation metrics.
 
-The module computes values only; :mod:`labench.cli` writes and reads the
-per-case tables. Overlap scores (Dice, IoU, sensitivity, specificity) are exact voxel
-counts; boundary distances (Hausdorff, symmetric mean surface distance)
-are Euclidean distances in mm between surface voxel centers, weighted by
-the grid spacing. A surface voxel is a foreground voxel with at least one
-background 6-neighbor, where the grid border counts as background.
+:func:`evaluate_case` is the one scorer: it gives every technical and
+biological value of a case (:class:`CaseMetrics`) from one pass over the
+two masks. :func:`dice` alone is kept for the pipeline's report and
+sweeps, and :func:`dice_profile_z` gives the slice-by-slice Dice. The
+module computes values only; :mod:`labench.cli` writes and reads the
+per-case tables.
+
+Overlap scores (Dice, IoU, sensitivity, specificity) and volumes are
+exact voxel counts; boundary distances (Hausdorff, symmetric mean surface
+distance) are Euclidean distances in mm between surface voxel centers,
+weighted by the grid spacing. A surface voxel is a foreground voxel with
+at least one background 6-neighbor, where the grid border counts as
+background.
 
 A case is scored inside the foreground box: the union of the prediction's
 and the truth's bounding boxes (:func:`labench.grids.bbox`, found from axis
@@ -28,20 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateTruth, EmptyMask
+from .errors import DegenerateTruth
 from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 @dataclass(frozen=True)
@@ -87,6 +82,7 @@ def _crops(a: Mask, b: Mask) -> tuple[Box | None, Box | None, np.ndarray, np.nda
     overlap counts and surfaces taken on the crops equal those of the
     grid. With both masks empty the crops are empty.
     """
+    check_same_geometry(a, b)
     box_a, box_b = bbox(a.bits), bbox(b.bits)
     if box_a is None or box_b is None:
         union = box_a or box_b or (slice(0, 0),) * 3
@@ -97,44 +93,18 @@ def _crops(a: Mask, b: Mask) -> tuple[Box | None, Box | None, np.ndarray, np.nda
     return box_a, box_b, a.bits[union], b.bits[union]
 
 
-def _confusion(pred: np.ndarray, truth: np.ndarray, nvox: int) -> ConfusionCounts:
-    """Counts from the two crops of :func:`_crops`; TN from the grid size."""
-    tp = int(np.count_nonzero(pred & truth))
-    fp = int(np.count_nonzero(pred)) - tp
-    fn = int(np.count_nonzero(truth)) - tp
-    return ConfusionCounts(tp=tp, tn=nvox - tp - fp - fn, fp=fp, fn=fn)
-
-
-def confusion_counts(pred: Mask, truth: Mask) -> ConfusionCounts:
-    check_same_geometry(pred, truth)
-    _, _, p, t = _crops(pred, truth)
-    return _confusion(p, t, pred.nvox)
+def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
+    """(|A∩B|, |A|-|A∩B|, |B|-|A∩B|) of two crops from :func:`_crops`:
+    TP, FP and FN when A is the prediction and B the truth."""
+    both = int(np.count_nonzero(a & b))
+    return both, int(np.count_nonzero(a)) - both, int(np.count_nonzero(b)) - both
 
 
 def dice(a: Mask, b: Mask) -> float:
     """Overlap score 2|A∩B| / (|A|+|B|); 1.0 when both masks are empty."""
-    c = confusion_counts(a, b)
-    denom = 2 * c.tp + c.fp + c.fn
-    return 2.0 * c.tp / denom if denom else 1.0
-
-
-def iou(a: Mask, b: Mask) -> float:
-    """Jaccard index |A∩B| / |A∪B|; 1.0 when both masks are empty."""
-    c = confusion_counts(a, b)
-    union = c.tp + c.fp + c.fn
-    return c.tp / union if union else 1.0
-
-
-def _rates(counts: ConfusionCounts) -> tuple[float, float]:
-    if counts.tp + counts.fn == 0 or counts.tn + counts.fp == 0:
-        raise DegenerateTruth("truth must contain both foreground and background voxels")
-    return counts.tp / (counts.tp + counts.fn), counts.tn / (counts.tn + counts.fp)
-
-
-def sensitivity_specificity(pred: Mask, truth: Mask) -> tuple[float, float, ConfusionCounts]:
-    """True-positive and true-negative rates of the prediction vs truth."""
-    counts = confusion_counts(pred, truth)
-    return (*_rates(counts), counts)
+    tp, fp, fn = _overlap(*_crops(a, b)[2:])
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 1.0
 
 
 def _distances_to(surface: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
@@ -154,67 +124,24 @@ def _distances_to(surface: np.ndarray, query: np.ndarray, spacing) -> np.ndarray
     return np.sqrt(np.add.reduce(d, axis=0))
 
 
-def _surface_distance_fields(a: np.ndarray, b: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
-    """Distances (mm) from each A-surface voxel to B's surface and vice versa.
+def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
+    """Symmetric Hausdorff and mean surface distance (mm) of two non-empty
+    masks cropped to their union foreground box (:func:`_crops`).
 
-    ``a`` and ``b`` are two masks cropped to their union foreground box
-    (:func:`_crops`), which is also the union box of their surfaces: a
-    mask's extreme voxels are surface voxels. Returns (dists of surf(A)
-    points to surf(B), dists of surf(B) points to surf(A)), each a flat
-    float array.
+    The Hausdorff distance is the larger of the two directed worst cases;
+    the mean runs over the distances of every A-surface voxel to B's
+    surface and of every B-surface voxel to A's.
     """
     sa = surface_voxels(Mask(a, spacing))
     sb = surface_voxels(Mask(b, spacing))
-    return _distances_to(sb, sa, spacing), _distances_to(sa, sb, spacing)
-
-
-def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
-    """Symmetric Hausdorff and mean surface distance from one pair of fields."""
-    d_a_to_b, d_b_to_a = _surface_distance_fields(a, b, spacing)
-    hd = float(max(d_a_to_b.max(), d_b_to_a.max()))
-    return hd, float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
-
-
-def hausdorff_mm(a: Mask, b: Mask) -> float:
-    """Symmetric Hausdorff distance in mm: the larger of the two directed
-    worst-case distances from one surface to the other."""
-    check_same_geometry(a, b)
-    if a.is_empty or b.is_empty:
-        raise EmptyMask("Hausdorff distance requires two non-empty masks")
-    _, _, ca, cb = _crops(a, b)
-    return _hd_stsd(ca, cb, a.spacing)[0]
-
-
-def stsd_mm(a: Mask, b: Mask) -> float:
-    """Mean symmetric surface-to-surface distance in mm."""
-    check_same_geometry(a, b)
-    if a.is_empty or b.is_empty:
-        raise EmptyMask("surface distance requires two non-empty masks")
-    _, _, ca, cb = _crops(a, b)
-    return _hd_stsd(ca, cb, a.spacing)[1]
+    a_to_b, b_to_a = _distances_to(sb, sa, spacing), _distances_to(sa, sb, spacing)
+    hd = float(max(a_to_b.max(), b_to_a.max()))
+    return hd, float((a_to_b.sum() + b_to_a.sum()) / (a_to_b.size + b_to_a.size))
 
 
 def _extent_mm(box: Box, ax: int, spacing) -> float:
+    """Foreground extent along one axis in mm, (max - min + 1) * spacing."""
     return float(box[ax].stop - box[ax].start) * spacing[ax]
-
-
-def la_diameter_mm(m: Mask, axis: int | str = "x") -> float:
-    """Foreground extent along one axis in mm, (max - min + 1) * spacing.
-
-    The anterior-posterior diameter corresponds to the x axis in the
-    challenge orientation; other datasets can select a different axis.
-    """
-    ax = axis_index(axis)
-    box = bbox(m.bits)
-    if box is None:
-        raise EmptyMask("diameter of an empty mask is undefined")
-    return _extent_mm(box, ax, m.spacing)
-
-
-def la_volume_cm3(m: Mask) -> float:
-    """Foreground volume in cubic centimeters."""
-    sx, sy, sz = m.spacing
-    return m.count * sx * sy * sz / 1000.0
 
 
 def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> CaseMetrics:
@@ -222,15 +149,16 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
 
     The truth must have both foreground and background voxels. An empty
     prediction is legal: its surface distances are absent (None), its
-    diameter and volume are 0 and the percent errors are 100.
+    diameter and volume are 0 and the percent errors are 100. The
+    diameter is the foreground extent along ``diameter_axis``; the
+    anterior-posterior diameter is the x axis in the challenge orientation.
     """
-    check_same_geometry(pred, truth)
-    ax = axis_index(diameter_axis)
     box_p, box_t, p, t = _crops(pred, truth)
-    counts = _confusion(p, t, pred.nvox)
-    sens, spec = _rates(counts)
-    dice_v = 2.0 * counts.tp / (2 * counts.tp + counts.fp + counts.fn)
-    iou_v = counts.tp / (counts.tp + counts.fp + counts.fn)
+    ax = axis_index(diameter_axis)
+    tp, fp, fn = _overlap(p, t)
+    tn = pred.nvox - tp - fp - fn
+    if tp + fn == 0 or tn + fp == 0:
+        raise DegenerateTruth("truth must contain both foreground and background voxels")
 
     if box_p is None:
         hd = stsd = None
@@ -240,14 +168,15 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
         diameter_pred = _extent_mm(box_p, ax, pred.spacing)
 
     diameter_true = _extent_mm(box_t, ax, truth.spacing)
-    volume_pred = la_volume_cm3(pred)
-    volume_true = la_volume_cm3(truth)
+    sx, sy, sz = pred.spacing
+    volume_pred = (tp + fp) * sx * sy * sz / 1000.0
+    volume_true = (tp + fn) * sx * sy * sz / 1000.0
 
     return CaseMetrics(
-        dice=dice_v,
-        iou=iou_v,
-        sensitivity=sens,
-        specificity=spec,
+        dice=2.0 * tp / (2 * tp + fp + fn),
+        iou=tp / (tp + fp + fn),
+        sensitivity=tp / (tp + fn),
+        specificity=tn / (tn + fp),
         hd_mm=hd,
         stsd_mm=stsd,
         diameter_pred_mm=diameter_pred,

@@ -10,7 +10,8 @@ axes; other fields the reader does not use are ignored. A gzip payload
 is inflated to at most one byte past the header-implied size, which
 bounds the memory an oversized payload can take.
 
-The payload raster order is x-fastest, matching :mod:`labench.grids`.
+The payload raster order is x-fastest: the voxel ``[ix, iy, iz]`` of a
+grid is payload sample ``ix + iy*nx + iz*nx*ny``.
 """
 
 from __future__ import annotations

@@ -234,28 +234,21 @@ def build_leaderboard(teams) -> Leaderboard:
 def leaderboard_from_summary(rows) -> Leaderboard:
     """Rank pre-aggregated per-team summary rows (no per-case data).
 
-    Each row is a mapping with ``team_id``, ``<metric>_mean`` /
-    ``<metric>_std`` entries and optionally ``p_value``; the ranking rule
-    is identical to :func:`build_leaderboard` and unit-agnostic, so
+    Each row is a mapping with ``team_id`` and, as parsed numbers or None,
+    ``<metric>_mean`` / ``<metric>_std`` entries and optionally
+    ``p_value``; an entry left out reads as None. The ranking rule is
+    identical to :func:`build_leaderboard` and unit-agnostic, so
     summaries quoted in percent rank the same as fractions.
     """
     board_rows = []
     for row in rows:
-        means = {m: _opt_float(row.get(f"{m}_mean")) for m in LEADERBOARD_METRICS}
-        stds = {m: _opt_float(row.get(f"{m}_std")) for m in LEADERBOARD_METRICS}
         board_rows.append(
             LeaderboardRow(
                 team_id=str(row["team_id"]),
-                means=means,
-                stds=stds,
-                p_value=_opt_float(row.get("p_value")),
+                means={m: row.get(f"{m}_mean") for m in LEADERBOARD_METRICS},
+                stds={m: row.get(f"{m}_std") for m in LEADERBOARD_METRICS},
+                p_value=row.get("p_value"),
             )
         )
     board_rows.sort(key=_rank_key)
     return Leaderboard(rows=tuple(board_rows))
-
-
-def _opt_float(value) -> float | None:
-    if value is None or value == "":
-        return None
-    return float(value)

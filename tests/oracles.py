@@ -72,15 +72,15 @@ def brute_force_stsd(a: Mask, b: Mask) -> float:
 
 
 def counting_dice(a: Mask, b: Mask) -> float:
-    inter = sum(1 for pa, pb in zip(a.flat(), b.flat()) if pa and pb)
-    na = int(a.flat().sum())
-    nb = int(b.flat().sum())
+    fa, fb = a.bits.ravel(order="F"), b.bits.ravel(order="F")
+    inter = sum(1 for pa, pb in zip(fa, fb) if pa and pb)
+    na, nb = int(fa.sum()), int(fb.sum())
     return 1.0 if na + nb == 0 else 2.0 * inter / (na + nb)
 
 
 def counting_iou(a: Mask, b: Mask) -> float:
     inter = union = 0
-    for pa, pb in zip(a.flat(), b.flat()):
+    for pa, pb in zip(a.bits.ravel(order="F"), b.bits.ravel(order="F")):
         inter += bool(pa and pb)
         union += bool(pa or pb)
     return 1.0 if union == 0 else inter / union
@@ -88,7 +88,7 @@ def counting_iou(a: Mask, b: Mask) -> float:
 
 def counting_sens_spec(pred: Mask, truth: Mask) -> tuple[float, float]:
     tp = fn = tn = fp = 0
-    for p, t in zip(pred.flat(), truth.flat()):
+    for p, t in zip(pred.bits.ravel(order="F"), truth.bits.ravel(order="F")):
         if t:
             tp, fn = tp + bool(p), fn + (not p)
         else:

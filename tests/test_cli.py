@@ -335,6 +335,26 @@ def test_preprocess_augment_round_trip(tmp_path):
     assert np.array_equal(np.flip(flipped.bits, axis=0), bits)
 
 
+@pytest.mark.parametrize(
+    "mask_dims, extra, message",
+    [
+        ((20, 20, 12), ["--downsample", "2,2,1"], "--downsample cannot resample a --mask"),
+        ((20, 20, 10), [], "GeometryMismatch: grids disagree: dims (20, 20, 12) vs (20, 20, 10)"),
+        (None, [], "--mask-out needs --mask"),
+    ],
+    ids=["mask-with-downsample", "mask-of-other-geometry", "mask-out-without-mask"],
+)
+def test_preprocess_rejects_a_mask_it_cannot_carry(tmp_path, capsys, mask_dims, extra, message):
+    write_nrrd(Volume(np.where(_blob(), 200, 50).astype(np.uint8)), tmp_path / "v.nrrd")
+    argv = ["preprocess", str(tmp_path / "v.nrrd"), "--out", str(tmp_path / "out.nrrd"), *extra]
+    if mask_dims is not None:
+        write_nrrd(Mask(_blob(dims=mask_dims)), tmp_path / "m.nrrd")
+        argv += ["--mask", str(tmp_path / "m.nrrd")]
+    assert main(argv + ["--mask-out", str(tmp_path / "m_out.nrrd")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.nrrd").exists() and not (tmp_path / "m_out.nrrd").exists()
+
+
 def test_postprocess_chain(tmp_path):
     bits = _blob()
     bits[0, 0, 0] = True  # small satellite component
@@ -397,6 +417,24 @@ def test_pipeline_external_segmenter(tmp_path):
     ]) == 0
     pred = read_nrrd(out)
     assert np.array_equal(pred.bits, bits)
+
+
+@pytest.mark.parametrize("grid", ["truth", "external"])
+def test_pipeline_rejects_a_mask_of_other_geometry(tmp_path, capsys, grid):
+    _scan_with_truth(tmp_path)
+    small = tmp_path / "small"
+    small.mkdir()
+    write_nrrd(Mask(_blob(dims=(12, 12, 8), lo=(2, 2, 2), hi=(8, 8, 6))), small / "scan.nrrd")
+    out = tmp_path / "pred.nrrd"
+    argv = ["pipeline", "--scan", str(tmp_path / "scan.nrrd"), "--roi", "24,24,16", "--out", str(out)]
+    if grid == "truth":
+        argv += ["--truth", str(small / "scan.nrrd")]
+    else:
+        argv += ["--segmenter", "external", "--pred-dir", str(small), "--case-id", "scan"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("labench: error: GeometryMismatch: grids disagree: dims (32, 32, 20) vs (12, 12, 8)")
+    assert not out.exists()
 
 
 def test_experiment_offset_csv(tmp_path):
@@ -541,7 +579,7 @@ _METRICS_HEADER = "case_id,dice,iou,sensitivity,specificity,hd_mm,stsd_mm\n"
 
 
 @pytest.mark.parametrize(
-    "metrics_text, quality_text, bad_file, column, case_id",
+    "table_text, quality_text, bad_file, column, case_id",
     [
         pytest.param(
             "case_id,dice,sensitivity,specificity,hd_mm,stsd_mm\nc0,0.9,0.9,0.99,8,1\n",
@@ -560,13 +598,19 @@ _METRICS_HEADER = "case_id,dice,iou,sensitivity,specificity,hd_mm,stsd_mm\n"
             "id,snr,cr,het,band\nc0,0.5,2,0.2,high\n", "quality.csv", "scan_id",
             None, id="quality-without-scan-id",
         ),
+        pytest.param(
+            "team_id,dice_mean,dice_std\nalpha,0.9,0.1\nbeta,x,0.1\n",
+            None, "summary.csv", "dice_mean", None, id="summary-non-numeric-cell",
+        ),
     ],
 )
 def test_rank_malformed_csv_named_error(
-    tmp_path, capsys, metrics_text, quality_text, bad_file, column, case_id
+    tmp_path, capsys, table_text, quality_text, bad_file, column, case_id
 ):
-    (tmp_path / "team.csv").write_text(metrics_text)
-    argv = ["rank", "--metrics", str(tmp_path / "team.csv"), "--out-dir", str(tmp_path / "board")]
+    # the table is a --summary when the bad file is summary.csv, else a --metrics file
+    option, table = ("--summary", "summary.csv") if bad_file == "summary.csv" else ("--metrics", "team.csv")
+    (tmp_path / table).write_text(table_text)
+    argv = ["rank", option, str(tmp_path / table), "--out-dir", str(tmp_path / "board")]
     if quality_text is not None:
         (tmp_path / "quality.csv").write_text(quality_text)
         argv += ["--quality", str(tmp_path / "quality.csv")]

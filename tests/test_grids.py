@@ -4,23 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from labench.errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
-from labench.grids import Mask, Volume, bbox, check_same_geometry, downsample, linear_index
-
-
-def test_flat_is_x_fastest():
-    nx, ny, nz = 3, 4, 5
-    flat = np.arange(nx * ny * nz, dtype=np.float32)
-    v = Volume.from_flat(flat, (nx, ny, nz))
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                assert v.data[ix, iy, iz] == flat[linear_index((ix, iy, iz), v.dims)]
-    assert np.array_equal(v.flat(), flat)
-
-
-def test_flat_length_must_match():
-    with pytest.raises(ValueError):
-        Volume.from_flat(np.zeros(7, dtype=np.float32), (2, 2, 2))
+from labench.grids import Mask, Volume, bbox, check_same_geometry, downsample
 
 
 def test_spacing_validation():
@@ -72,7 +56,7 @@ def test_downsample_constant_field():
 
 
 def test_downsample_block_mean():
-    v = Volume.from_flat(np.array([10, 30], dtype=np.float32), (2, 1, 1))
+    v = Volume(np.array([10, 30], dtype=np.float32).reshape(2, 1, 1))
     out = downsample(v, (2, 1, 1))
     assert out.dims == (1, 1, 1)
     assert out.data[0, 0, 0] == 20.0
@@ -80,7 +64,7 @@ def test_downsample_block_mean():
 
 def test_downsample_partial_blocks():
     # dims 3 with factor 2: blocks [0,1] and [2]; ceil(3/2) = 2 outputs
-    v = Volume.from_flat(np.array([1, 3, 10], dtype=np.float32), (3, 1, 1))
+    v = Volume(np.array([1, 3, 10], dtype=np.float32).reshape(3, 1, 1))
     out = downsample(v, (2, 1, 1))
     assert out.dims == (2, 1, 1)
     assert out.data[0, 0, 0] == 2.0

@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from labench.errors import DegenerateTruth, EmptyMask, GeometryMismatch
+from labench.errors import DegenerateTruth, GeometryMismatch
 from labench.grids import Mask
-from labench.metrics import (
-    confusion_counts,
-    dice,
-    dice_profile_z,
-    evaluate_case,
-    hausdorff_mm,
-    iou,
-    la_diameter_mm,
-    la_volume_cm3,
-    sensitivity_specificity,
-    stsd_mm,
-    surface_voxels,
-)
+from labench.metrics import dice, dice_profile_z, evaluate_case, surface_voxels
 
 from conftest import mask_from, random_blob_mask
 from oracles import (
@@ -55,15 +43,18 @@ def test_dice_shifted_cube_is_half():
 def test_empty_masks_dice_and_iou():
     e = mask_from(np.zeros((4, 4, 4)))
     assert dice(e, e) == 1.0
-    assert iou(e, e) == 1.0
+    # IoU is only scored against a truth with foreground
+    with pytest.raises(DegenerateTruth):
+        evaluate_case(e, e)
 
 
 def test_iou_shifted_cube_and_identity_relation():
     a = _cube((8, 8, 8), (2, 2, 2), (4, 4, 4))
     b = _cube((8, 8, 8), (3, 2, 2), (5, 4, 4))
-    assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    d = dice(a, b)
-    assert iou(a, b) == pytest.approx(d / (2.0 - d), abs=1e-15)
+    c = evaluate_case(b, a)
+    assert c.iou == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert c.iou == counting_iou(b, a)
+    assert c.iou == pytest.approx(c.dice / (2.0 - c.dice), abs=1e-15)
 
 
 def test_published_mean_pair_consistency():
@@ -76,7 +67,7 @@ def test_published_mean_pair_consistency():
 def test_geometry_mismatch_raises():
     a = mask_from(np.zeros((4, 4, 4)))
     b = mask_from(np.zeros((4, 4, 5)))
-    for fn in (dice, iou, stsd_mm):
+    for fn in (dice, evaluate_case, dice_profile_z):
         with pytest.raises(GeometryMismatch):
             fn(a, b)
 
@@ -87,28 +78,30 @@ def test_sensitivity_specificity_examples():
     pred_bits[0:9, 0, 0] = True  # 9 of the 10 true voxels
     pred_bits[5, 5, 5] = pred_bits[6, 5, 5] = pred_bits[7, 5, 5] = True  # 3 false
     pred = mask_from(pred_bits)
-    sens, spec, counts = sensitivity_specificity(pred, truth)
-    assert sens == 0.9
-    assert spec == 987 / 990
-    assert (counts.tp, counts.fn, counts.fp, counts.tn) == (9, 1, 3, 987)
-    assert counts.total == 1000
-    assert (sens, spec) == counting_sens_spec(pred, truth)
+    c = evaluate_case(pred, truth)
+    # TP 9, FN 1, FP 3, TN 987
+    assert c.sensitivity == 0.9
+    assert c.specificity == 987 / 990
+    assert (c.sensitivity, c.specificity) == counting_sens_spec(pred, truth)
+    assert (c.volume_pred_cm3, c.volume_true_cm3) == (12 / 1000.0, 10 / 1000.0)
 
-    sens, spec, _ = sensitivity_specificity(truth, truth)
-    assert (sens, spec) == (1.0, 1.0)
+    c = evaluate_case(truth, truth)
+    assert (c.sensitivity, c.specificity) == (1.0, 1.0)
 
-    empty = mask_from(np.zeros((10, 10, 10)))
-    sens, spec, _ = sensitivity_specificity(empty, truth)
-    assert (sens, spec) == (0.0, 1.0)
+    c = evaluate_case(mask_from(np.zeros((10, 10, 10))), truth)
+    assert (c.sensitivity, c.specificity) == (0.0, 1.0)
 
 
 def test_degenerate_truth():
     empty = mask_from(np.zeros((4, 4, 4)))
     full = mask_from(np.ones((4, 4, 4)))
+    some = _cube((4, 4, 4), (1, 1, 1), (2, 2, 2))
     with pytest.raises(DegenerateTruth):
-        sensitivity_specificity(empty, empty)
+        evaluate_case(empty, empty)
     with pytest.raises(DegenerateTruth):
-        sensitivity_specificity(full, full)
+        evaluate_case(some, empty)
+    with pytest.raises(DegenerateTruth):
+        evaluate_case(full, full)
 
 
 def test_surface_definition_matches_neighbor_enumeration(rng):
@@ -130,12 +123,12 @@ def test_surface_includes_grid_border():
 def test_hausdorff_examples():
     dims = (8, 8, 8)
     a = _cube(dims, (0, 0, 0), (1, 1, 1))
-    assert hausdorff_mm(a, a) == 0.0
+    assert evaluate_case(a, a).hd_mm == 0.0
     b = _cube(dims, (3, 4, 0), (4, 5, 1))
-    assert hausdorff_mm(a, b) == 5.0
+    assert evaluate_case(a, b).hd_mm == 5.0
     a625 = _cube(dims, (0, 0, 0), (1, 1, 1), spacing=(0.625, 0.625, 0.625))
     b625 = _cube(dims, (3, 4, 0), (4, 5, 1), spacing=(0.625, 0.625, 0.625))
-    assert hausdorff_mm(a625, b625) == pytest.approx(3.125, abs=1e-12)
+    assert evaluate_case(a625, b625).hd_mm == pytest.approx(3.125, abs=1e-12)
 
 
 def test_hausdorff_is_the_larger_directed_distance():
@@ -143,33 +136,25 @@ def test_hausdorff_is_the_larger_directed_distance():
     a = _cube(dims, (0, 0, 0), (12, 1, 1))
     b = _cube(dims, (0, 0, 0), (1, 1, 1))
     # B lies on A's surface (directed 0), A's far end is 11 from B
-    assert hausdorff_mm(a, b) == 11.0
-    assert hausdorff_mm(a, b) == hausdorff_mm(b, a)
+    assert evaluate_case(a, b).hd_mm == 11.0
+    assert evaluate_case(b, a).hd_mm == 11.0
 
 
 def test_stsd_examples():
     dims = (6, 6, 6)
     a = _cube(dims, (1, 1, 1), (2, 2, 2))
-    assert stsd_mm(a, a) == 0.0
+    assert evaluate_case(a, a).stsd_mm == 0.0
     b = _cube(dims, (2, 1, 1), (3, 2, 2))
-    assert stsd_mm(a, b) == 1.0
-
-
-def test_empty_mask_distance_errors():
-    e = mask_from(np.zeros((4, 4, 4)))
-    a = _cube((4, 4, 4), (1, 1, 1), (2, 2, 2))
-    with pytest.raises(EmptyMask):
-        hausdorff_mm(a, e)
-    with pytest.raises(EmptyMask):
-        stsd_mm(e, a)
+    assert evaluate_case(a, b).stsd_mm == 1.0
 
 
 def test_distance_transform_equals_brute_force(rng):
     for _ in range(12):
         a = random_blob_mask(rng, dims=(20, 20, 20), spacing=(0.7, 1.0, 1.3))
         b = random_blob_mask(rng, dims=(20, 20, 20), spacing=(0.7, 1.0, 1.3))
-        assert hausdorff_mm(a, b) == pytest.approx(brute_force_hd(a, b), abs=1e-9)
-        assert stsd_mm(a, b) == pytest.approx(brute_force_stsd(a, b), abs=1e-9)
+        c = evaluate_case(a, b)
+        assert c.hd_mm == pytest.approx(brute_force_hd(a, b), abs=1e-9)
+        assert c.stsd_mm == pytest.approx(brute_force_stsd(a, b), abs=1e-9)
 
 
 def test_evaluate_case_memory_is_bounded_by_the_box():
@@ -193,30 +178,41 @@ def test_evaluate_case_memory_is_bounded_by_the_box():
 
 def test_diameter_examples():
     one = _cube((4, 4, 4), (2, 1, 1), (3, 2, 2), spacing=(0.625, 1.0, 1.0))
-    assert la_diameter_mm(one) == 0.625
+    c = evaluate_case(one, one)
+    assert c.diameter_pred_mm == c.diameter_true_mm == 0.625
 
     dims = (256, 4, 4)
     span = _cube(dims, (100, 0, 0), (200, 1, 1), spacing=(0.625, 1.0, 1.0))
-    assert la_diameter_mm(span) == pytest.approx(62.5)
+    assert evaluate_case(span, span).diameter_true_mm == pytest.approx(62.5)
 
     mirrored = Mask(np.ascontiguousarray(span.bits[::-1]), span.spacing)
-    assert la_diameter_mm(mirrored) == la_diameter_mm(span)
+    c = evaluate_case(mirrored, span)
+    assert c.diameter_pred_mm == c.diameter_true_mm
+    assert c.diameter_err_pct == 0.0
 
-    assert la_diameter_mm(span, axis="y") == 1.0
-    with pytest.raises(EmptyMask):
-        la_diameter_mm(mask_from(np.zeros((4, 4, 4))))
+    c = evaluate_case(span, span, diameter_axis="y")
+    assert c.diameter_pred_mm == c.diameter_true_mm == 1.0
+    assert evaluate_case(span, span, diameter_axis=2).diameter_true_mm == 1.0
+    with pytest.raises(ValueError):
+        evaluate_case(span, span, diameter_axis="w")
+    # an empty prediction has no extent
+    assert evaluate_case(mask_from(np.zeros(dims), span.spacing), span).diameter_pred_mm == 0.0
 
 
 def test_volume_examples():
     s = (0.625, 0.625, 0.625)
-    assert la_volume_cm3(mask_from(np.zeros((4, 4, 4)), s)) == 0.0
     eight = _cube((4, 4, 4), (0, 0, 0), (2, 2, 2), spacing=s)
-    assert la_volume_cm3(eight) == pytest.approx(0.001953125, abs=1e-15)
+    c = evaluate_case(mask_from(np.zeros((4, 4, 4)), s), eight)
+    assert c.volume_pred_cm3 == 0.0
+    # the count times the voxel volume, in that order
+    assert c.volume_true_cm3 == 8 * 0.625 * 0.625 * 0.625 / 1000.0
+    assert c.volume_true_cm3 == pytest.approx(0.001953125, abs=1e-15)
     # additivity over disjoint parts
     other = _cube((4, 4, 4), (2, 2, 2), (4, 4, 4), spacing=s)
     union = Mask(eight.bits | other.bits, s)
-    assert la_volume_cm3(union) == pytest.approx(
-        la_volume_cm3(eight) + la_volume_cm3(other), abs=1e-15
+    assert evaluate_case(union, union).volume_true_cm3 == pytest.approx(
+        evaluate_case(eight, union).volume_pred_cm3 + evaluate_case(other, union).volume_pred_cm3,
+        abs=1e-15,
     )
 
 
@@ -235,14 +231,15 @@ def test_evaluate_case_composes_individual_metrics(rng):
     shifted[1:, :, :] = truth.bits[:-1, :, :]
     pred = Mask(shifted, truth.spacing)
     c = evaluate_case(pred, truth)
-    sens, spec, _ = sensitivity_specificity(pred, truth)
-    assert c.dice == dice(pred, truth)
-    assert c.iou == iou(pred, truth)
-    assert (c.sensitivity, c.specificity) == (sens, spec)
-    assert c.hd_mm == hausdorff_mm(pred, truth)
-    assert c.stsd_mm == stsd_mm(pred, truth)
-    assert c.diameter_pred_mm == la_diameter_mm(pred)
-    assert c.volume_pred_cm3 == la_volume_cm3(pred)
+    assert c.dice == dice(pred, truth) == counting_dice(pred, truth)
+    assert c.iou == counting_iou(pred, truth)
+    assert (c.sensitivity, c.specificity) == counting_sens_spec(pred, truth)
+    assert c.hd_mm == pytest.approx(brute_force_hd(pred, truth), abs=1e-9)
+    assert c.stsd_mm == pytest.approx(brute_force_stsd(pred, truth), abs=1e-9)
+    xs = np.nonzero(pred.bits)[0]
+    assert c.diameter_pred_mm == (xs.max() - xs.min() + 1) * 0.8
+    sx, sy, sz = pred.spacing
+    assert c.volume_pred_cm3 == int(pred.bits.sum()) * sx * sy * sz / 1000.0
     assert c.diameter_err_pct == pytest.approx(
         100.0 * abs(c.diameter_pred_mm - c.diameter_true_mm) / c.diameter_true_mm
     )
@@ -281,13 +278,13 @@ def test_symmetry_and_identity_chain(seed):
     rng = np.random.default_rng(seed)
     a = random_blob_mask(rng, dims=(10, 10, 10))
     b = random_blob_mask(rng, dims=(10, 10, 10))
-    assert dice(a, b) == dice(b, a)
-    assert iou(a, b) == iou(b, a)
-    d, j = dice(a, b), iou(a, b)
+    ab, ba = evaluate_case(a, b), evaluate_case(b, a)
+    assert dice(a, b) == dice(b, a) == ab.dice == ba.dice
+    assert ab.iou == ba.iou
+    assert (ab.hd_mm, ab.stsd_mm) == (ba.hd_mm, ba.stsd_mm)
+    d, j = ab.dice, ab.iou
     assert j == pytest.approx(d / (2.0 - d), abs=1e-12)
     assert d >= j
-    if d not in (0.0,) and a != b:
-        assert d > j or d == j
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([0.5, 2.0, 3.0]))
@@ -296,13 +293,12 @@ def test_spacing_covariance(seed, c):
     a = random_blob_mask(rng, dims=(12, 12, 12))
     b = random_blob_mask(rng, dims=(12, 12, 12))
     scaled = tuple(c * s for s in a.spacing)
-    a2, b2 = Mask(a.bits, scaled), Mask(b.bits, scaled)
-    assert dice(a2, b2) == dice(a, b)
-    assert iou(a2, b2) == iou(a, b)
-    assert hausdorff_mm(a2, b2) == pytest.approx(c * hausdorff_mm(a, b), rel=1e-12)
-    assert stsd_mm(a2, b2) == pytest.approx(c * stsd_mm(a, b), rel=1e-12)
-    assert la_diameter_mm(a2) == pytest.approx(c * la_diameter_mm(a), rel=1e-12)
-    assert la_volume_cm3(a2) == pytest.approx(c**3 * la_volume_cm3(a), rel=1e-12)
+    m, m2 = evaluate_case(a, b), evaluate_case(Mask(a.bits, scaled), Mask(b.bits, scaled))
+    assert (m2.dice, m2.iou) == (m.dice, m.iou)
+    assert m2.hd_mm == pytest.approx(c * m.hd_mm, rel=1e-12)
+    assert m2.stsd_mm == pytest.approx(c * m.stsd_mm, rel=1e-12)
+    assert m2.diameter_pred_mm == pytest.approx(c * m.diameter_pred_mm, rel=1e-12)
+    assert m2.volume_pred_cm3 == pytest.approx(c**3 * m.volume_pred_cm3, rel=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1), st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
@@ -311,26 +307,15 @@ def test_translation_invariance(seed, shift):
     small = random_blob_mask(rng, dims=(8, 8, 8))
     dims = (14, 14, 14)
 
-    def place(offset):
-        bits = np.zeros(dims, dtype=bool)
-        bits[offset[0]:offset[0] + 8, offset[1]:offset[1] + 8, offset[2]:offset[2] + 8] = small.bits
-        return Mask(bits)
-
-    def place2(offset, source):
+    def place(offset, source):
         bits = np.zeros(dims, dtype=bool)
         bits[offset[0]:offset[0] + 8, offset[1]:offset[1] + 8, offset[2]:offset[2] + 8] = source.bits
         return Mask(bits)
 
     other = random_blob_mask(rng, dims=(8, 8, 8))
-    a0, b0 = place2((0, 0, 0), small), place2((0, 0, 0), other)
-    a1, b1 = place2(shift, small), place2(shift, other)
-    assert dice(a1, b1) == dice(a0, b0)
-    assert hausdorff_mm(a1, b1) == pytest.approx(hausdorff_mm(a0, b0), abs=1e-12)
-    assert stsd_mm(a1, b1) == pytest.approx(stsd_mm(a0, b0), abs=1e-12)
-    assert la_volume_cm3(a1) == la_volume_cm3(a0)
-
-
-def test_confusion_counts_sum_to_grid(rng):
-    a = random_blob_mask(rng, dims=(9, 9, 9))
-    b = random_blob_mask(rng, dims=(9, 9, 9))
-    assert confusion_counts(a, b).total == 9 * 9 * 9
+    c0 = evaluate_case(place((0, 0, 0), small), place((0, 0, 0), other))
+    c1 = evaluate_case(place(shift, small), place(shift, other))
+    assert (c1.dice, c1.iou) == (c0.dice, c0.iou)
+    assert c1.hd_mm == pytest.approx(c0.hd_mm, abs=1e-12)
+    assert c1.stsd_mm == pytest.approx(c0.stsd_mm, abs=1e-12)
+    assert c1.volume_pred_cm3 == c0.volume_pred_cm3

@@ -48,7 +48,7 @@ def test_reads_challenge_geometry_header(tmp_path):
     assert isinstance(v, Volume)
     assert v.dims == (576, 576, 1)
     assert v.spacing == (0.625, 0.625, 0.625)
-    assert v.intensity_type == np.uint16
+    assert v.data.dtype == np.uint16
 
 
 def test_single_voxel_volume(tmp_path):
@@ -101,12 +101,20 @@ def test_gzip_and_raw_decode_identically(tmp_path, rng):
 
 
 def test_payload_raster_order_is_x_fastest(tmp_path):
-    flat = np.arange(24, dtype=np.uint8)
-    v = Volume.from_flat(flat, (2, 3, 4))
+    nx, ny, nz = 2, 3, 4
+    flat = np.arange(nx * ny * nz, dtype=np.uint8)
+    v = Volume(flat.reshape((nx, ny, nz), order="F"))
+    # voxel [ix, iy, iz] is payload sample ix + iy*nx + iz*nx*ny
+    assert all(
+        v.data[ix, iy, iz] == ix + iy * nx + iz * nx * ny
+        for ix in range(nx) for iy in range(ny) for iz in range(nz)
+    )
     path = tmp_path / "order.nrrd"
     write_nrrd(v, path)
     payload = path.read_bytes().split(b"\n\n", 1)[1]
     assert np.array_equal(np.frombuffer(payload, dtype=np.uint8), flat)
+    # and a payload read back lands on the same voxels
+    assert read_nrrd(path) == v
 
 
 def test_mask_detection_heuristic_and_override(tmp_path):

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+from labench.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,3 +52,22 @@ def test_launcher_traces_synth_pipeline_and_postprocess(tmp_path):
         "--ops", "largest:26", "smooth:1", "--out", tmp_path / "clean.nrrd",
     )
     assert {"cli.postprocess", "postprocess.largest_component", "postprocess.smooth_surface"} <= names
+
+
+def test_launcher_traces_evaluate_quality_and_rank(tmp_path):
+    # the scoring layers are wrapped where the CLI looks them up, so a
+    # command that calls them by another name loses its spans here
+    cohort = tmp_path / "cohort"
+    assert main([
+        "synth", "--out-dir", str(cohort), "--count", "2", "--dims", "24,24,24", "--spacing", "1.0",
+        "--tier-fractions", "0.5,0.5,0.0",
+    ]) == 0
+    names = _launch(tmp_path, "evaluate", "evaluate", cohort, cohort, "--out", tmp_path / "m.csv", "--jobs", "1")
+    assert {"cli.evaluate", "metrics.evaluate_case.team", "metrics.surface_voxels"} <= names
+    names = _launch(
+        tmp_path, "quality", "quality", "--scans", cohort, "--masks", cohort,
+        "--out", tmp_path / "q.csv", "--jobs", "1",
+    )
+    assert {"cli.quality", "quality.assess_quality"} <= names
+    names = _launch(tmp_path, "rank", "rank", "--metrics", tmp_path / "m.csv", "--out-dir", tmp_path / "board")
+    assert {"cli.rank", "stats.build_leaderboard"} <= names

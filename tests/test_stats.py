@@ -30,8 +30,12 @@ DATA = Path(__file__).parent / "data"
 
 
 def _published_rows():
+    # parsed as labench.cli parses a --summary file: the team id and numbers
     with open(DATA / "published_rankings.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
+        return [
+            {k: v if k == "team_id" else float(v) for k, v in row.items()}
+            for row in csv.DictReader(fh)
+        ]
 
 
 def _case(dice=0.9, stsd=1.0, hd=8.0):
@@ -85,8 +89,8 @@ def test_aggregate_skips_absent_distances():
 def test_aggregate_published_row_shape():
     rows = _published_rows()
     xia = next(r for r in rows if r["team_id"] == "xia")
-    assert float(xia["dice_mean"]) == 93.2
-    assert float(xia["dice_std"]) == 2.2
+    assert xia["dice_mean"] == 93.2
+    assert xia["dice_std"] == 2.2
 
 
 # --- welch -----------------------------------------------------------------
@@ -288,9 +292,9 @@ def test_published_iou_dice_identity_within_half_point():
     rows = _published_rows()
     within = 0
     for row in rows:
-        d = float(row["dice_mean"]) / 100.0
+        d = row["dice_mean"] / 100.0
         predicted_iou = 100.0 * d / (2.0 - d)
-        if abs(predicted_iou - float(row["iou_mean"])) <= 0.5:
+        if abs(predicted_iou - row["iou_mean"]) <= 0.5:
             within += 1
     assert within >= 15
 
