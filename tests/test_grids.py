@@ -5,6 +5,24 @@ from hypothesis import strategies as st
 
 from labench.errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
 from labench.grids import Mask, Volume, bbox, check_same_geometry, downsample
+from labench.nrrd_io import read_nrrd
+
+
+def test_flat_is_x_fastest(tmp_path):
+    # a grid read from raster samples puts sample ix + nx*(iy + ny*iz) on [ix, iy, iz]
+    nx, ny, nz = 3, 4, 5
+    flat = np.arange(nx * ny * nz, dtype=np.uint8)
+    path = tmp_path / "raster.nrrd"
+    header = (
+        f"NRRD0004\ntype: unsigned char\ndimension: 3\nsizes: {nx} {ny} {nz}\nencoding: raw\n\n"
+    )
+    path.write_bytes(header.encode() + flat.tobytes())
+    v = read_nrrd(path, as_mask=False)
+    assert isinstance(v, Volume) and v.dims == (nx, ny, nz)
+    for ix in range(nx):
+        for iy in range(ny):
+            for iz in range(nz):
+                assert v.data[ix, iy, iz] == flat[ix + nx * (iy + ny * iz)]
 
 
 def test_spacing_validation():
