@@ -421,22 +421,24 @@ def cmd_preprocess(args) -> int:
         return _fail("--mask-out needs --mask")
     if args.mask and args.downsample:
         return _fail("--downsample cannot resample a --mask; leave one of them out")
+    factor = _parse_ints(args.downsample, 3, "--downsample") if args.downsample else None
+    try:
+        tx, ty, clip = args.clahe.split(",") if args.clahe else (0, 0, 0)
+        clahe = (int(tx), int(ty)), float(clip)
+    except ValueError:
+        return _fail(f"--clahe needs tiles and a clip limit, e.g. 8,8,3.0, got {args.clahe!r}")
     volume = read_nrrd(_require_file(args.input, "input volume"), as_mask=False)
     mask = None
     if args.mask:
         mask = read_nrrd(_require_file(args.mask, "mask"), as_mask=True)
         check_same_geometry(volume, mask)
 
-    if args.downsample:
-        factor = _parse_ints(args.downsample, 3, "--downsample")
+    if factor:
         volume = downsample(volume, factor)
     if args.normalize:
         volume = preprocess.normalize_intensity(volume)
     if args.clahe:
-        if args.clahe.count(",") != 2:
-            raise SystemExit(_fail(f"--clahe needs tiles and a clip limit, e.g. 8,8,3.0, got {args.clahe!r}"))
-        tx, ty, clip = args.clahe.split(",")
-        volume = preprocess.clahe_slicewise(volume, (int(tx), int(ty)), float(clip))
+        volume = preprocess.clahe_slicewise(volume, *clahe)
     if args.augment:
         if mask is None:
             raise SystemExit(_fail("--augment needs --mask (transforms apply to both)"))
@@ -455,30 +457,34 @@ def cmd_preprocess(args) -> int:
 def _parse_op(text: str):
     parts = text.split(":")
     name = parts[0]
-    if name == "largest":
-        connectivity = int(parts[1]) if len(parts) > 1 else 26
-        return lambda m: postprocess.largest_component(m, connectivity)
-    if name in ("dilate", "erode", "close", "open"):
-        kind = parts[1] if len(parts) > 1 else "cross"
-        radius = int(parts[2]) if len(parts) > 2 else 1
-        se = postprocess.StructuringElement(kind, radius)
-        fn = {
-            "dilate": postprocess.dilate,
-            "erode": postprocess.erode,
-            "close": postprocess.close_mask,
-            "open": postprocess.open_mask,
-        }[name]
-        return lambda m: fn(m, se)
-    if name == "smooth":
-        iterations = int(parts[1]) if len(parts) > 1 else 1
-        return lambda m: postprocess.smooth_surface(m, iterations)
+    try:
+        if name == "largest":
+            connectivity = int(parts[1]) if len(parts) > 1 else 26
+            return lambda m: postprocess.largest_component(m, connectivity)
+        if name in ("dilate", "erode", "close", "open"):
+            kind = parts[1] if len(parts) > 1 else "cross"
+            radius = int(parts[2]) if len(parts) > 2 else 1
+            se = postprocess.StructuringElement(kind, radius)
+            fn = {
+                "dilate": postprocess.dilate,
+                "erode": postprocess.erode,
+                "close": postprocess.close_mask,
+                "open": postprocess.open_mask,
+            }[name]
+            return lambda m: fn(m, se)
+        if name == "smooth":
+            iterations = int(parts[1]) if len(parts) > 1 else 1
+            return lambda m: postprocess.smooth_surface(m, iterations)
+    except ValueError as exc:
+        raise SystemExit(_fail(f"--ops entry {text!r}: {exc}"))
     raise SystemExit(_fail(f"unknown postprocess op {text!r}"))
 
 
 def cmd_postprocess(args) -> int:
+    ops = [_parse_op(text) for text in args.ops]
     mask = read_nrrd(_require_file(args.input, "input mask"), as_mask=True)
-    for op_text in args.ops:
-        mask = _parse_op(op_text)(mask)
+    for op in ops:
+        mask = op(mask)
     write_nrrd(mask, args.out, encoding=args.encoding)
     return 0
 

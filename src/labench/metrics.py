@@ -18,14 +18,16 @@ A case is scored inside the foreground box: the union of the prediction's
 and the truth's bounding boxes (:func:`labench.grids.bbox`, found from axis
 projections). Every voxel outside it is background in both masks, so the
 overlap counts taken inside it equal full-grid counts; only TN comes from
-the grid size. Diameters are box extents. A mask's extreme voxels are
-surface voxels, so the box is also the union box of the two surfaces, and
-the exact Euclidean feature transform of each surface (nearest surface
-voxel per box voxel) runs on it loss-free: every source and query voxel
-lies inside. Distances are formed only at the other surface's voxels, so
-no distance map spans the box. The foreground fills under 1% of a
-challenge grid, so the box is usually a small part of it; stray voxels
-near opposite corners make it span the grid.
+the grid size. Diameters are box extents. Surface distances follow the
+surfaces, not the union box that stray islands stretch over the grid.
+scipy's exact feature transform of each surface runs on the overlap box W,
+the intersection of the two mask boxes grown by ``_GROW`` and clipped to
+the union box; surface voxels outside W are measured pair by pair. Every
+distance is formed with the float steps of ``distance_transform_edt`` and
+the smallest squared sum wins, so an exact tie across W's border takes the
+float minimum (bit-identical to the transform at dyadic spacing). W is the
+union box when the boxes do not meet or the pairs would cost more than the
+transforms they save.
 """
 
 from __future__ import annotations
@@ -107,26 +109,47 @@ def dice(a: Mask, b: Mask) -> float:
     return 2.0 * tp / denom if denom else 1.0
 
 
-def _distances_to(surface: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
-    """Distance (mm) from each ``query`` voxel, in C order, to the nearest
-    ``surface`` voxel. Only the feature transform spans the box; distances
-    are formed at the query voxels with the float operations of
-    ``distance_transform_edt`` in its order, so they equal its map bit for bit.
-    """
-    ft = ndimage.distance_transform_edt(
-        ~surface, sampling=spacing, return_distances=False, return_indices=True
-    )
-    at = np.nonzero(query)
-    d = (ft[(slice(None), *at)] - np.stack(at)).astype(np.float64)
+_GROW = 4  # voxels the overlap box grows by on every side
+_PAIRS_PER_VOXEL = 8  # distance pairs that cost about one voxel of feature transform
+_CHUNK = 1 << 16  # distance pairs formed at once
+
+
+def _sq_mm(offsets: np.ndarray, spacing) -> np.ndarray:
+    """Squared lengths (mm^2) of integer voxel offsets, axis first, formed
+    with the float steps of ``distance_transform_edt`` in its order."""
+    d = offsets.astype(np.float64)
     for ax, s in enumerate(spacing):
         d[ax] *= s
     np.multiply(d, d, d)
-    return np.sqrt(np.add.reduce(d, axis=0))
+    return np.add.reduce(d, axis=0)
 
 
-def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
+def _distances_to(surface: np.ndarray, source, query, box: Box, spacing) -> np.ndarray:
+    """Distance (mm) from each (3, m) ``query`` voxel to the nearest (3, n)
+    ``source`` voxel, which ``surface`` marks. Queries inside ``box`` take the
+    feature transform of ``surface`` cropped to it; sources and queries
+    outside it are measured pair by pair, about ``_CHUNK`` pairs at a time."""
+    lo, hi = (np.array([getattr(s, end) for s in box])[:, None] for end in ("start", "stop"))
+    src_in, qry_in = (((lo <= v) & (v < hi)).all(axis=0) for v in (source, query))
+    d2 = np.full(query.shape[1], np.inf)
+    if src_in.any():
+        ft = ndimage.distance_transform_edt(
+            ~surface[box], sampling=spacing, return_distances=False, return_indices=True
+        )
+        at = np.compress(qry_in, query, axis=1) - lo
+        d2[qry_in] = _sq_mm(ft[(slice(None), *at)] - at, spacing)
+    for rows, src in ((qry_in, np.compress(~src_in, source, axis=1)), (~qry_in, source)):
+        rows = np.flatnonzero(rows)
+        step = _CHUNK // max(src.shape[1], 1) + 1
+        for i in range(0, rows.size if src.size else 0, step):
+            j = rows[i : i + step]
+            d2[j] = np.minimum(d2[j], _sq_mm(src[:, None] - query[:, j, None], spacing).min(axis=1))
+    return np.sqrt(d2)
+
+
+def _hd_stsd(a: np.ndarray, b: np.ndarray, box_a: Box, box_b: Box, spacing) -> tuple[float, float]:
     """Symmetric Hausdorff and mean surface distance (mm) of two non-empty
-    masks cropped to their union foreground box (:func:`_crops`).
+    masks cropped by :func:`_crops` to the union of their boxes in the grid.
 
     The Hausdorff distance is the larger of the two directed worst cases;
     the mean runs over the distances of every A-surface voxel to B's
@@ -134,7 +157,18 @@ def _hd_stsd(a: np.ndarray, b: np.ndarray, spacing) -> tuple[float, float]:
     """
     sa = surface_voxels(Mask(a, spacing))
     sb = surface_voxels(Mask(b, spacing))
-    a_to_b, b_to_a = _distances_to(sb, sa, spacing), _distances_to(sa, sb, spacing)
+    pa, pb = np.array(np.nonzero(sa)), np.array(np.nonzero(sb))
+    o = [min(p.start, q.start) for p, q in zip(box_a, box_b)]
+    lo = [max(p.start, q.start) - x for p, q, x in zip(box_a, box_b, o)]
+    hi = [min(p.stop, q.stop) - x for p, q, x in zip(box_a, box_b, o)]
+    w = tuple(slice(max(l - _GROW, 0), min(h + _GROW, n)) for l, h, n in zip(lo, hi, a.shape))
+    na, nb, ka, kb = pa.shape[1], pb.shape[1], np.count_nonzero(sa[w]), np.count_nonzero(sb[w])
+    # per direction: queries inside W with sources outside, queries outside with all
+    pairs = ka * (nb - kb) + (na - ka) * nb + kb * (na - ka) + (nb - kb) * na
+    meet = min(h - l for l, h in zip(lo, hi)) > 0
+    if not meet or 2 * sa[w].size + pairs / _PAIRS_PER_VOXEL >= 2 * sa.size:
+        w = tuple(slice(0, n) for n in a.shape)
+    a_to_b, b_to_a = _distances_to(sb, pb, pa, w, spacing), _distances_to(sa, pa, pb, w, spacing)
     hd = float(max(a_to_b.max(), b_to_a.max()))
     return hd, float((a_to_b.sum() + b_to_a.sum()) / (a_to_b.size + b_to_a.size))
 
@@ -164,7 +198,7 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
         hd = stsd = None
         diameter_pred = 0.0
     else:
-        hd, stsd = _hd_stsd(p, t, pred.spacing)
+        hd, stsd = _hd_stsd(p, t, box_p, box_t, pred.spacing)
         diameter_pred = _extent_mm(box_p, ax, pred.spacing)
 
     diameter_true = _extent_mm(box_t, ax, truth.spacing)

@@ -76,14 +76,18 @@ def erode(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
 def close_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     """Dilation followed by erosion, computed in a padded domain so the
     border convention cannot shave foreground off the grid edge
-    (closing must be extensive)."""
-    if m.is_empty:
-        return m
+    (closing must be extensive). The domain is the foreground box padded by
+    r, which holds the dilation; the closing stays inside the box."""
     r = se.radius
-    padded = np.pad(m.bits, r)
+    box = bbox(m.bits)
+    if box is None:
+        return m
+    padded = np.pad(m.bits[box], r)
     padded = ndimage.binary_dilation(padded, structure=se.footprint())
     padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
-    return Mask(padded[r:-r, r:-r, r:-r], m.spacing)
+    out = np.zeros(m.dims, dtype=bool)
+    out[box] = padded[r:-r, r:-r, r:-r]
+    return Mask(out, m.spacing)
 
 
 def open_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:

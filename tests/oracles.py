@@ -7,8 +7,9 @@ numerical quadrature of the density. The full-grid ``evaluate_case`` and
 ``assess_quality`` are those functions as they were before the scoring path
 was confined to the foreground box; the box path must match them exactly.
 ``two_pass_cohort`` is the cohort composition that ``generate_cohort`` must
-reproduce bit for bit, and ``full_grid_smooth_surface`` the majority filter
-over the whole grid that the boxed ``smooth_surface`` must equal.
+reproduce bit for bit, and ``full_grid_smooth_surface`` and
+``full_grid_close_mask`` the majority filter and the closing over the whole
+grid that the boxed ``smooth_surface`` and ``close_mask`` must equal.
 """
 
 import math
@@ -230,3 +231,15 @@ def full_grid_smooth_surface(m: Mask, iterations: int = 1) -> Mask:
             break
         bits = new
     return Mask(bits, m.spacing)
+
+
+def full_grid_close_mask(m: Mask, se) -> Mask:
+    """``close_mask`` as it was before it ran on the foreground box: the
+    whole grid padded by the radius, dilated, then eroded."""
+    if m.is_empty:
+        return m
+    r = se.radius
+    padded = np.pad(m.bits, r)
+    padded = ndimage.binary_dilation(padded, structure=se.footprint())
+    padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
+    return Mask(padded[r:-r, r:-r, r:-r], m.spacing)

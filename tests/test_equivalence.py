@@ -2,13 +2,21 @@
 
 ``evaluate_case`` and ``assess_quality`` confine their work to the
 foreground box; every value they return must equal, bit for bit, the one
-the full-grid code in ``tests/oracles.py`` computes.
+the full-grid code in ``tests/oracles.py`` computes. Surface distances run
+the feature transform on the box where the two masks meet and measure the
+surface voxels outside it pair by pair; the tests force that split, by
+making pairs free in the cost guard, wherever the box is smaller than the
+union box.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import random_blob_mask
+from labench import metrics
 from labench.grids import Mask, Volume
 from labench.metrics import evaluate_case
 from labench.phantom import default_phantom_spec, generate
@@ -36,6 +44,30 @@ def _stray():
     return scan, truth, pred
 
 
+def _displaced():
+    # the prediction moved past the overlap box's growth
+    scan, truth, _ = _phantom()
+    return scan, truth, np.roll(truth, 8, axis=0)
+
+
+def _stray_truth():
+    # the islands are on the truth side
+    scan, truth, pred = _phantom()
+    truth = truth.copy()
+    truth[1:4, -4:-1, 1:4] = True
+    truth[-4:-1, 1:4, -4:-1] = True
+    return scan, truth, pred
+
+
+def _disjoint():
+    # the two mask boxes do not meet, so there is no overlap box
+    scan, truth, _ = _phantom()
+    pred = np.zeros(DIMS, dtype=bool)
+    pred[-6:-1, -7:-2, -5:-1] = True
+    pred[-4, -5, -3] = False
+    return scan, truth, pred
+
+
 def _border():
     # truth touches the x = 0 and z = max faces, the prediction the y faces
     truth = np.zeros(DIMS, dtype=bool)
@@ -50,13 +82,34 @@ def _border():
     return Volume(data.astype(np.float32), SPACING), truth, pred
 
 
-INPUTS = {"phantom": _phantom, "stray": _stray, "border": _border}
+INPUTS = {
+    "phantom": _phantom,
+    "stray": _stray,
+    "border": _border,
+    "displaced": _displaced,
+    "stray_truth": _stray_truth,
+    "disjoint": _disjoint,
+}
+
+
+# the inputs whose prediction overlaps the scan's foreground enough to
+# have a contrast; the others test surface distances only
+QUALITY_INPUTS = ("border", "phantom", "stray")
+
+
+def _masks(name):
+    scan, truth, pred = INPUTS[name]()
+    return scan, Mask(truth, SPACING), Mask(pred, SPACING)
 
 
 @pytest.fixture(scope="module", params=sorted(INPUTS))
 def case(request):
-    scan, truth, pred = INPUTS[request.param]()
-    return scan, Mask(truth, SPACING), Mask(pred, SPACING)
+    return _masks(request.param)
+
+
+@pytest.fixture(scope="module", params=QUALITY_INPUTS)
+def quality_case(request):
+    return _masks(request.param)
 
 
 @pytest.mark.parametrize("axis", ["x", "z"])
@@ -68,7 +121,50 @@ def test_evaluate_case_equals_full_grid(case, axis):
 
 
 @pytest.mark.parametrize("margin", [0, 1, 3])
-def test_assess_quality_equals_full_grid(case, margin):
-    scan, truth, pred = case
+def test_assess_quality_equals_full_grid(quality_case, margin):
+    scan, truth, pred = quality_case
     for la in (truth, pred):
         assert assess_quality(scan, la, margin) == full_grid_assess_quality(scan, la, margin)
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Make pairs free in the cost guard, and note for each distance call
+    whether its transform box is smaller than the union box."""
+    monkeypatch.setattr(metrics, "_PAIRS_PER_VOXEL", math.inf)
+    split = []
+    distances_to = metrics._distances_to
+
+    def noting(surface, source, query, box, spacing):
+        split.append(surface[box].shape != surface.shape)
+        return distances_to(surface, source, query, box, spacing)
+
+    monkeypatch.setattr(metrics, "_distances_to", noting)
+    return split
+
+
+def test_forced_split_equals_full_grid(case, forced_split):
+    _, truth, pred = case
+    for p in (pred, truth):
+        assert evaluate_case(p, truth) == full_grid_evaluate_case(p, truth)
+
+
+SPACINGS = [(0.7, 0.9, 1.3), (1.0, 1.1, 1.25), (1.25, 1.25, 1.25), (0.625, 0.625, 2.5)]
+
+
+def test_split_equals_full_grid_on_random_pairs(forced_split):
+    # blobs with rough surfaces, shifted apart by up to 10 voxels, with
+    # corner islands on either side, at non-dyadic and dyadic spacings
+    rng = np.random.default_rng(412314)
+    for i in range(240):
+        dims = tuple(int(n) for n in rng.integers(18, 30, size=3))
+        spacing = SPACINGS[i % len(SPACINGS)]
+        truth = random_blob_mask(rng, dims, spacing).bits.copy()
+        pred = np.roll(truth, tuple(rng.integers(-10, 11, size=3)), axis=(0, 1, 2))
+        for bits in (b for b in (pred, truth) if rng.random() < 0.5):
+            for corner in rng.integers(0, 2, size=(int(rng.integers(1, 3)), 3)):
+                at = tuple(slice(0, 2) if c == 0 else slice(-2, None) for c in corner)
+                bits[at] = True
+        p, t = Mask(pred, spacing), Mask(truth, spacing)
+        assert evaluate_case(p, t) == full_grid_evaluate_case(p, t), (i, spacing)
+    assert sum(forced_split) >= 200

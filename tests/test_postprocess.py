@@ -15,7 +15,7 @@ from labench.postprocess import (
 )
 
 from conftest import mask_from
-from oracles import full_grid_smooth_surface
+from oracles import full_grid_close_mask, full_grid_smooth_surface
 
 
 def _flood_fill_components(bits, connectivity):
@@ -205,7 +205,7 @@ def test_smoothing_fills_interior_hole():
     assert out.count == 7 * 7 * 7
 
 
-def _smoothing_inputs(rng, dims=(14, 12, 10)):
+def _box_inputs(rng, dims=(14, 12, 10)):
     # random noise in random sub-boxes, some of which touch the grid faces,
     # plus fixed border-touching shapes and an empty mask
     yield np.zeros(dims, dtype=bool)
@@ -226,9 +226,18 @@ def _smoothing_inputs(rng, dims=(14, 12, 10)):
 
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 def test_smoothing_in_box_equals_full_grid(rng, iterations):
-    for bits in _smoothing_inputs(rng):
+    for bits in _box_inputs(rng):
         m = mask_from(bits)
         assert smooth_surface(m, iterations) == full_grid_smooth_surface(m, iterations)
+
+
+@pytest.mark.parametrize("kind", ["cross", "cube"])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_closing_in_box_equals_full_grid(rng, kind, radius):
+    se = StructuringElement(kind, radius)
+    for bits in _box_inputs(rng):
+        m = mask_from(bits)
+        assert close_mask(m, se) == full_grid_close_mask(m, se)
 
 
 def test_operators_preserve_binarity_and_empty_safety(rng):
