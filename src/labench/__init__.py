@@ -3,7 +3,7 @@
 Subsystems: NRRD volume I/O and grid types (:mod:`grids`, :mod:`nrrd_io`),
 scan quality scoring (:mod:`quality`), per-case scoring by the one scorer
 :func:`evaluate_case` (:mod:`metrics`), pre- and post-processing operators (:mod:`preprocess`,
-:mod:`postprocess`), the localize/crop/segment/pad pipeline with its
+:mod:`postprocess`), the localize/crop/segment pipeline with its
 geometry experiments (:mod:`pipeline`), cross-team statistics and
 leaderboards (:mod:`stats`), and a synthetic phantom generator for
 desk-scale verification (:mod:`phantom`). The ``labench`` executable in
@@ -15,17 +15,7 @@ from .grids import Mask, Volume, VoxelIndex, downsample
 from .metrics import CaseMetrics, dice, dice_profile_z, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
 from .phantom import CohortVariation, PhantomSpec, Tube, default_phantom_spec, generate, generate_cohort
-from .pipeline import (
-    RoiBox,
-    crop,
-    crop_box,
-    localize_oracle,
-    localize_threshold,
-    offset_sweep,
-    patch_size_sweep,
-    run_pipeline,
-    uncrop,
-)
+from .pipeline import crop, localize_oracle, localize_threshold, offset_sweep, patch_size_sweep, run_pipeline
 from .preprocess import (
     AugmentationSpec,
     apply_augmentation,

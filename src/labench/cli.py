@@ -443,7 +443,7 @@ def cmd_preprocess(args) -> int:
         if mask is None:
             raise SystemExit(_fail("--augment needs --mask (transforms apply to both)"))
         specs = preprocess.load_augmentation_specs(_require_file(args.augment, "augment config"))
-        volume, mask = preprocess.augment(volume, mask, specs, args.seed + args.variant)
+        volume, mask = preprocess.augment(volume, mask, specs, args.seed)
 
     write_nrrd(volume, args.out, encoding=args.encoding)
     if mask is not None and args.mask_out:
@@ -460,6 +460,8 @@ def _parse_op(text: str):
     try:
         if name == "largest":
             connectivity = int(parts[1]) if len(parts) > 1 else 26
+            if connectivity not in (6, 26):
+                raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
             return lambda m: postprocess.largest_component(m, connectivity)
         if name in ("dilate", "erode", "close", "open"):
             kind = parts[1] if len(parts) > 1 else "cross"
@@ -474,6 +476,8 @@ def _parse_op(text: str):
             return lambda m: fn(m, se)
         if name == "smooth":
             iterations = int(parts[1]) if len(parts) > 1 else 1
+            if iterations < 1:
+                raise ValueError(f"iterations must be >= 1, got {iterations}")
             return lambda m: postprocess.smooth_surface(m, iterations)
     except ValueError as exc:
         raise SystemExit(_fail(f"--ops entry {text!r}: {exc}"))
@@ -637,7 +641,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--augment", help="JSON augmentation config")
     p.add_argument("--mask", help="mask transformed alongside the volume")
     p.add_argument("--mask-out", help="where to write the transformed mask")
-    p.add_argument("--variant", type=int, default=0, help="augmentation variant index")
     _add_options(p, "seed", "encoding")
     p.set_defaults(func=cmd_preprocess)
 

@@ -120,10 +120,6 @@ class NoForeground(LabenchError):
     """Thresholding produced an empty foreground."""
 
 
-class BoxInconsistent(LabenchError):
-    """Patch dimensions disagree with the recorded ROI box."""
-
-
 # --- stats / leaderboard ------------------------------------------------
 
 class EmptyCases(LabenchError):

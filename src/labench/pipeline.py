@@ -1,94 +1,56 @@
-"""Two-stage localize -> crop -> segment -> pad-back pipeline geometry.
+"""Two-stage localize -> crop -> segment -> place-back pipeline geometry.
 
 The winning challenge pipelines detect the cavity centroid, crop a fixed
-240x160x96 region around it, segment inside the crop, and pad the result
-back to the scan resolution. Here the two CNNs are replaced by plain
-values so the geometry (and the offset and patch-size experiments that
-probe it) can be exercised without any trained model. The first stage is
-a voxel center, found by :func:`localize_threshold` (threshold centroid),
-:func:`localize_oracle` (truth centroid) or taken as the grid center. The
-second is a segmenter called as ``segment(patch, box)``: a
+240x160x96 region around it, segment inside the crop, and place the
+result back at the scan resolution. Here the two CNNs are replaced by
+plain values so the geometry (and the offset and patch-size experiments
+that probe it) can be exercised without any trained model. The first
+stage is a voxel center, found by :func:`localize_threshold` (threshold
+centroid), :func:`localize_oracle` (truth centroid) or taken as the grid
+center. The second is a segmenter called as ``segment(patch, box)``: a
 :class:`ThresholdSegmenter`, or a :class:`MaskSegmenter` over a full-grid
-mask (the truth as an oracle, or an external model's prediction). The
-ROI box is the patch's provenance and lets a mask segmenter align its
-output with the crop placement. This module reads no files; the CLI
-reads every input.
+mask (the truth as an oracle, or an external model's prediction).
+
+The patch is the in-grid part of the ROI box, a view of the scan, and
+``box`` holds its slices (a :data:`grids.Box`). Nothing is padded: a box
+that leaves the grid gives a smaller patch, and one that misses it
+entirely gives an empty prediction without calling the segmenter. This
+module reads no files; the CLI reads every input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from . import grids
-from .errors import BoxInconsistent, EmptyMask, NoForeground
-from .grids import Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
+from .errors import EmptyMask, NoForeground
+from .grids import Box, Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
 from .metrics import dice
 from .postprocess import StructuringElement, close_mask, largest_component
 
 DEFAULT_ROI_SIZE = (240, 160, 96)
 
 
-@dataclass(frozen=True)
-class RoiBox:
-    """Axis-aligned crop placement; origin may lie outside the volume
-    when the crop was zero-padded."""
+def crop(grid: Grid, center: VoxelIndex, size: tuple[int, int, int]) -> tuple[Grid | None, Box]:
+    """The in-grid part of a box of the given size centered on a voxel.
 
-    origin: tuple[int, int, int]
-    size: tuple[int, int, int]
-
-    def __post_init__(self):
-        if min(self.size) < 1:
-            raise ValueError(f"box size must be positive, got {self.size!r}")
-
-
-def _overlap(box: RoiBox, dims) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Slices of the grid and of the box that cover their common part;
-    empty slices when the two are disjoint."""
-    grid_sl, box_sl = [], []
-    for o, w, n in zip(box.origin, box.size, dims):
-        lo = max(0, o)
-        hi = max(lo, min(n, o + w))
-        grid_sl.append(slice(lo, hi))
-        box_sl.append(slice(lo - o, hi - o))
-    return tuple(grid_sl), tuple(box_sl)
-
-
-def crop_box(grid: Grid, box: RoiBox) -> Grid:
-    """Extract the box from a volume or mask, zero-padding out-of-bounds parts."""
+    The box starts at ``center - size//2`` per axis. Returns a view of the
+    grid over the box clipped to the grid, and the clipped slices; the
+    view is None when the box misses the grid.
+    """
+    size = tuple(int(w) for w in size)
+    if min(size) < 1:
+        raise ValueError(f"box size must be positive, got {size!r}")
+    box = []
+    for c, w, n in zip(center, size, grid.dims):
+        lo = int(c) - w // 2
+        box.append(slice(min(max(lo, 0), n), max(min(lo + w, n), 0)))
+    box = tuple(box)
+    if any(sl.start == sl.stop for sl in box):
+        return None, box
     src = grid.bits if isinstance(grid, Mask) else grid.data
-    patch = np.zeros(box.size, dtype=src.dtype)
-    grid_sl, box_sl = _overlap(box, grid.dims)
-    patch[box_sl] = src[grid_sl]
-    return type(grid)(patch, grid.spacing)
-
-
-def crop(grid: Grid, center: VoxelIndex, size: tuple[int, int, int]) -> tuple[Grid, RoiBox]:
-    """Crop a box of the given size centered on a voxel.
-
-    The origin is ``center - size//2`` per axis; parts of the box outside
-    the volume are zero-padded, and the returned RoiBox records the
-    placement so :func:`uncrop` can invert the operation exactly.
-    """
-    origin = tuple(int(c) - int(w) // 2 for c, w in zip(center, size))
-    box = RoiBox(origin=origin, size=tuple(int(w) for w in size))
-    return crop_box(grid, box), box
-
-
-def uncrop(patch: Mask, box: RoiBox, full_dims: tuple[int, int, int]) -> Mask:
-    """Place a mask patch back at its recorded box inside a full-size grid.
-
-    Voxels of the patch that fall outside the full grid (the zero-padded
-    part of a boundary crop) are discarded; everything else is background.
-    """
-    if patch.dims != box.size:
-        raise BoxInconsistent(f"patch dims {patch.dims} != box size {box.size}")
-    full = np.zeros(full_dims, dtype=bool)
-    grid_sl, box_sl = _overlap(box, full_dims)
-    full[grid_sl] = patch.bits[box_sl]
-    return Mask(full, patch.spacing)
+    return type(grid)(src[box], grid.spacing), box
 
 
 # --- localizers -------------------------------------------------------------
@@ -158,8 +120,8 @@ class MaskSegmenter:
     def __init__(self, mask: Mask):
         self.mask = mask
 
-    def __call__(self, patch: Volume, box: RoiBox) -> Mask:
-        return crop_box(self.mask, box)
+    def __call__(self, patch: Volume, box: Box) -> Mask:
+        return Mask(self.mask.bits[box], self.mask.spacing)
 
 
 class ThresholdSegmenter:
@@ -173,7 +135,7 @@ class ThresholdSegmenter:
     def __init__(self, smooth_sigma: float = 0.0):
         self.smooth_sigma = smooth_sigma
 
-    def __call__(self, patch: Volume, box: RoiBox) -> Mask:
+    def __call__(self, patch: Volume, box: Box) -> Mask:
         data = patch.data
         if self.smooth_sigma > 0.0:
             data = ndimage.gaussian_filter(data.astype(np.float64), self.smooth_sigma)
@@ -192,9 +154,12 @@ class ThresholdSegmenter:
 
 
 def run_pipeline(v: Volume, center: VoxelIndex, segmenter, roi_size=DEFAULT_ROI_SIZE) -> Mask:
-    """Crop around ``center`` -> segment -> pad back to the input geometry."""
+    """Crop around ``center`` -> segment -> place the patch mask in a zero grid."""
     patch, box = crop(v, center, roi_size)
-    return uncrop(segmenter(patch, box), box, v.dims)
+    full = np.zeros(v.dims, dtype=bool)
+    if patch is not None:
+        full[box] = segmenter(patch, box).bits
+    return Mask(full, v.spacing)
 
 
 def max_noloss_displacement(truth: Mask, roi_size, axis: int = 0) -> int:
@@ -253,8 +218,9 @@ def patch_size_sweep(
 
     Boxes are centered on the truth centroid with a fixed z extent.
     Returns (wx, wy, background_pct, containment_pct) per size, where
-    background_pct is over the whole box (padding included) and
-    containment_pct is the share of truth foreground inside the box.
+    background_pct is over the whole requested box, its out-of-grid part
+    included, and containment_pct is the share of truth foreground inside
+    the box.
     """
     if truth.is_empty:
         raise EmptyMask("patch-size sweep needs a non-empty truth mask")

@@ -138,7 +138,14 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
 
 # --- augmentation -----------------------------------------------------------
 
-KINDS = ("rotate", "elastic", "perspective-scale", "flip")
+# the spec fields each kind reads besides ``kind``
+READS = {
+    "rotate": ("angle_deg",),
+    "elastic": ("magnitude", "grid_size", "seed"),
+    "perspective-scale": ("scale",),
+    "flip": ("flip_axis",),
+}
+KINDS = tuple(READS)
 
 
 @dataclass(frozen=True)
@@ -175,21 +182,29 @@ class AugmentationSpec:
 
 
 def load_augmentation_specs(path) -> list[AugmentationSpec]:
-    """Load a JSON list of transform entries; unknown keys are rejected."""
+    """Load a JSON list of transform entries; a key the entry's kind does
+    not read is rejected."""
     with open(path) as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
         raise InvalidSpec("augmentation config must be a JSON list")
-    known = {"kind", "seed", "angle_deg", "magnitude", "grid_size", "scale", "flip_axis"}
     specs = []
     for entry in entries:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise InvalidSpec(f"each entry needs a 'kind': {entry!r}")
-        unknown = set(entry) - known
-        if unknown:
-            raise InvalidSpec(f"unknown augmentation keys {sorted(unknown)}")
-        specs.append(AugmentationSpec(**entry).validated())
+        spec = AugmentationSpec(entry["kind"]).validated()
+        unread = sorted(set(entry) - {"kind", *READS[spec.kind]})
+        if unread:
+            raise InvalidSpec(f"augmentation kind {spec.kind!r} does not read {unread}")
+        specs.append(replace(spec, **entry).validated())
     return specs
+
+
+def _cast(data: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``data`` as ``dtype``; an integer dtype rounds half-up and clips to its range."""
+    if np.issubdtype(dtype, np.integer):
+        data = np.clip(np.floor(data.astype(np.float64, copy=False) + 0.5), 0, np.iinfo(dtype).max)
+    return data.astype(dtype, copy=False)
 
 
 def _resample(data: np.ndarray, coords, order: int) -> np.ndarray:
@@ -198,13 +213,11 @@ def _resample(data: np.ndarray, coords, order: int) -> np.ndarray:
 
 def _affine_pair(volume: Volume, mask: Mask, matrix: np.ndarray, center: np.ndarray):
     offset = center - matrix @ center
-    integer = np.issubdtype(volume.data.dtype, np.integer)
     new_data = ndimage.affine_transform(
-        volume.data.astype(np.float32) if integer else volume.data, matrix, offset=offset,
+        volume.data.astype(np.float32, copy=False), matrix, offset=offset,
         order=1, mode="constant", cval=0.0, prefilter=False,
     )
-    if integer:
-        new_data = new_data.astype(volume.data.dtype)
+    new_data = _cast(new_data, volume.data.dtype)
     new_bits = ndimage.affine_transform(
         mask.bits.astype(np.uint8), matrix, offset=offset, order=0,
         mode="constant", cval=0, prefilter=False,
@@ -255,11 +268,9 @@ def _elastic(volume: Volume, mask: Mask, magnitude: float, grid_size: int, seed:
         assert field.shape == dims
         coords[axis] += field
     new_data = _resample(volume.data.astype(np.float64), coords, order=1)
-    if np.issubdtype(volume.data.dtype, np.integer):
-        new_data = np.clip(np.floor(new_data + 0.5), 0, np.iinfo(volume.data.dtype).max)
     new_bits = _resample(mask.bits.astype(np.uint8), coords, order=0) > 0
     return (
-        Volume(new_data.astype(volume.data.dtype), volume.spacing),
+        Volume(_cast(new_data, volume.data.dtype), volume.spacing),
         Mask(new_bits, mask.spacing),
     )
 

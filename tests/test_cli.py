@@ -114,12 +114,21 @@ def test_read_shared_option_is_accepted(command, option):
         ),
         (["postprocess", "{mask}", "--ops", "dilate:ball"], "'ball'"),
         (["postprocess", "{missing}", "--ops", "smooth:1", "largest:x"], "--ops entry 'largest:x'"),
-        (["postprocess", "{mask}", "--ops", "smooth:0"], "got 0"),
+        (
+            ["postprocess", "{missing}", "--ops", "smooth:0"],
+            "--ops entry 'smooth:0': iterations must be >= 1, got 0",
+        ),
+        (
+            ["postprocess", "{missing}", "--ops", "largest:5"],
+            "--ops entry 'largest:5': connectivity must be 6 or 26, got 5",
+        ),
+        (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "box size must be positive, got (0, 20, 12)"),
         (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
     ],
     ids=[
         "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
-        "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "offsets",
+        "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest", "roi",
+        "offsets",
     ],
 )
 def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):

@@ -71,7 +71,7 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
         ("preprocess-augment", ["preprocess", p("cohort", "case_000.nrrd"), "--out", p("aug.nrrd"),
                                 "--augment", p("augment.json"),
                                 "--mask", p("cohort", "case_000_label.nrrd"),
-                                "--mask-out", p("aug_label.nrrd"), "--seed", "3", "--variant", "2"]),
+                                "--mask-out", p("aug_label.nrrd"), "--seed", "5"]),
         ("preprocess-downsample-normalize", ["preprocess", p("cohort", "case_001.nrrd"),
                                              "--out", p("small.nrrd"), "--downsample", "2,2,1",
                                              "--normalize"]),

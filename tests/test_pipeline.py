@@ -1,23 +1,20 @@
 import numpy as np
 import pytest
 
-from labench.errors import BoxInconsistent, EmptyMask, NoForeground
+from labench.errors import EmptyMask, NoForeground
 from labench.grids import Mask, Volume
 from labench.metrics import dice
 from labench.phantom import default_phantom_spec, generate
 from labench.pipeline import (
     MaskSegmenter,
-    RoiBox,
     ThresholdSegmenter,
     crop,
-    crop_box,
     localize_oracle,
     localize_threshold,
     max_noloss_displacement,
     offset_sweep,
     patch_size_sweep,
     run_pipeline,
-    uncrop,
 )
 
 from conftest import mask_from, random_blob_mask
@@ -30,7 +27,13 @@ def _blob_volume(dims=(40, 36, 28), lo=(14, 12, 9), hi=(26, 24, 19), bright=800.
     return Volume(data), Mask(bits)
 
 
-# --- crop / uncrop -----------------------------------------------------------
+def _box_mask(dims, box):
+    keep = np.zeros(dims, dtype=bool)
+    keep[box] = True
+    return keep
+
+
+# --- crop -----------------------------------------------------------------------
 
 
 def test_crop_whole_volume_is_identity():
@@ -38,61 +41,78 @@ def test_crop_whole_volume_is_identity():
     center = tuple(n // 2 for n in v.dims)
     patch, box = crop(v, center, v.dims)
     assert patch == v
-    assert box.origin == (0, 0, 0)
-
-
-def test_crop_pads_z_like_challenge_roi():
-    dims = (64, 64, 88)
-    bits = np.zeros(dims, dtype=bool)
-    bits[20:40, 20:40, 30:60] = True
-    m = Mask(bits)
-    patch, box = crop(m, (32, 32, 44), (48, 40, 96))
-    assert patch.dims == (48, 40, 96)
-    # 96 > 88: 4 zero-padded slices at each z end when centered
-    assert box.origin[2] == -4
-    assert not patch.bits[:, :, :4].any()
-    assert not patch.bits[:, :, -4:].any()
-    restored = uncrop(patch, box, dims)
-    assert restored == m
-
-
-def test_crop_uncrop_round_trip_in_bounds(rng):
-    for _ in range(10):
-        m = random_blob_mask(rng, dims=(24, 24, 24))
-        center = localize_oracle(m)
-        patch, box = crop(m, center, (20, 20, 20))
-        if all(o >= 0 and o + w <= 24 for o, w in zip(box.origin, box.size)):
-            restored = uncrop(patch, box, m.dims)
-            inside = crop_box(m, box)
-            assert np.array_equal(patch.bits, inside.bits)
-            # round trip restores exactly the in-box voxels
-            assert np.array_equal(restored.bits & m.bits, restored.bits)
-
-
-def test_uncrop_discards_out_of_grid_padding():
-    bits = np.ones((6, 6, 6), dtype=bool)
-    patch = Mask(bits)
-    full = uncrop(patch, RoiBox(origin=(-2, 0, 0), size=(6, 6, 6)), (8, 8, 8))
-    assert full.dims == (8, 8, 8)
-    assert full.count == 4 * 6 * 6
-
-
-def test_uncrop_box_consistency():
-    patch = mask_from(np.zeros((4, 4, 4)))
-    with pytest.raises(BoxInconsistent):
-        uncrop(patch, RoiBox(origin=(0, 0, 0), size=(5, 4, 4)), (8, 8, 8))
+    assert box == tuple(slice(0, n) for n in v.dims)
 
 
 def test_crop_then_uncrop_of_foreground_inside_box():
     v, m = _blob_volume()
+    patch, box = crop(m, (3, 30, 14), (20, 20, 16))
+    # origin (-7, 20, 6): x is clipped below, y above, z fits
+    assert box == (slice(0, 13), slice(20, 36), slice(6, 22))
+    assert np.array_equal(patch.bits, m.bits[box])
+    assert np.shares_memory(patch.bits, m.bits)
+
+    # foreground inside the box: pasting the patch back restores the mask
     patch, box = crop(m, localize_oracle(m), (20, 20, 16))
-    partial = uncrop(patch, box, m.dims)
+    restored = np.zeros(m.dims, dtype=bool)
+    restored[box] = patch.bits
+    assert np.array_equal(restored, m.bits)
+
     # foreground partially outside the box: exactly the in-box voxels survive
-    expected = m.bits.copy()
-    keep = np.zeros_like(expected)
-    sl = tuple(slice(max(0, o), min(n, o + w)) for o, w, n in zip(box.origin, box.size, m.dims))
-    keep[sl] = True
-    assert np.array_equal(partial.bits, expected & keep)
+    patch, box = crop(m, (14, 12, 9), (20, 20, 16))
+    partial = np.zeros(m.dims, dtype=bool)
+    partial[box] = patch.bits
+    assert np.array_equal(partial, m.bits & _box_mask(m.dims, box))
+    assert 0 < partial.sum() < m.count
+
+
+def test_crop_uncrop_round_trip_in_bounds(rng):
+    for _ in range(40):
+        m = random_blob_mask(rng, dims=(24, 24, 24))
+        size = tuple(int(w) for w in rng.integers(1, 40, 3))
+        center = tuple(int(c) for c in rng.integers(-16, 40, 3))
+        patch, box = crop(m, center, size)
+        # the grid indices the box covers, one axis at a time
+        covered = [
+            [i for i in range(n) if c - w // 2 <= i < c - w // 2 + w]
+            for c, w, n in zip(center, size, m.dims)
+        ]
+        if all(covered):
+            assert box == tuple(slice(ix[0], ix[-1] + 1) for ix in covered)
+            assert np.array_equal(patch.bits, m.bits[box])
+            restored = np.zeros(m.dims, dtype=bool)
+            restored[box] = patch.bits
+            assert np.array_equal(restored, m.bits & _box_mask(m.dims, box))
+        else:
+            assert patch is None
+            assert any(sl.start == sl.stop for sl in box)
+
+
+def test_roi_deeper_than_grid_in_z_segments_the_in_grid_part():
+    # 20 of the ROI's 48 slices lie off the 28-slice grid: zero padding there
+    # would draw Otsu's threshold between the padding and the tissue
+    v, m = _blob_volume(bright=500.0, dark=300.0)
+    center = localize_oracle(m)
+    pred = run_pipeline(v, center, ThresholdSegmenter(), (24, 24, 48))
+    _, box = crop(v, center, (24, 24, 48))
+    assert box[2] == slice(0, 28)
+    direct = np.zeros(v.dims, dtype=bool)
+    direct[box] = ThresholdSegmenter()(Volume(v.data[box]), box).bits
+    assert np.array_equal(pred.bits, direct)
+    assert pred == m
+
+
+def test_box_off_grid_gives_empty_mask_without_segmenting():
+    v, m = _blob_volume()
+
+    def never(patch, box):
+        raise AssertionError("segmenter called on a box that misses the grid")
+
+    for center in ((80, 18, 14), (-30, 18, 14), (20, 18, 60)):
+        patch, box = crop(v, center, (24, 24, 20))
+        assert patch is None
+        pred = run_pipeline(v, center, never, (24, 24, 20))
+        assert pred.dims == v.dims and pred.is_empty
 
 
 # --- localizers ---------------------------------------------------------------

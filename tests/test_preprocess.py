@@ -180,6 +180,21 @@ def test_scale_identity_and_shrink(rng):
     assert 0 < m3.count < m.count
 
 
+def test_integer_volumes_round_to_the_float_result():
+    # uint16 values over the whole range, resampled by the affine kinds and
+    # by elastic: the integer output is the float32 output rounded half-up
+    data = (np.arange(20 * 18 * 4).reshape(20, 18, 4) * 97 % 65521).astype(np.uint16)
+    m = Mask(np.zeros(data.shape, dtype=bool))
+    for spec in (
+        AugmentationSpec(kind="rotate", angle_deg=17.0),
+        AugmentationSpec(kind="perspective-scale", scale=1.3),
+        AugmentationSpec(kind="elastic", magnitude=1.5, seed=2),
+    ):
+        as_int = apply_augmentation(Volume(data), m, spec)[0].data.astype(np.float64)
+        as_float = apply_augmentation(Volume(data.astype(np.float32)), m, spec)[0].data
+        assert np.abs(as_int - as_float).max() <= 0.5, spec.kind
+
+
 def test_elastic_zero_magnitude_is_identity(rng):
     v, m = _pair(rng)
     v2, m2 = apply_augmentation(v, m, AugmentationSpec(kind="elastic", magnitude=0.0, seed=5))
@@ -245,7 +260,7 @@ def test_flip_only_augment_preserves_count(rng):
 def test_load_augmentation_specs(tmp_path):
     path = tmp_path / "aug.json"
     path.write_text(json.dumps([
-        {"kind": "rotate", "angle_deg": 10.0, "seed": 1},
+        {"kind": "rotate", "angle_deg": 10.0},
         {"kind": "flip", "flip_axis": "y"},
     ]))
     specs = load_augmentation_specs(path)
@@ -253,4 +268,21 @@ def test_load_augmentation_specs(tmp_path):
 
     path.write_text(json.dumps([{"kind": "rotate", "angel": 10.0}]))
     with pytest.raises(InvalidSpec):
+        load_augmentation_specs(path)
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [
+        ({"kind": "rotate", "scale": 2.0}, "scale"),
+        ({"kind": "rotate", "angle_deg": 10.0, "seed": 1}, "seed"),
+        ({"kind": "flip", "flip_axis": "x", "angle_deg": 5.0}, "angle_deg"),
+        ({"kind": "perspective-scale", "magnitude": 1.0}, "magnitude"),
+        ({"kind": "elastic", "magnitude": 1.0, "flip_axis": "y"}, "flip_axis"),
+    ],
+)
+def test_a_key_the_kind_does_not_read_is_rejected(tmp_path, entry, key):
+    path = tmp_path / "aug.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(InvalidSpec, match=rf"kind '{entry['kind']}' does not read \['{key}'\]"):
         load_augmentation_specs(path)
