@@ -212,6 +212,8 @@ def _index_dir(directory: Path, labels: bool = True) -> dict[str, Path]:
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # the workers fork from this process: one import here serves them all
+    import scipy.ndimage  # noqa: F401
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
 

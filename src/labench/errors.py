@@ -106,6 +106,10 @@ class ConstantVolume(LabenchError):
     pass
 
 
+class NonFiniteIntensity(LabenchError):
+    """A float volume holds NaN or infinity."""
+
+
 class TooManyTiles(LabenchError):
     """More CLAHE tiles than slice pixels along an axis."""
 

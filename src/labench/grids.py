@@ -12,17 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
 
 VoxelIndex = tuple[int, int, int]
 
-# 6- and 26-connected neighbourhoods shared by labeling and morphology
-CROSS6 = ndimage.generate_binary_structure(3, 1)
-CUBE26 = ndimage.generate_binary_structure(3, 3)
+# 6- and 26-connected neighbourhoods (ndimage.generate_binary_structure(3, 1) and (3, 3))
+CROSS6 = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1
+CUBE26 = np.ones((3, 3, 3), dtype=bool)
 
 AXES = {"x": 0, "y": 1, "z": 2}
+
+_SLAB_VOXELS = 1 << 21  # voxels per float64 slab in downsample
 
 INTENSITY_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float32))
 
@@ -179,17 +180,18 @@ def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
     if (fx, fy, fz) == (1, 1, 1):
         return v
 
-    data = v.data.astype(np.float64)
-    for axis, f in enumerate((fx, fy, fz)):
-        if f == 1:
-            continue
-        n = data.shape[axis]
-        starts = np.arange(0, n, f)
-        sums = np.add.reduceat(data, starts, axis=axis)
-        counts = np.diff(np.append(starts, n)).astype(np.float64)
-        shape = [1, 1, 1]
-        shape[axis] = counts.size
-        data = sums / counts.reshape(shape)
+    nx, ny, nz = v.dims
+    out = np.empty((-(-nx // fx), -(-ny // fy), -(-nz // fz)), dtype=np.float32)
+    # z-slabs of whole fz blocks hold whole block sums in a slab-sized float64 copy
+    step = fz * max(1, _SLAB_VOXELS // (nx * ny * fz))
+    for z0 in range(0, nz, step):
+        data = v.data[:, :, z0 : z0 + step].astype(np.float64)
+        for axis, f in enumerate((fx, fy, fz)):
+            if f > 1:
+                starts = np.arange(0, data.shape[axis], f)
+                counts = np.diff(np.append(starts, data.shape[axis])).reshape((-1,) + (1,) * (2 - axis))
+                data = np.add.reduceat(data, starts, axis=axis) / counts
+        out[:, :, z0 // fz : z0 // fz + data.shape[2]] = data
 
     sx, sy, sz = v.spacing
-    return Volume(data.astype(np.float32), (sx * fx, sy * fy, sz * fz))
+    return Volume(out, (sx * fx, sy * fy, sz * fz))

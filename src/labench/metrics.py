@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateTruth
 from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry
@@ -65,6 +64,7 @@ class CaseMetrics:
 
 def surface_voxels(m: Mask) -> np.ndarray:
     """Boolean array marking boundary voxels of the mask."""
+    from scipy import ndimage
     out = np.zeros(m.dims, dtype=bool)
     box = bbox(m.bits)
     if box is not None:
@@ -129,6 +129,7 @@ def _distances_to(surface: np.ndarray, source, query, box: Box, spacing) -> np.n
     ``source`` voxel, which ``surface`` marks. Queries inside ``box`` take the
     feature transform of ``surface`` cropped to it; sources and queries
     outside it are measured pair by pair, about ``_CHUNK`` pairs at a time."""
+    from scipy import ndimage
     lo, hi = (np.array([getattr(s, end) for s in box])[:, None] for end in ("start", "stop"))
     src_in, qry_in = (((lo <= v) & (v < hi)).all(axis=0) for v in (source, query))
     d2 = np.full(query.shape[1], np.inf)

@@ -21,7 +21,6 @@ module reads no files; the CLI reads every input.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from . import grids
 from .errors import EmptyMask, NoForeground
@@ -138,6 +137,7 @@ class ThresholdSegmenter:
     def __call__(self, patch: Volume, box: Box) -> Mask:
         data = patch.data
         if self.smooth_sigma > 0.0:
+            from scipy import ndimage
             data = ndimage.gaussian_filter(data.astype(np.float64), self.smooth_sigma)
         try:
             threshold = otsu_threshold(data)

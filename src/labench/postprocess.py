@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grids import CROSS6, CUBE26, Mask, bbox
 
@@ -32,6 +31,7 @@ class StructuringElement:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
 
     def footprint(self) -> np.ndarray:
+        from scipy import ndimage
         return ndimage.iterate_structure(CROSS6 if self.kind == "cross" else CUBE26, self.radius)
 
 
@@ -45,6 +45,7 @@ def largest_component(m: Mask, connectivity: int = 26) -> Mask:
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     if m.is_empty:
         return m
+    from scipy import ndimage
     labels, n = ndimage.label(m.bits, structure=CROSS6 if connectivity == 6 else CUBE26)
     if n == 1:
         return m
@@ -60,6 +61,7 @@ def largest_component(m: Mask, connectivity: int = 26) -> Mask:
 def dilate(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     if m.is_empty:
         return m
+    from scipy import ndimage
     return Mask(ndimage.binary_dilation(m.bits, structure=se.footprint()), m.spacing)
 
 
@@ -67,6 +69,7 @@ def erode(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     """Binary erosion; the grid border is treated as background."""
     if m.is_empty:
         return m
+    from scipy import ndimage
     return Mask(
         ndimage.binary_erosion(m.bits, structure=se.footprint(), border_value=0),
         m.spacing,
@@ -82,6 +85,7 @@ def close_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     box = bbox(m.bits)
     if box is None:
         return m
+    from scipy import ndimage
     padded = np.pad(m.bits[box], r)
     padded = ndimage.binary_dilation(padded, structure=se.footprint())
     padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
@@ -116,6 +120,7 @@ def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
     box = bbox(m.bits, pad=iterations + 1)
     if box is None:
         return m
+    from scipy import ndimage
     bits = m.bits[box]
     for _ in range(iterations):
         neighbors = ndimage.convolve(

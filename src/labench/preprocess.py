@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import ConstantVolume, InvalidSpec, TooManyTiles
+from .errors import ConstantVolume, InvalidSpec, NonFiniteIntensity, TooManyTiles
 from .grids import AXES, Mask, Volume, check_same_geometry
 
 
@@ -32,6 +31,8 @@ def normalize_intensity(v: Volume) -> Volume:
     """Affine rescale of the intensity range to float32 [0, 1]."""
     lo = float(v.data.min())
     hi = float(v.data.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteIntensity("cannot normalize a volume holding NaN or infinity")
     if hi <= lo:
         raise ConstantVolume("cannot normalize a constant volume")
     out = (v.data.astype(np.float32) - np.float32(lo)) / np.float32(hi - lo)
@@ -39,10 +40,6 @@ def normalize_intensity(v: Volume) -> Volume:
 
 
 # --- CLAHE ----------------------------------------------------------------
-
-
-def _tile_edges(n: int, tiles: int) -> np.ndarray:
-    return np.round(np.linspace(0, n, tiles + 1)).astype(int)
 
 
 def _axis_interp(n: int, edges: np.ndarray):
@@ -53,66 +50,8 @@ def _axis_interp(n: int, edges: np.ndarray):
     left = np.clip(right - 1, 0, centers.size - 1)
     right = np.clip(right, 0, centers.size - 1)
     span = centers[right] - centers[left]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(span > 0, (pos - centers[left]) / np.where(span > 0, span, 1.0), 0.0)
+    w = np.where(span > 0, (pos - centers[left]) / np.where(span > 0, span, 1.0), 0.0)
     return left, right, w
-
-
-def _clahe_slice(img: np.ndarray, tiles: tuple[int, int], clip_limit: float) -> np.ndarray:
-    tx, ty = tiles
-    nx, ny = img.shape
-
-    if np.issubdtype(img.dtype, np.integer):
-        levels = int(np.iinfo(img.dtype).max) + 1
-        lv = img.astype(np.int64)
-        decode = None
-    else:
-        lo = float(img.min())
-        hi = float(img.max())
-        if hi <= lo:
-            return img.copy()
-        levels = 256
-        lv = np.floor((img.astype(np.float64) - lo) / (hi - lo) * (levels - 1) + 0.5).astype(np.int64)
-        decode = (lo, hi)
-
-    x_edges = _tile_edges(nx, tx)
-    y_edges = _tile_edges(ny, ty)
-
-    mappings = np.empty((tx, ty, levels), dtype=np.float64)
-    for i in range(tx):
-        for j in range(ty):
-            tile = lv[x_edges[i]:x_edges[i + 1], y_edges[j]:y_edges[j + 1]]
-            n_t = tile.size
-            hist = np.bincount(tile.ravel(), minlength=levels).astype(np.float64)
-            if math.isfinite(clip_limit):
-                threshold = clip_limit * n_t / levels
-                excess = np.maximum(hist - threshold, 0.0).sum()
-                if excess > 0.0:
-                    hist = np.minimum(hist, threshold) + excess / levels
-            cdf = np.cumsum(hist) / n_t
-            mappings[i, j] = cdf * (levels - 1)
-
-    xl, xr, wx = _axis_interp(nx, x_edges)
-    yl, yr, wy = _axis_interp(ny, y_edges)
-    wx = wx[:, None]
-    wy = wy[None, :]
-    xl = xl[:, None]
-    xr = xr[:, None]
-    yl = yl[None, :]
-    yr = yr[None, :]
-
-    out = (
-        (1 - wx) * (1 - wy) * mappings[xl, yl, lv]
-        + wx * (1 - wy) * mappings[xr, yl, lv]
-        + (1 - wx) * wy * mappings[xl, yr, lv]
-        + wx * wy * mappings[xr, yr, lv]
-    )
-    out = np.clip(np.floor(out + 0.5), 0, levels - 1)
-
-    if decode is None:
-        return out.astype(img.dtype)
-    lo, hi = decode
-    return (lo + out / (levels - 1) * (hi - lo)).astype(img.dtype)
 
 
 def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: float = 4.0) -> Volume:
@@ -120,8 +59,9 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
 
     ``clip_limit`` is relative to the uniform bin height and must exceed 1;
     pass ``math.inf`` to disable clipping. Float volumes are quantized to
-    256 levels over their value range and mapped back, so the output range
-    stays within the input range for every intensity type.
+    256 levels over each slice's value range and mapped back, so the output
+    range stays within the input range for every intensity type; a float
+    volume holding NaN or infinity raises NonFiniteIntensity.
     """
     tx, ty = int(tiles[0]), int(tiles[1])
     if tx < 1 or ty < 1:
@@ -130,9 +70,49 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
         raise TooManyTiles(f"{tiles!r} tiles for slice dims {v.dims[:2]}")
     if not clip_limit > 1.0:
         raise ValueError(f"clip_limit must be > 1.0, got {clip_limit!r}")
-    out = np.empty(v.dims, dtype=v.data.dtype)
-    for z in range(v.dims[2]):
-        out[:, :, z] = _clahe_slice(v.data[:, :, z], (tx, ty), clip_limit)
+    integer = np.issubdtype(v.data.dtype, np.integer)
+    levels = int(np.iinfo(v.data.dtype).max) + 1 if integer else 256
+    if not integer:
+        los, his = v.data.min(axis=(0, 1)), v.data.max(axis=(0, 1))
+        if not (np.isfinite(los).all() and np.isfinite(his).all()):
+            raise NonFiniteIntensity("CLAHE cannot map a volume holding NaN or infinity")
+
+    nx, ny, nz = v.dims
+    x_edges, y_edges = (np.round(np.linspace(0, n, t + 1)).astype(int) for n, t in ((nx, tx), (ny, ty)))
+    x_sizes, y_sizes = np.diff(x_edges), np.diff(y_edges)
+    tile_x, tile_y = np.repeat(np.arange(tx), x_sizes), np.repeat(np.arange(ty), y_sizes)
+    keys = (tile_x[:, None] * ty + tile_y) * levels
+    n_t = (x_sizes[:, None] * y_sizes).reshape(-1, 1)
+    threshold = clip_limit * n_t / levels
+    xl, xr, wx = (a[:, None] for a in _axis_interp(nx, x_edges))
+    yl, yr, wy = _axis_interp(ny, y_edges)
+    # each pixel's four tile offsets and bilinear weights, in the order they are summed
+    corners = [((x * ty + y) * levels, u * w) for y, w in ((yl, 1 - wy), (yr, wy))
+               for x, u in ((xl, 1 - wx), (xr, wx))]
+
+    out = np.empty_like(v.data)
+    # one bincount over tile * levels + level keys gives every tile histogram of a slice
+    for z in range(nz):
+        img = v.data[:, :, z]
+        if integer:
+            lv = img.astype(np.intp)
+        else:
+            lo, hi = float(los[z]), float(his[z])
+            if hi <= lo:
+                out[:, :, z] = img
+                continue
+            q = (img.astype(np.float64) - lo) / (hi - lo) * (levels - 1)
+            lv = np.floor(q + 0.5).astype(np.intp)
+        hist = np.bincount((keys + lv).ravel(), minlength=tx * ty * levels)
+        hist = hist.reshape(tx * ty, levels).astype(np.float64)
+        if math.isfinite(clip_limit):
+            # a tile without excess adds 0 to bins that the clip leaves as they are
+            excess = np.maximum(hist - threshold, 0.0).sum(axis=1, keepdims=True)
+            hist = np.minimum(hist, threshold) + excess / levels
+        mapping = (np.cumsum(hist, axis=1) / n_t * (levels - 1)).ravel()
+        res = sum(w * mapping.take(k + lv) for k, w in corners)
+        res = np.clip(np.floor(res + 0.5), 0, levels - 1)
+        out[:, :, z] = res if integer else lo + res / (levels - 1) * (hi - lo)
     return Volume(out, v.spacing)
 
 
@@ -145,7 +125,6 @@ READS = {
     "perspective-scale": ("scale",),
     "flip": ("flip_axis",),
 }
-KINDS = tuple(READS)
 
 
 @dataclass(frozen=True)
@@ -167,8 +146,16 @@ class AugmentationSpec:
     flip_axis: str = "x"
 
     def validated(self) -> "AugmentationSpec":
-        if self.kind not in KINDS:
+        """``self``; InvalidSpec for an unknown kind, a field the kind does
+        not read that is set off its default, or a value out of range."""
+        if self.kind not in READS:
             raise InvalidSpec(f"unknown augmentation kind {self.kind!r}")
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in ("kind", *READS[self.kind]) and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise InvalidSpec(f"augmentation kind {self.kind!r} does not read {unread}")
         for name in ("angle_deg", "magnitude", "scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be finite")
@@ -207,11 +194,9 @@ def _cast(data: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return data.astype(dtype, copy=False)
 
 
-def _resample(data: np.ndarray, coords, order: int) -> np.ndarray:
-    return ndimage.map_coordinates(data, coords, order=order, mode="constant", cval=0.0)
-
-
-def _affine_pair(volume: Volume, mask: Mask, matrix: np.ndarray, center: np.ndarray):
+def _affine_pair(volume: Volume, mask: Mask, matrix: np.ndarray):
+    from scipy import ndimage
+    center = (np.array(volume.dims, dtype=np.float64) - 1.0) / 2.0
     offset = center - matrix @ center
     new_data = ndimage.affine_transform(
         volume.data.astype(np.float32, copy=False), matrix, offset=offset,
@@ -242,8 +227,7 @@ def _rotate(volume: Volume, mask: Mask, angle_deg: float):
     c, s = math.cos(theta), math.sin(theta)
     # inverse map: output index -> input index, rotation about the center
     matrix = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    center = (np.array(volume.dims, dtype=np.float64) - 1.0) / 2.0
-    return _affine_pair(volume, mask, matrix, center)
+    return _affine_pair(volume, mask, matrix)
 
 
 def _scale(volume: Volume, mask: Mask, factor: float):
@@ -251,13 +235,13 @@ def _scale(volume: Volume, mask: Mask, factor: float):
         return volume, mask
     inv = 1.0 / factor
     matrix = np.diag([inv, inv, 1.0])
-    center = (np.array(volume.dims, dtype=np.float64) - 1.0) / 2.0
-    return _affine_pair(volume, mask, matrix, center)
+    return _affine_pair(volume, mask, matrix)
 
 
 def _elastic(volume: Volume, mask: Mask, magnitude: float, grid_size: int, seed: int):
     if magnitude == 0.0:
         return volume, mask
+    from scipy import ndimage
     rng = np.random.default_rng(seed)
     dims = volume.dims
     disp = rng.normal(0.0, magnitude, size=(3, grid_size, grid_size, grid_size))
@@ -267,8 +251,9 @@ def _elastic(volume: Volume, mask: Mask, magnitude: float, grid_size: int, seed:
         field = ndimage.zoom(disp[axis], zoom, order=3, mode="nearest", grid_mode=True)
         assert field.shape == dims
         coords[axis] += field
-    new_data = _resample(volume.data.astype(np.float64), coords, order=1)
-    new_bits = _resample(mask.bits.astype(np.uint8), coords, order=0) > 0
+    # map_coordinates fills out-of-bounds samples with 0 by default
+    new_data = ndimage.map_coordinates(volume.data.astype(np.float64), coords, order=1)
+    new_bits = ndimage.map_coordinates(mask.bits.astype(np.uint8), coords, order=0) > 0
     return (
         Volume(_cast(new_data, volume.data.dtype), volume.spacing),
         Mask(new_bits, mask.spacing),
@@ -297,9 +282,11 @@ def apply_augmentation(v: Volume, m: Mask, spec: AugmentationSpec) -> tuple[Volu
 
 
 def augment(v: Volume, m: Mask, specs, seed: int) -> tuple[Volume, Mask]:
-    """Apply ``specs`` in order to a volume and its mask, each spec's seed
-    shifted by ``seed``; the same specs and seed give the same pair."""
+    """Apply ``specs`` in order to a volume and its mask, the seed of each
+    elastic spec shifted by ``seed``; the same specs and seed give the same pair."""
     check_same_geometry(v, m)
     for spec in specs:
-        v, m = apply_augmentation(v, m, replace(spec, seed=spec.seed + seed))
+        if spec.kind == "elastic":
+            spec = replace(spec, seed=spec.seed + seed)
+        v, m = apply_augmentation(v, m, spec)
     return v, m

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
 from .grids import CROSS6, Box, Mask, Volume, bbox, check_same_geometry
@@ -60,6 +59,7 @@ def foreground_region(bits: np.ndarray, margin: int) -> tuple[Box, np.ndarray]:
         raise EmptyMask("quality assessment needs a non-empty cavity mask")
     region = bits[box]
     if margin > 0:
+        from scipy import ndimage
         region = ndimage.binary_dilation(region, structure=CROSS6, iterations=margin)
     return box, region
 

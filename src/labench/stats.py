@@ -2,10 +2,10 @@
 
 Significance uses the two-tailed Welch (unequal-variance) t-test. Its
 t-distribution tail is the regularized incomplete beta function from
-``scipy.special`` (``scipy.stats`` is not imported: it would add most of
-a second to every CLI start). A team's leaderboard p-value compares its
-per-case Dice sample against the pooled per-case Dice of all other teams;
-that pooling choice is recorded in the JSON report metadata.
+``scipy.special``; scipy is imported inside the functions that call it.
+A team's leaderboard p-value compares its per-case Dice sample against
+the pooled per-case Dice of all other teams; that pooling choice is
+recorded in the JSON report metadata.
 
 The module computes values only; :mod:`labench.cli` reads the per-case
 tables into :class:`TeamResult` rows and writes the leaderboard.
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.special import betainc
 
 from .errors import (
     CaseSetMismatch,
@@ -128,6 +126,7 @@ def welch_ttest(xs, ys) -> float:
     df = (v1 + v2) ** 2 / (
         (v1 * v1 / (n1 - 1) if v1 else 0.0) + (v2 * v2 / (n2 - 1) if v2 else 0.0)
     )
+    from scipy.special import betainc
     # two-tailed tail of Student's t: I_{df/(df+t^2)}(df/2, 1/2)
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 

@@ -10,6 +10,10 @@ was confined to the foreground box; the box path must match them exactly.
 reproduce bit for bit, and ``full_grid_smooth_surface`` and
 ``full_grid_close_mask`` the majority filter and the closing over the whole
 grid that the boxed ``smooth_surface`` and ``close_mask`` must equal.
+``per_tile_clahe`` is CLAHE with one histogram and one mapping per tile in a
+loop, which the one-``bincount``-per-slice ``clahe_slicewise`` must equal bit
+for bit, and ``whole_grid_downsample`` the block means over the whole grid
+in float64 that the slab-wise ``downsample`` must equal.
 """
 
 import math
@@ -243,3 +247,106 @@ def full_grid_close_mask(m: Mask, se) -> Mask:
     padded = ndimage.binary_dilation(padded, structure=se.footprint())
     padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
     return Mask(padded[r:-r, r:-r, r:-r], m.spacing)
+
+
+def _tile_edges(n: int, tiles: int) -> np.ndarray:
+    return np.round(np.linspace(0, n, tiles + 1)).astype(int)
+
+
+def _axis_interp(n: int, edges: np.ndarray):
+    """Per-pixel (left tile, right tile, right weight) along one axis."""
+    centers = (edges[:-1] + edges[1:] - 1) / 2.0
+    pos = np.arange(n, dtype=np.float64)
+    right = np.searchsorted(centers, pos, side="left")
+    left = np.clip(right - 1, 0, centers.size - 1)
+    right = np.clip(right, 0, centers.size - 1)
+    span = centers[right] - centers[left]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.where(span > 0, (pos - centers[left]) / np.where(span > 0, span, 1.0), 0.0)
+    return left, right, w
+
+
+def _clahe_slice(img: np.ndarray, tiles: tuple[int, int], clip_limit: float) -> np.ndarray:
+    tx, ty = tiles
+    nx, ny = img.shape
+
+    if np.issubdtype(img.dtype, np.integer):
+        levels = int(np.iinfo(img.dtype).max) + 1
+        lv = img.astype(np.int64)
+        decode = None
+    else:
+        lo = float(img.min())
+        hi = float(img.max())
+        if hi <= lo:
+            return img.copy()
+        levels = 256
+        lv = np.floor((img.astype(np.float64) - lo) / (hi - lo) * (levels - 1) + 0.5).astype(np.int64)
+        decode = (lo, hi)
+
+    x_edges = _tile_edges(nx, tx)
+    y_edges = _tile_edges(ny, ty)
+
+    mappings = np.empty((tx, ty, levels), dtype=np.float64)
+    for i in range(tx):
+        for j in range(ty):
+            tile = lv[x_edges[i]:x_edges[i + 1], y_edges[j]:y_edges[j + 1]]
+            n_t = tile.size
+            hist = np.bincount(tile.ravel(), minlength=levels).astype(np.float64)
+            if math.isfinite(clip_limit):
+                threshold = clip_limit * n_t / levels
+                excess = np.maximum(hist - threshold, 0.0).sum()
+                if excess > 0.0:
+                    hist = np.minimum(hist, threshold) + excess / levels
+            cdf = np.cumsum(hist) / n_t
+            mappings[i, j] = cdf * (levels - 1)
+
+    xl, xr, wx = _axis_interp(nx, x_edges)
+    yl, yr, wy = _axis_interp(ny, y_edges)
+    wx = wx[:, None]
+    wy = wy[None, :]
+    xl = xl[:, None]
+    xr = xr[:, None]
+    yl = yl[None, :]
+    yr = yr[None, :]
+
+    out = (
+        (1 - wx) * (1 - wy) * mappings[xl, yl, lv]
+        + wx * (1 - wy) * mappings[xr, yl, lv]
+        + (1 - wx) * wy * mappings[xl, yr, lv]
+        + wx * wy * mappings[xr, yr, lv]
+    )
+    out = np.clip(np.floor(out + 0.5), 0, levels - 1)
+
+    if decode is None:
+        return out.astype(img.dtype)
+    lo, hi = decode
+    return (lo + out / (levels - 1) * (hi - lo)).astype(img.dtype)
+
+
+def per_tile_clahe(v: Volume, tiles: tuple[int, int], clip_limit: float) -> Volume:
+    """``clahe_slicewise`` as it was before one ``bincount`` built every tile
+    histogram of a slice: a loop over slices, and over tiles per slice."""
+    out = np.empty(v.dims, dtype=v.data.dtype)
+    for z in range(v.dims[2]):
+        out[:, :, z] = _clahe_slice(v.data[:, :, z], tiles, clip_limit)
+    return Volume(out, v.spacing)
+
+
+def whole_grid_downsample(v: Volume, factor) -> Volume:
+    """``downsample`` as it was before it reduced z-slabs: block means over
+    the whole grid widened to float64."""
+    fx, fy, fz = factor
+    data = v.data.astype(np.float64)
+    for axis, f in enumerate((fx, fy, fz)):
+        if f == 1:
+            continue
+        n = data.shape[axis]
+        starts = np.arange(0, n, f)
+        sums = np.add.reduceat(data, starts, axis=axis)
+        counts = np.diff(np.append(starts, n)).astype(np.float64)
+        shape = [1, 1, 1]
+        shape[axis] = counts.size
+        data = sums / counts.reshape(shape)
+
+    sx, sy, sz = v.spacing
+    return Volume(data.astype(np.float32), (sx * fx, sy * fy, sz * fz))

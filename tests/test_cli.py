@@ -159,18 +159,37 @@ def test_jobs_default_from_environment(command, monkeypatch):
     assert _build_parser().parse_args(_BASE_ARGV[command]).jobs == 3
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats would add most of a second to every CLI start, scipy.spatial
-    # about 0.14 s
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(labench.__file__).resolve().parents[1])
-    code = "import labench.cli, sys; assert not {'scipy.stats', 'scipy.spatial'} & set(sys.modules)"
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy is imported inside the functions that call it, so a CLI start loads
+    # none of it (scipy.ndimage or scipy.special alone adds 0.15-0.35 s)
+    code = "import labench.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
+    result = _run_python(code)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("option", [["--clahe", "2,2,3.0"], ["--normalize"]])
+def test_preprocess_intensity_commands_load_no_scipy_ndimage(tmp_path, option):
+    scan, out = tmp_path / "scan.nrrd", tmp_path / "out.nrrd"
+    write_nrrd(Volume(np.arange(16 * 16 * 4, dtype=np.float32).reshape(16, 16, 4)), scan)
+    argv = ["preprocess", str(scan), *option, "--out", str(out)]
+    code = (
+        "import sys, labench.cli\n"
+        f"assert labench.cli.main({argv!r}) == 0\n"
+        "assert 'scipy.ndimage' not in sys.modules"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert out.is_file()
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -336,6 +355,18 @@ def test_preprocess_normalize_and_downsample(tmp_path):
     assert v.dims == (4, 4, 4)
     assert v.spacing == (2.0, 2.0, 1.0)
     assert float(v.data.min()) == 0.0 and float(v.data.max()) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("option", [["--clahe", "2,2,3.0"], ["--normalize"]])
+def test_preprocess_non_finite_intensities_exit_1_without_output(tmp_path, capsys, option, bad):
+    data = np.arange(16 * 16 * 4, dtype=np.float32).reshape(16, 16, 4)
+    data[3, 5, 2] = bad
+    write_nrrd(Volume(data), tmp_path / "v.nrrd")
+    out = tmp_path / "out.nrrd"
+    assert main(["preprocess", str(tmp_path / "v.nrrd"), *option, "--out", str(out)]) == 1
+    assert "labench: error: NonFiniteIntensity:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preprocess_augment_round_trip(tmp_path):

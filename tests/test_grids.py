@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from labench import grids
 from labench.errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
-from labench.grids import Mask, Volume, bbox, check_same_geometry, downsample
+from labench.grids import CROSS6, CUBE26, Mask, Volume, bbox, check_same_geometry, downsample
 from labench.nrrd_io import read_nrrd
+
+from oracles import whole_grid_downsample
 
 
 def test_flat_is_x_fastest(tmp_path):
@@ -93,6 +99,40 @@ def test_downsample_factor_too_large():
     v = Volume(np.zeros((2, 2, 2), dtype=np.float32))
     with pytest.raises(FactorExceedsDim):
         downsample(v, (3, 1, 1))
+
+
+def test_structuring_elements_are_scipy_connectivities():
+    for element, rank in ((CROSS6, 1), (CUBE26, 3)):
+        expected = ndimage.generate_binary_structure(3, rank)
+        assert element.dtype == expected.dtype == np.bool_
+        assert np.array_equal(element, expected)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("factor", [(2, 2, 2), (3, 2, 5), (1, 4, 3), (2, 1, 1), (4, 3, 23)])
+def test_slab_downsample_equals_whole_grid(monkeypatch, order, factor):
+    # slabs of 1 to 3 blocks; 23 slices leave a partial last block for most factors
+    data = np.random.default_rng(sum(factor)).normal(100, 30, size=(13, 11, 23))
+    v = Volume(np.asarray(data.astype(np.float32), order=order), (0.5, 0.75, 1.25))
+    expected = whole_grid_downsample(v, factor)
+    for slab in (1, 13 * 11 * factor[2] * 2, 13 * 11 * factor[2] * 3):
+        monkeypatch.setattr(grids, "_SLAB_VOXELS", slab)
+        out = downsample(v, factor)
+        assert out.spacing == expected.spacing
+        assert np.array_equal(out.data.view(np.uint32), expected.data.view(np.uint32))
+
+
+def test_downsample_memory_is_bounded_by_the_slab(monkeypatch):
+    # the whole-grid float64 copy alone took 8 bytes per voxel
+    monkeypatch.setattr(grids, "_SLAB_VOXELS", 1 << 14)
+    v = Volume(np.ones((64, 64, 64), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        downsample(v, (2, 2, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * v.nvox
 
 
 @given(

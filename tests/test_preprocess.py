@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from labench.errors import ConstantVolume, InvalidSpec, TooManyTiles
+from labench.errors import ConstantVolume, InvalidSpec, NonFiniteIntensity, TooManyTiles
 from labench.grids import Mask, Volume
 from labench.preprocess import (
     AugmentationSpec,
@@ -15,7 +18,7 @@ from labench.preprocess import (
     normalize_intensity,
 )
 
-from oracles import equalize_by_rank
+from oracles import equalize_by_rank, per_tile_clahe
 
 
 def _volume(data, spacing=(1.0, 1.0, 1.0)):
@@ -116,6 +119,61 @@ def test_clahe_clip_limit_validation():
     v = _volume(np.zeros((4, 4, 1), dtype=np.uint8))
     with pytest.raises(ValueError):
         clahe_slicewise(v, tiles=(1, 1), clip_limit=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_intensities_raise_a_named_error(bad):
+    data = np.arange(16 * 16 * 4, dtype=np.float32).reshape(16, 16, 4)
+    data[3, 5, 2] = bad
+    v = _volume(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIntensity):
+            clahe_slicewise(v, tiles=(2, 2), clip_limit=3.0)
+        with pytest.raises(NonFiniteIntensity):
+            normalize_intensity(v)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    unsigned = np.dtype(f"u{a.dtype.itemsize}")
+    return a.dtype == b.dtype and np.array_equal(a.view(unsigned), b.view(unsigned))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
+def test_clahe_equals_per_tile_oracle(rng, dtype, order):
+    # 37 x 29 divides by none of the tile counts; slice 1 is constant; unlike
+    # the others, the clip limit 2.2 gives thresholds that binary cannot hold
+    if dtype == np.float32:
+        data = rng.normal(100.0, 25.0, size=(37, 29, 3))
+    else:
+        data = rng.integers(0, np.iinfo(dtype).max + 1, size=(37, 29, 3))
+    data = data.astype(dtype)
+    data[:, :, 1] = data[0, 0, 1]
+    v = _volume(np.asarray(data, order=order))
+    for tiles in ((1, 1), (3, 5), (8, 8)):
+        for clip in (1.5, 2.2, 3.0, math.inf):
+            expected = per_tile_clahe(v, tiles, clip).data
+            assert _same_bits(clahe_slicewise(v, tiles, clip).data, expected), (tiles, clip)
+
+
+@given(
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.float32]),
+    span=st.sampled_from([1, 3, 40, 256, 65536]),
+    tiles=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    clip=st.one_of(st.just(math.inf), st.floats(1.01, 10.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clahe_equals_per_tile_oracle_on_random_volumes(dims, dtype, span, tiles, clip, seed):
+    values = np.random.default_rng(seed).integers(0, span, size=dims)
+    if dtype == np.float32:
+        data = (values * 0.37 - 5.0).astype(np.float32)
+    else:
+        data = np.minimum(values, np.iinfo(dtype).max).astype(dtype)
+    v = _volume(data)
+    tiles = (min(tiles[0], dims[0]), min(tiles[1], dims[1]))
+    assert _same_bits(clahe_slicewise(v, tiles, clip).data, per_tile_clahe(v, tiles, clip).data)
 
 
 # --- augmentation -----------------------------------------------------------------
@@ -232,6 +290,29 @@ def test_invalid_specs():
         apply_augmentation(v, m, AugmentationSpec(kind="flip", flip_axis="w"))
     with pytest.raises(InvalidSpec):
         apply_augmentation(v, m, AugmentationSpec(kind="rotate", angle_deg=math.nan))
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (AugmentationSpec(kind="rotate", scale=2.0), "scale"),
+        (AugmentationSpec(kind="rotate", angle_deg=10.0, seed=1), "seed"),
+        (AugmentationSpec(kind="flip", flip_axis="y", angle_deg=5.0), "angle_deg"),
+        (AugmentationSpec(kind="perspective-scale", scale=1.2, grid_size=3), "grid_size"),
+        (AugmentationSpec(kind="elastic", magnitude=1.0, flip_axis="z"), "flip_axis"),
+    ],
+)
+def test_a_field_the_kind_does_not_read_is_rejected_in_process(spec, field):
+    v = Volume(np.zeros((4, 4, 4), dtype=np.float32))
+    m = Mask(np.zeros((4, 4, 4), dtype=bool))
+    with pytest.raises(InvalidSpec, match=rf"kind '{spec.kind}' does not read \['{field}'\]"):
+        apply_augmentation(v, m, spec)
+
+
+def test_augment_shifts_only_elastic_seeds(rng):
+    v, m = _pair(rng)
+    rotate = AugmentationSpec(kind="rotate", angle_deg=33.0)
+    assert augment(v, m, [rotate], seed=7) == apply_augmentation(v, m, rotate)
 
 
 def test_augment_applies_specs_in_order_with_shifted_seeds(rng):
