@@ -34,6 +34,7 @@ import concurrent.futures
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -157,8 +158,8 @@ def read_case_csv(
 
     Blank cells of the ``nullable`` columns read as None; by default these
     are the surface distances, which an empty prediction leaves blank. A
-    missing column, a non-numeric cell or any other blank cell raises
-    MalformedCsv naming the file and the column.
+    missing column, a non-numeric or non-finite cell or any other blank cell
+    raises MalformedCsv naming the file and the column.
     """
     return {
         row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
@@ -178,14 +179,15 @@ def _read_rows(path, columns) -> list[dict[str, str]]:
 
 
 def _number(path, row_id: str, column: str, text: str | None, nullable: bool) -> float | None:
-    if text in ("", None):
-        if nullable:
-            return None
-        raise MalformedCsv(f"{path} row {row_id!r} has a blank {column!r} cell")
+    if text in ("", None) and nullable:
+        return None
     try:
-        return float(text)
-    except ValueError:
-        raise MalformedCsv(f"{path} column {column!r} holds non-numeric {text!r}") from None
+        value = float(text)
+    except (TypeError, ValueError):  # a blank or non-numeric cell
+        value = math.nan
+    if not math.isfinite(value):
+        raise MalformedCsv(f"{path} row {row_id!r} {column!r} cell {text!r} is not a finite number")
+    return value
 
 
 # --- paired batches (evaluate, quality) ----------------------------------------
@@ -214,7 +216,7 @@ def _run_tasks(worker, tasks, jobs: int):
         return [worker(task) for task in tasks]
     # the workers fork from this process: one import here serves them all
     import scipy.ndimage  # noqa: F401
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 

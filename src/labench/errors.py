@@ -159,4 +159,4 @@ class InfeasibleTier(LabenchError):
 # --- CSV inputs ---------------------------------------------------------
 
 class MalformedCsv(LabenchError):
-    """A CSV input lacks a needed column or holds a non-numeric cell."""
+    """A CSV input lacks a needed column or holds a non-numeric or non-finite cell."""

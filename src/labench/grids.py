@@ -162,6 +162,22 @@ def bbox(bits: np.ndarray, pad: int = 0) -> Box | None:
     )
 
 
+def on_box(m: Mask, reach: int, op) -> Mask:
+    """``op`` applied to the foreground box of ``m`` grown by ``reach`` voxels
+    and clipped to the grid, placed in an otherwise empty grid; an empty mask
+    passes through unchanged. This equals ``op`` over the whole grid when
+    ``op`` sets nothing farther than ``reach`` from the foreground and reads
+    the crop faces as background (where the box is clipped, they are the
+    grid border). The crop keeps the grid's x-fastest order.
+    """
+    box = bbox(m.bits, pad=reach)
+    if box is None:
+        return m
+    out = np.zeros(m.dims, dtype=bool)
+    out[box] = op(m.bits[box])
+    return Mask(out, m.spacing)
+
+
 def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
     """Block-mean downsampling.
 

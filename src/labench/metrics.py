@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTruth
-from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry
+from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry, on_box
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,7 @@ class CaseMetrics:
 def surface_voxels(m: Mask) -> np.ndarray:
     """Boolean array marking boundary voxels of the mask."""
     from scipy import ndimage
-    out = np.zeros(m.dims, dtype=bool)
-    box = bbox(m.bits)
-    if box is not None:
-        # erosion only changes voxels near the mask, so work on the bounding
-        # box; everything beyond it is background either way
-        inside = m.bits[box]
-        interior = ndimage.binary_erosion(inside, structure=CROSS6, border_value=0)
-        out[box] = inside & ~interior
-    return out
+    return on_box(m, 0, lambda b: b & ~ndimage.binary_erosion(b, CROSS6, border_value=0)).bits
 
 
 def _crops(a: Mask, b: Mask) -> tuple[Box | None, Box | None, np.ndarray, np.ndarray]:

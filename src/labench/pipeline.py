@@ -194,6 +194,8 @@ def offset_sweep(
     the chosen axis; 100% presses the cavity against the box side without
     voxel loss, and larger offsets start cutting it.
     """
+    if not all(np.isfinite(pct) and pct >= 0 for pct in offsets):
+        raise ValueError(f"offsets must be finite and non-negative, got {list(offsets)}")
     check_same_geometry(v, truth)
     if truth.is_empty:
         raise EmptyMask("offset sweep needs a non-empty truth mask")
@@ -202,8 +204,6 @@ def offset_sweep(
     d100 = max_noloss_displacement(truth, roi_size, ax)
     curve = []
     for pct in offsets:
-        if pct < 0:
-            raise ValueError(f"offsets must be non-negative, got {pct}")
         d = int(np.floor(pct / 100.0 * d100 + 0.5))
         shifted = tuple(c + (d if i == ax else 0) for i, c in enumerate(center))
         pred = run_pipeline(v, shifted, segmenter, roi_size)

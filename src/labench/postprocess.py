@@ -2,6 +2,9 @@
 
 These mirror the post-processing column of the challenge methods table:
 keep-largest-component, dilation/erosion, and smoothing.
+
+Each operator is one :func:`labench.grids.on_box` call with its own reach, so
+it runs on the foreground box and equals the operator over the whole grid.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CROSS6, CUBE26, Mask, bbox
+from .grids import CROSS6, CUBE26, Mask, on_box
 
 
 @dataclass(frozen=True)
@@ -43,37 +46,30 @@ def largest_component(m: Mask, connectivity: int = 26) -> Mask:
     """
     if connectivity not in (6, 26):
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-    if m.is_empty:
-        return m
     from scipy import ndimage
-    labels, n = ndimage.label(m.bits, structure=CROSS6 if connectivity == 6 else CUBE26)
-    if n == 1:
-        return m
-    sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
-    best = int(np.argmax(sizes)) + 1
-    tied = np.nonzero(sizes == sizes[best - 1])[0] + 1
-    if tied.size > 1:
-        flat = labels.ravel(order="F")
-        best = int(flat[np.argmax(np.isin(flat, tied))])
-    return Mask(labels == best, m.spacing)
+
+    def largest(bits):
+        labels, _ = ndimage.label(bits, structure=CROSS6 if connectivity == 6 else CUBE26)
+        sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
+        best = int(np.argmax(sizes)) + 1
+        tied = np.nonzero(sizes == sizes[best - 1])[0] + 1
+        if tied.size > 1:
+            flat = labels.ravel(order="F")
+            best = int(flat[np.argmax(np.isin(flat, tied))])
+        return labels == best
+
+    return on_box(m, 0, largest)
 
 
 def dilate(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
-    if m.is_empty:
-        return m
     from scipy import ndimage
-    return Mask(ndimage.binary_dilation(m.bits, structure=se.footprint()), m.spacing)
+    return on_box(m, se.radius, lambda b: ndimage.binary_dilation(b, se.footprint()))
 
 
 def erode(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     """Binary erosion; the grid border is treated as background."""
-    if m.is_empty:
-        return m
     from scipy import ndimage
-    return Mask(
-        ndimage.binary_erosion(m.bits, structure=se.footprint(), border_value=0),
-        m.spacing,
-    )
+    return on_box(m, 0, lambda b: ndimage.binary_erosion(b, se.footprint(), border_value=0))
 
 
 def close_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
@@ -81,17 +77,15 @@ def close_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     border convention cannot shave foreground off the grid edge
     (closing must be extensive). The domain is the foreground box padded by
     r, which holds the dilation; the closing stays inside the box."""
-    r = se.radius
-    box = bbox(m.bits)
-    if box is None:
-        return m
     from scipy import ndimage
-    padded = np.pad(m.bits[box], r)
-    padded = ndimage.binary_dilation(padded, structure=se.footprint())
-    padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
-    out = np.zeros(m.dims, dtype=bool)
-    out[box] = padded[r:-r, r:-r, r:-r]
-    return Mask(out, m.spacing)
+    r = se.radius
+
+    def closed(bits):
+        padded = ndimage.binary_dilation(np.pad(bits, r), structure=se.footprint())
+        padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
+        return padded[r:-r, r:-r, r:-r]
+
+    return on_box(m, 0, closed)
 
 
 def open_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
@@ -110,26 +104,21 @@ def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
     exact 13-13 tie. Out-of-grid neighbors replicate the nearest edge
     voxel so flat regions touching the border are fixed points.
 
-    The filter runs on the foreground box grown by ``iterations + 1``: each
-    pass grows the foreground by at most one voxel, so the box faces stay
-    background and every voxel outside keeps its value. Where the box is
-    clipped at the grid edge, the replicated edge is the same as before.
+    Each pass grows the foreground by at most one voxel, so on the box
+    grown by ``iterations + 1`` the crop faces stay background; where the
+    box is clipped at the grid edge, the replicated edge is the grid's.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    box = bbox(m.bits, pad=iterations + 1)
-    if box is None:
-        return m
     from scipy import ndimage
-    bits = m.bits[box]
-    for _ in range(iterations):
-        neighbors = ndimage.convolve(
-            bits.astype(np.uint8), _NEIGHBOR_KERNEL, mode="nearest"
-        )
-        new = np.where(neighbors > 13, True, np.where(neighbors < 13, False, bits))
-        if np.array_equal(new, bits):
-            break
-        bits = new
-    out = np.zeros(m.dims, dtype=bool)
-    out[box] = bits
-    return Mask(out, m.spacing)
+
+    def smoothed(bits):
+        for _ in range(iterations):
+            neighbors = ndimage.convolve(bits.astype(np.uint8), _NEIGHBOR_KERNEL, mode="nearest")
+            new = np.where(neighbors > 13, True, np.where(neighbors < 13, False, bits))
+            if np.array_equal(new, bits):
+                break
+            bits = new
+        return bits
+
+    return on_box(m, iterations + 1, smoothed)

@@ -7,9 +7,10 @@ numerical quadrature of the density. The full-grid ``evaluate_case`` and
 ``assess_quality`` are those functions as they were before the scoring path
 was confined to the foreground box; the box path must match them exactly.
 ``two_pass_cohort`` is the cohort composition that ``generate_cohort`` must
-reproduce bit for bit, and ``full_grid_smooth_surface`` and
-``full_grid_close_mask`` the majority filter and the closing over the whole
-grid that the boxed ``smooth_surface`` and ``close_mask`` must equal.
+reproduce bit for bit. ``full_grid_smooth_surface``, ``full_grid_close_mask``,
+``full_grid_largest_component``, ``full_grid_dilate`` and ``full_grid_erode``
+are the post-processing operators over the whole grid, which the boxed
+operators of :mod:`labench.postprocess` must equal.
 ``per_tile_clahe`` is CLAHE with one histogram and one mapping per tile in a
 loop, which the one-``bincount``-per-slice ``clahe_slicewise`` must equal bit
 for bit, and ``whole_grid_downsample`` the block means over the whole grid
@@ -22,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import integrate, ndimage
 
-from labench.grids import CROSS6, Mask, Volume, axis_index
+from labench.grids import CROSS6, CUBE26, Mask, Volume, axis_index
 from labench.metrics import CaseMetrics
 from labench.phantom import (
     DEFAULT_TIER_FRACTIONS,
@@ -247,6 +248,43 @@ def full_grid_close_mask(m: Mask, se) -> Mask:
     padded = ndimage.binary_dilation(padded, structure=se.footprint())
     padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
     return Mask(padded[r:-r, r:-r, r:-r], m.spacing)
+
+
+def full_grid_largest_component(m: Mask, connectivity: int = 26) -> Mask:
+    """``largest_component`` as it was before it ran on the foreground box:
+    the whole grid labelled, ties broken by the x-fastest linear index."""
+    if connectivity not in (6, 26):
+        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
+    if m.is_empty:
+        return m
+    labels, n = ndimage.label(m.bits, structure=CROSS6 if connectivity == 6 else CUBE26)
+    if n == 1:
+        return m
+    sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
+    best = int(np.argmax(sizes)) + 1
+    tied = np.nonzero(sizes == sizes[best - 1])[0] + 1
+    if tied.size > 1:
+        flat = labels.ravel(order="F")
+        best = int(flat[np.argmax(np.isin(flat, tied))])
+    return Mask(labels == best, m.spacing)
+
+
+def full_grid_dilate(m: Mask, se) -> Mask:
+    """``dilate`` as it was before it ran on the foreground box."""
+    if m.is_empty:
+        return m
+    return Mask(ndimage.binary_dilation(m.bits, structure=se.footprint()), m.spacing)
+
+
+def full_grid_erode(m: Mask, se) -> Mask:
+    """``erode`` as it was before it ran on the foreground box: the grid
+    border is treated as background."""
+    if m.is_empty:
+        return m
+    return Mask(
+        ndimage.binary_erosion(m.bits, structure=se.footprint(), border_value=0),
+        m.spacing,
+    )
 
 
 def _tile_edges(n: int, tiles: int) -> np.ndarray:

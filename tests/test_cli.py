@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import labench
-from labench import phantom
+from labench import phantom, pipeline
 from labench.cli import _build_parser, main
 from labench.grids import Mask, Volume
 from labench.nrrd_io import read_nrrd, write_nrrd
@@ -271,6 +272,36 @@ def test_evaluate_deterministic_across_jobs(tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
+@pytest.mark.parametrize("jobs, workers", [("64", 3), ("2", 2)])
+def test_pool_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, jobs, workers):
+    made = []
+
+    class RecordingPool:
+        # records max_workers and maps in this process: no worker starts
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    preds, truths = tmp_path / "preds", tmp_path / "truths"
+    for i in range(3):
+        _write_pair(preds, f"case_{i}", _blob(lo=(4, 4, 2), hi=(13, 13, 9 - i)))
+        _write_pair(truths, f"case_{i}", _blob(lo=(4, 4, 2), hi=(13, 13, 9)))
+    out_1, out_n = tmp_path / "m1.csv", tmp_path / "mn.csv"
+    assert main(["evaluate", str(preds), str(truths), "--out", str(out_1), "--jobs", "1"]) == 0
+    assert main(["evaluate", str(preds), str(truths), "--out", str(out_n), "--jobs", jobs]) == 0
+    assert made == [workers]
+    assert out_1.read_bytes() == out_n.read_bytes()
+
+
 # --- quality ----------------------------------------------------------------------
 
 
@@ -503,6 +534,27 @@ def test_experiment_offset_csv(tmp_path):
     assert float(rows[2]["dice"]) < 1.0
 
 
+@pytest.mark.parametrize("offsets", ["0,inf", "0,nan", "0,-5"])
+def test_experiment_offset_rejects_bad_offsets_before_any_run(tmp_path, capsys, monkeypatch, offsets):
+    _scan_with_truth(tmp_path)
+    runs = []
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda *args: runs.append(args))
+    out = tmp_path / "curve.csv"
+    assert main([
+        "experiment", "offset", "--scan", str(tmp_path / "scan.nrrd"),
+        "--truth", str(tmp_path / "scan_label.nrrd"),
+        "--offsets", offsets, "--roi", "20,20,12", "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    bad = offsets.split(",")[1]
+    assert err == (
+        "labench: error: ValueError: offsets must be finite and non-negative, "
+        f"got [0.0, {float(bad)!r}]\n"
+    )
+    assert runs == []
+    assert not out.exists()
+
+
 def test_experiment_patch_size_csv(tmp_path):
     _scan_with_truth(tmp_path)
     out = tmp_path / "sizes.csv"
@@ -653,6 +705,19 @@ _METRICS_HEADER = "case_id,dice,iou,sensitivity,specificity,hd_mm,stsd_mm\n"
             "team_id,dice_mean,dice_std\nalpha,0.9,0.1\nbeta,x,0.1\n",
             None, "summary.csv", "dice_mean", None, id="summary-non-numeric-cell",
         ),
+        pytest.param(
+            _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.8,0.7,0.9,0.99,inf,1\n",
+            None, "team.csv", "hd_mm", "c1", id="inf-cell",
+        ),
+        pytest.param(
+            _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\n",
+            "scan_id,snr,cr,het,band\nc0,NaN,2,0.2,high\n", "quality.csv", "snr",
+            "c0", id="quality-nan-cell",
+        ),
+        pytest.param(
+            "team_id,dice_mean,dice_std\nalpha,0.9,0.1\nbeta,0.8,-inf\n",
+            None, "summary.csv", "dice_std", "beta", id="summary-inf-cell",
+        ),
     ],
 )
 def test_rank_malformed_csv_named_error(
@@ -672,6 +737,21 @@ def test_rank_malformed_csv_named_error(
     if case_id is not None:
         assert repr(case_id) in err
     assert not (tmp_path / "board").exists()
+
+
+@pytest.mark.parametrize("order", ["abc", "cba"])
+def test_rank_rejects_a_nan_cell_in_either_file_order(tmp_path, capsys, order):
+    for team, dices in (("a", ("0.9", "0.92")), ("b", ("0.85", "nan")), ("c", ("0.8", "0.82"))):
+        rows = "".join(f"c{i},{d},0.8,0.9,0.99,8,1\n" for i, d in enumerate(dices))
+        (tmp_path / f"{team}.csv").write_text(_METRICS_HEADER + rows)
+    out_dir = tmp_path / "board"
+    teams = [str(tmp_path / f"{team}.csv") for team in order]
+    assert main(["rank", "--metrics", *teams, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"labench: error: MalformedCsv: {tmp_path / 'b.csv'} row 'c1' 'dice' cell 'nan' "
+        "is not a finite number\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_rank_accepts_blank_surface_distances(tmp_path):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from labench.grids import Mask
+from labench.metrics import surface_voxels
 from labench.postprocess import (
     StructuringElement,
     close_mask,
@@ -15,7 +18,14 @@ from labench.postprocess import (
 )
 
 from conftest import mask_from
-from oracles import full_grid_close_mask, full_grid_smooth_surface
+from oracles import (
+    _full_grid_surface,
+    full_grid_close_mask,
+    full_grid_dilate,
+    full_grid_erode,
+    full_grid_largest_component,
+    full_grid_smooth_surface,
+)
 
 
 def _flood_fill_components(bits, connectivity):
@@ -253,3 +263,71 @@ def test_operators_preserve_binarity_and_empty_safety(rng):
         assert out.bits.dtype == np.bool_
         empty = op(mask_from(np.zeros((8, 8, 8))))
         assert empty.count == 0
+
+
+def _islands(rng, dims=(16, 13, 11)):
+    """Seeded multi-island masks, each in C and Fortran order: random islands
+    that often touch a grid face, and islands of tied size."""
+    def place(bits, island, at):
+        bits[tuple(slice(a, a + n) for a, n in zip(at, island.shape))] |= island
+
+    masks = [np.zeros(dims, dtype=bool)]
+    for _ in range(30):
+        bits = np.zeros(dims, dtype=bool)
+        for _ in range(int(rng.integers(1, 6))):
+            shape = rng.integers(1, 5, size=3)
+            # each axis: flush with the low face, the high face, or anywhere
+            at = [int(rng.choice([0, n - s, rng.integers(0, n - s + 1)])) for s, n in zip(shape, dims)]
+            place(bits, rng.random(shape) < rng.uniform(0.5, 1.0), at)
+        masks.append(bits)
+    for _ in range(10):
+        # two to four copies of one island, spaced so they stay apart under
+        # either connectivity: their sizes tie
+        island = rng.random(rng.integers(1, 4, size=3)) < 0.8
+        island[0, 0, 0] = True
+        bits = np.zeros(dims, dtype=bool)
+        starts = rng.permutation([(x, y, z) for x in (0, 5, 10) for y in (0, 5) for z in (0, 5)])
+        for at in starts[: int(rng.integers(2, 5))]:
+            place(bits, island, at)
+        masks.append(bits)
+    for bits in masks:
+        yield bits
+        yield np.asfortranarray(bits)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_largest_component_in_box_equals_full_grid(rng, connectivity):
+    for bits in _islands(rng):
+        m = mask_from(bits)
+        assert largest_component(m, connectivity) == full_grid_largest_component(m, connectivity)
+
+
+@pytest.mark.parametrize("kind", ["cross", "cube"])
+@pytest.mark.parametrize("radius", [1, 2])
+def test_dilate_and_erode_in_box_equal_full_grid(rng, kind, radius):
+    se = StructuringElement(kind, radius)
+    for bits in _islands(rng):
+        m = mask_from(bits)
+        assert dilate(m, se) == full_grid_dilate(m, se)
+        assert erode(m, se) == full_grid_erode(m, se)
+
+
+def test_surface_in_box_equals_full_grid(rng):
+    for bits in _islands(rng):
+        assert np.array_equal(surface_voxels(mask_from(bits)), _full_grid_surface(bits))
+
+
+def test_largest_component_memory_is_bounded_by_the_box():
+    # two compact islands in a large grid: labels and their comparison
+    # span the box, so only the one-byte output spans the grid
+    bits = np.zeros((128, 128, 64), dtype=bool)
+    bits[40:60, 50:70, 20:35] = True
+    bits[62:70, 50:58, 20:28] = True
+    m = mask_from(bits)
+    tracemalloc.start()
+    try:
+        largest_component(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bits.size
