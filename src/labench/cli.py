@@ -543,12 +543,25 @@ def cmd_pipeline(args) -> int:
 # --- experiment --------------------------------------------------------------------
 
 
+def _parse_offsets(text: str) -> list[float]:
+    offsets = []
+    for part in text.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan  # fails the check below like inf does
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"--offsets entry {part!r} is not a finite number >= 0")
+        offsets.append(value)
+    return offsets
+
+
 def cmd_experiment_offset(args) -> int:
+    offsets = _parse_offsets(args.offsets)
+    roi = _parse_ints(args.roi, 3, "--roi")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
     segmenter = _build_segmenter(args, scan, truth)
-    offsets = [float(p) for p in args.offsets.split(",")]
-    roi = _parse_ints(args.roi, 3, "--roi")
     curve = pipeline.offset_sweep(scan, truth, segmenter, roi, offsets, axis=args.axis)
     _write_table(args.out, ("offset_pct", "dice"), curve, args.format)
     return 0
@@ -581,6 +594,8 @@ def _synth_one(task):
 
 def cmd_synth(args) -> int:
     dims = _parse_ints(args.dims, 3, "--dims")
+    if min(dims) < 1:
+        raise SystemExit(_fail(f"--dims entries must be >= 1, got {args.dims!r}"))
     spacing = tuple(float(s) for s in args.spacing.split(","))
     if len(spacing) == 1:
         spacing = spacing * 3
@@ -591,6 +606,7 @@ def cmd_synth(args) -> int:
     base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
 
     tiers = phantom.cohort_tiers(args.count, fractions)
+    phantom.check_cohort(base, args.count, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digits = max(3, len(str(args.count - 1)))

@@ -6,8 +6,11 @@ equalization from per-pixel rank counting, and the t-distribution CDF from
 numerical quadrature of the density. The full-grid ``evaluate_case`` and
 ``assess_quality`` are those functions as they were before the scoring path
 was confined to the foreground box; the box path must match them exactly.
-``two_pass_cohort`` is the cohort composition that ``generate_cohort`` must
-reproduce bit for bit. ``full_grid_smooth_surface``, ``full_grid_close_mask``,
+``full_grid_voxelize`` and ``one_shot_draw`` are the phantom voxelization over
+the whole grid and the scan drawn in one piece, which the boxed voxelization
+and the slab draw of :mod:`labench.phantom` must equal bit for bit, and
+``two_pass_cohort``, built on them, the cohort composition that
+``generate_cohort`` must reproduce bit for bit. ``full_grid_smooth_surface``, ``full_grid_close_mask``,
 ``full_grid_largest_component``, ``full_grid_dilate`` and ``full_grid_erode``
 are the post-processing operators over the whole grid, which the boxed
 operators of :mod:`labench.postprocess` must equal.
@@ -29,9 +32,8 @@ from labench.phantom import (
     DEFAULT_TIER_FRACTIONS,
     TIER_SNR_TARGETS,
     CohortVariation,
+    PhantomSpec,
     _jittered_spec,
-    _voxelize,
-    generate,
     tier_counts,
 )
 from labench.quality import DEFAULT_MARGIN, QualityReport, quality_band
@@ -203,22 +205,71 @@ def full_grid_assess_quality(scan: Volume, la: Mask, margin: int) -> QualityRepo
     )
 
 
+def full_grid_voxelize(spec: PhantomSpec) -> np.ndarray:
+    """``phantom._voxelize`` as it was before each primitive ran on its own
+    box: the ellipsoid, every tube and the valve plane evaluated over the
+    whole grid in float64. The geometry checks are left out."""
+    nx, ny, nz = spec.dims
+    sx, sy, sz = spec.spacing
+    xs = (np.arange(nx, dtype=np.float64) + 0.5) * sx
+    ys = (np.arange(ny, dtype=np.float64) + 0.5) * sy
+    zs = (np.arange(nz, dtype=np.float64) + 0.5) * sz
+
+    cx, cy, cz = spec.resolved_center()
+    a, b, c = spec.semi_axes_mm
+    q = (
+        (((xs - cx) / a) ** 2)[:, None, None]
+        + (((ys - cy) / b) ** 2)[None, :, None]
+        + (((zs - cz) / c) ** 2)[None, None, :]
+    )
+    solid = q <= 1.0
+
+    for tube in spec.tubes:
+        u = tube.unit_direction()
+        ax, ay, az = tube.attach_mm
+        dx = (xs - ax)[:, None, None]
+        dy = (ys - ay)[None, :, None]
+        dz = (zs - az)[None, None, :]
+        t = dx * u[0] + dy * u[1] + dz * u[2]
+        r2 = dx**2 + dy**2 + dz**2 - t**2
+        solid |= (t >= 0.0) & (t <= tube.length_mm) & (r2 <= tube.radius_mm**2)
+
+    if spec.valve_plane is not None:
+        (px, py, pz), offset = spec.valve_plane
+        plane = px * xs[:, None, None] + py * ys[None, :, None] + pz * zs[None, None, :]
+        solid &= plane >= offset
+    return solid
+
+
+def one_shot_draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
+    """``phantom._draw`` as it was before the background was drawn in slabs:
+    one whole-grid float64 draw, cast to float32 at the end."""
+    rng = np.random.default_rng(spec.seed)
+    data = rng.normal(spec.mu_bg, spec.sigma_bg, size=spec.dims)
+    n_fg = int(np.count_nonzero(bits))
+    if n_fg:
+        data[bits] = rng.normal(spec.mu_fg, spec.sigma_fg, size=n_fg)
+    return Volume(data.astype(np.float32), spec.spacing), Mask(bits, spec.spacing)
+
+
 def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS, margin=DEFAULT_MARGIN):
     """``generate_cohort`` as it was composed before each member was
     voxelized once: voxelize for the noise level, with the foreground
-    dilated over the whole grid, then ``generate`` voxelizes again."""
+    dilated over the whole grid, then voxelize again and draw the scan,
+    both over the whole grid."""
     counts = tier_counts(n, tier_fractions)
     tiers = ["high"] * counts[0] + ["medium"] * counts[1] + ["low"] * counts[2]
     members = []
     for i, tier in enumerate(tiers):
         spec = _jittered_spec(base, seed + i, CohortVariation())
-        bits = _voxelize(spec)
+        bits = full_grid_voxelize(spec)
         dilated = bits
         if margin > 0:
             dilated = ndimage.binary_dilation(bits, structure=CROSS6, iterations=margin)
         w = int(np.count_nonzero(bits)) / int(np.count_nonzero(dilated))
         sigma_bg = TIER_SNR_TARGETS[tier] * w * (spec.mu_fg - spec.mu_bg)
-        volume, mask = generate(replace(spec, sigma_bg=sigma_bg))
+        spec = replace(spec, sigma_bg=sigma_bg)
+        volume, mask = one_shot_draw(spec, full_grid_voxelize(spec))
         members.append((volume, mask, tier))
     return members
 

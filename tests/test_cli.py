@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,8 @@ def test_read_shared_option_is_accepted(command, option):
         (["synth", "--spacing", "1,1"], "'1,1'"),
         (["synth", "--spacing", "0"], "NonPositiveSpacing: spacing must be"),
         (["synth", "--spacing", "1,-1,1"], "(1.0, -1.0, 1.0)"),
+        (["synth", "--dims", "32,32,0"], "--dims entries must be >= 1, got '32,32,0'"),
+        (["synth", "--dims", "8,8,4", "--spacing", "0.1"], "GeometryOutOfBounds: phantom geometry"),
         (["preprocess", "{scan}", "--clahe", "8,8"], "'8,8'"),
         (
             ["preprocess", "{missing}", "--clahe", "8,8,x"],
@@ -125,11 +128,20 @@ def test_read_shared_option_is_accepted(command, option):
         ),
         (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "box size must be positive, got (0, 20, 12)"),
         (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
+        (
+            ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--offsets", "0,inf"],
+            "--offsets entry 'inf' is not a finite number >= 0",
+        ),
+        (
+            ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--offsets", "0,abc"],
+            "--offsets entry 'abc' is not a finite number >= 0",
+        ),
     ],
     ids=[
         "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
+        "dims-zero", "dims-jitter-leaves-grid",
         "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest", "roi",
-        "offsets",
+        "offsets", "offsets-inf-before-read", "offsets-text-before-read",
     ],
 )
 def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):
@@ -142,16 +154,18 @@ def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value)
     }
     argv = [a.format(**paths) for a in argv]
     out = "--out-dir" if argv[0] == "synth" else "--out"
-    try:
-        code = main(argv + [out, str(tmp_path / "out")])
-    except SystemExit as exc:
-        code = exc.code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv + [out, str(tmp_path / "out")])
+        except SystemExit as exc:
+            code = exc.code
     assert code == 1
+    assert caught == []
     err = capsys.readouterr().err
     assert err.startswith("labench: error: ") and value in err
     assert "Traceback" not in err
-    if argv[0] == "synth":
-        assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])
@@ -547,10 +561,7 @@ def test_experiment_offset_rejects_bad_offsets_before_any_run(tmp_path, capsys, 
     ]) == 1
     err = capsys.readouterr().err
     bad = offsets.split(",")[1]
-    assert err == (
-        "labench: error: ValueError: offsets must be finite and non-negative, "
-        f"got [0.0, {float(bad)!r}]\n"
-    )
+    assert err == f"labench: error: ValueError: --offsets entry {bad!r} is not a finite number >= 0\n"
     assert runs == []
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,17 +7,22 @@ import pytest
 from scipy import ndimage
 
 from labench.errors import GeometryOutOfBounds, InfeasibleTier
+from labench import phantom
 from labench.phantom import (
     CohortVariation,
     PhantomSpec,
     Tube,
+    _draw,
+    _jittered_spec,
+    _voxelize,
+    cohort_member,
     default_phantom_spec,
     generate,
     generate_cohort,
     tier_counts,
 )
 from labench.quality import assess_quality
-from oracles import two_pass_cohort
+from oracles import full_grid_voxelize, one_shot_draw, two_pass_cohort
 
 DESK_DIMS = (72, 72, 48)
 DESK_SPACING = (1.0, 1.0, 1.0)
@@ -174,3 +180,69 @@ def test_variation_jitters_geometry():
     members = generate_cohort(base, 3, seed=9, variation=CohortVariation(0.15, 3.0, 0.05))
     counts = {m.count for _, m, _ in members}
     assert len(counts) == 3  # all three geometries differ
+
+
+# --- boxed voxelization and slab draw against the whole-grid oracles ------------------
+
+# attached inside the body, leaving the grid on the high x side
+_TUBE_OUT_HIGH = Tube((30.0, 20.0, 14.0), (1.0, 0.2, 0.1), 3.0, 20.0)
+# wholly below the grid origin: its box clips to nothing
+_TUBE_BELOW = Tube((-20.0, -18.0, -12.0), (-1.0, 0.0, -0.3), 2.0, 6.0)
+# from inside the grid across the low x and y faces
+_TUBE_OUT_LOW = Tube((8.0, 8.0, 14.0), (-1.0, -1.0, 0.0), 2.5, 15.0)
+
+_ORACLE_BASES = {
+    "anisotropic": default_phantom_spec(dims=(48, 40, 30), spacing=(0.9, 1.1, 1.6)),
+    "no-tubes": _desk_spec(n_tubes=0),
+    "no-valve": replace(_desk_spec(), valve_plane=None),
+    "clipped": PhantomSpec(
+        dims=(40, 40, 30),
+        spacing=(1.0, 1.0, 1.0),
+        semi_axes_mm=(14.0, 11.0, 9.0),
+        tubes=(_TUBE_OUT_HIGH, _TUBE_BELOW, _TUBE_OUT_LOW),
+        valve_plane=((0.1, 0.0, 1.0), 9.0),
+        allow_clip=True,
+    ),
+    "one-slab": _desk_spec(),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_ORACLE_BASES))
+def test_voxelize_and_draw_equal_the_whole_grid_oracles(name, seed):
+    spec = _jittered_spec(_ORACLE_BASES[name], seed, CohortVariation())
+    bits = _voxelize(spec)
+    expected = full_grid_voxelize(spec)
+    assert bits.any()
+    assert bits.tobytes() == expected.tobytes()
+    volume, mask = _draw(spec, bits)
+    want, _ = one_shot_draw(spec, expected)
+    assert volume.data.tobytes() == want.data.tobytes()
+    assert mask.bits.tobytes() == expected.tobytes()
+
+
+def test_slab_draw_with_a_remainder_equals_the_one_shot_draw(monkeypatch):
+    spec = _jittered_spec(_ORACLE_BASES["anisotropic"], 3, CohortVariation())
+    ny, nz = spec.dims[1:]
+    # 5 x-rows per slab over 48 rows: nine full slabs and one of 3 rows
+    monkeypatch.setattr(phantom, "_SLAB_VOXELS", 5 * ny * nz + ny)
+    bits = _voxelize(spec)
+    volume, _ = _draw(spec, bits)
+    want, _ = one_shot_draw(spec, bits)
+    assert volume.data.tobytes() == want.data.tobytes()
+    assert volume.data.flags.f_contiguous
+
+
+def test_cohort_member_memory_is_bounded_by_the_scan():
+    # the float32 scan and the mask span the grid; the noise slab and the
+    # voxelization stay smaller than the grid
+    base = default_phantom_spec(dims=(256, 256, 64), spacing=(1.0, 1.0, 1.0))
+    nvox = 256 * 256 * 64
+    assert nvox > phantom._SLAB_VOXELS
+    tracemalloc.start()
+    try:
+        cohort_member(base, 7, "high")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * nvox
