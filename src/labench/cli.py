@@ -214,8 +214,6 @@ def _index_dir(directory: Path, labels: bool = True) -> dict[str, Path]:
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
-    # the workers fork from this process: one import here serves them all
-    import scipy.ndimage  # noqa: F401
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
@@ -269,6 +267,9 @@ def cmd_evaluate(args) -> int:
         rows = [(cid, *(getattr(c, col) for col in columns)) for cid, c in sorted(cases.items())]
         _write_table(args.out, ("case_id", *columns), rows, args.format)
 
+    if args.jobs > 1:
+        # the workers fork from this process: one import here serves them all
+        import scipy.ndimage  # noqa: F401
     return _run_paired("case", _evaluate_one, preds, truths, args.jobs, write)
 
 

@@ -14,6 +14,8 @@ and the slab draw of :mod:`labench.phantom` must equal bit for bit, and
 ``full_grid_largest_component``, ``full_grid_dilate`` and ``full_grid_erode``
 are the post-processing operators over the whole grid, which the boxed
 operators of :mod:`labench.postprocess` must equal.
+``scipy_foreground_region`` is ``quality.foreground_region`` as it was with
+scipy's ``binary_dilation``, which the numpy shifts must equal.
 ``per_tile_clahe`` is CLAHE with one histogram and one mapping per tile in a
 loop, which the one-``bincount``-per-slice ``clahe_slicewise`` must equal bit
 for bit, and ``whole_grid_downsample`` the block means over the whole grid
@@ -26,7 +28,8 @@ from dataclasses import replace
 import numpy as np
 from scipy import integrate, ndimage
 
-from labench.grids import CROSS6, CUBE26, Mask, Volume, axis_index
+from labench.errors import EmptyMask
+from labench.grids import CROSS6, CUBE26, Box, Mask, Volume, axis_index, bbox
 from labench.metrics import CaseMetrics
 from labench.phantom import (
     DEFAULT_TIER_FRACTIONS,
@@ -203,6 +206,21 @@ def full_grid_assess_quality(scan: Volume, la: Mask, margin: int) -> QualityRepo
     return QualityReport(
         snr=snr, cr=mu_fg / mu_bg, het=float(fg.std()) / mu_fg, band=quality_band(snr)
     )
+
+
+def scipy_foreground_region(bits: np.ndarray, margin: int) -> tuple[Box, np.ndarray]:
+    """The box of ``bits`` grown by ``margin`` voxels and, inside it, ``bits``
+    dilated ``margin`` times by the 6-connected cross: the quality foreground.
+    The dilation cannot reach past the box, so it equals the full-grid one."""
+    if margin < 0:
+        raise ValueError(f"margin must be non-negative, got {margin}")
+    box = bbox(bits, pad=margin)
+    if box is None:
+        raise EmptyMask("quality assessment needs a non-empty cavity mask")
+    region = bits[box]
+    if margin > 0:
+        region = ndimage.binary_dilation(region, structure=CROSS6, iterations=margin)
+    return box, region
 
 
 def full_grid_voxelize(spec: PhantomSpec) -> np.ndarray:

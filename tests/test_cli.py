@@ -186,7 +186,8 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_does_not_load_scipy_stats():
     # scipy is imported inside the functions that call it, so a CLI start loads
-    # none of it (scipy.ndimage or scipy.special alone adds 0.15-0.35 s)
+    # none of it (scipy.ndimage or scipy.special alone adds 0.15-0.35 s); synth
+    # and quality never call it, evaluate, pipeline, postprocess and rank do
     code = "import labench.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
@@ -205,6 +206,48 @@ def test_preprocess_intensity_commands_load_no_scipy_ndimage(tmp_path, option):
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
     assert out.is_file()
+
+
+def _two_quality_cases(directory):
+    bits = _blob()
+    for i in range(2):
+        data = np.where(bits, 300.0 + 50 * i, 100.0).astype(np.float32)
+        _write_pair(directory, f"s{i}", bits, scan=data)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["synth", "quality"])
+def test_synth_and_quality_load_no_scipy(tmp_path, command, jobs):
+    if command == "synth":
+        argv = ["synth", "--out-dir", str(tmp_path / "out"), "--count", "2", "--dims", "40,40,28",
+                "--spacing", "1.0"]
+    else:
+        _two_quality_cases(tmp_path / "cases")
+        cases = str(tmp_path / "cases")
+        argv = ["quality", "--scans", cases, "--masks", cases, "--out", str(tmp_path / "q.csv")]
+    code = (
+        "import sys, labench.cli\n"
+        f"assert labench.cli.main({[*argv, '--jobs', jobs]!r}) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_evaluate_pool_imports_scipy_before_forking(tmp_path):
+    # two workers fork from the parent, so the parent loads scipy.ndimage once
+    for i in range(2):
+        _write_pair(tmp_path / "masks", f"c{i}", _blob())
+    masks = str(tmp_path / "masks")
+    argv = ["evaluate", masks, masks, "--out", str(tmp_path / "e.csv"), "--jobs", "2"]
+    code = (
+        "import sys, labench.cli\n"
+        f"assert labench.cli.main({argv!r}) == 0\n"
+        "assert 'scipy.ndimage' in sys.modules"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
 
 
 # --- evaluate --------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 ``evaluate_case`` and ``assess_quality`` confine their work to the
 foreground box; every value they return must equal, bit for bit, the one
-the full-grid code in ``tests/oracles.py`` computes. Surface distances run
-the feature transform on the box where the two masks meet and measure the
-surface voxels outside it pair by pair; the tests force that split, by
-making pairs free in the cost guard, wherever the box is smaller than the
-union box.
+the full-grid code in ``tests/oracles.py`` computes, and the quality
+foreground's numpy dilation must equal scipy's, box and region. Surface
+distances run the feature transform on the box where the two masks meet
+and measure the surface voxels outside it pair by pair; the tests force
+that split, by making pairs free in the cost guard, wherever the box is
+smaller than the union box.
 """
 
 import math
@@ -20,8 +21,8 @@ from labench import metrics
 from labench.grids import Mask, Volume
 from labench.metrics import evaluate_case
 from labench.phantom import default_phantom_spec, generate
-from labench.quality import assess_quality
-from oracles import full_grid_assess_quality, full_grid_evaluate_case
+from labench.quality import assess_quality, foreground_region
+from oracles import full_grid_assess_quality, full_grid_evaluate_case, scipy_foreground_region
 
 DIMS = (64, 60, 40)
 SPACING = (1.0, 1.1, 1.25)
@@ -125,6 +126,55 @@ def test_assess_quality_equals_full_grid(quality_case, margin):
     scan, truth, pred = quality_case
     for la in (truth, pred):
         assert assess_quality(scan, la, margin) == full_grid_assess_quality(scan, la, margin)
+
+
+def _assert_foreground_equal(bits, margin):
+    box, region = foreground_region(bits, margin)
+    want_box, want_region = scipy_foreground_region(bits, margin)
+    assert box == want_box
+    assert region.shape == want_region.shape
+    assert np.array_equal(region, want_region)
+    if margin > 0:
+        assert not np.shares_memory(region, bits)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("margin", range(5))
+def test_foreground_region_equals_scipy_on_random_masks(order, margin):
+    rng = np.random.default_rng(1000 + margin)
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 14, size=3))
+        bits = np.asarray(rng.random(shape) < rng.uniform(0.02, 0.3), order=order)
+        if bits.any():
+            _assert_foreground_equal(bits, margin)
+
+
+@pytest.mark.parametrize("margin", [1, 2, 4])
+@pytest.mark.parametrize("face", range(6))
+def test_foreground_region_equals_scipy_on_islands_at_each_face(face, margin):
+    # an island flush with one grid face, so the grown box is clipped there
+    bits = np.zeros((11, 9, 7), dtype=bool)
+    axis, end = divmod(face, 2)
+    at = [slice(3, 6), slice(3, 6), slice(2, 5)]
+    at[axis] = slice(0, 2) if end == 0 else slice(bits.shape[axis] - 2, None)
+    bits[tuple(at)] = True
+    bits[tuple(s.start for s in at)] = False  # not a plain cuboid
+    box, _ = foreground_region(bits, margin)
+    assert (box[axis].start == 0) if end == 0 else (box[axis].stop == bits.shape[axis])
+    _assert_foreground_equal(bits, margin)
+
+
+@pytest.mark.parametrize("margin", range(5))
+def test_foreground_region_equals_scipy_on_thin_grids(margin):
+    _assert_foreground_equal(np.ones((1, 1, 1), dtype=bool), margin)
+    for axis in range(3):
+        shape = [9, 8, 7]
+        shape[axis] = 1
+        slab = np.zeros(shape, dtype=bool)
+        slab[tuple(n // 2 for n in shape)] = True
+        slab[tuple(n - 1 for n in shape)] = True
+        _assert_foreground_equal(slab, margin)
+        _assert_foreground_equal(np.asfortranarray(slab), margin)
 
 
 @pytest.fixture

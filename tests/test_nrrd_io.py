@@ -317,6 +317,19 @@ def test_raw_read_holds_one_copy_of_the_payload(tmp_path, rng):
     assert peak < 1.2 * path.stat().st_size
 
 
+def test_c_ordered_mask_write_copies_the_grid_once(tmp_path, rng):
+    bits = rng.random((128, 128, 64)) < 0.3
+    path = tmp_path / "m.nrrd"
+    tracemalloc.start()
+    try:
+        write_nrrd(Mask(bits), path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bits.size
+    assert np.array_equal(read_nrrd(path, as_mask=True).bits, bits)
+
+
 def test_gzip_output_is_byte_stable(tmp_path, rng):
     data = rng.integers(0, 255, size=(6, 6, 6)).astype(np.uint8)
     v = Volume(data)
