@@ -12,7 +12,7 @@ desk-scale verification (:mod:`phantom`). The ``labench`` executable in
 
 from .errors import LabenchError
 from .grids import Mask, Volume, VoxelIndex, downsample
-from .metrics import CaseMetrics, dice, dice_profile_z, evaluate_case
+from .metrics import CaseMetrics, dice, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
 from .phantom import CohortVariation, PhantomSpec, Tube, default_phantom_spec, generate, generate_cohort
 from .pipeline import crop, localize_oracle, localize_threshold, offset_sweep, patch_size_sweep, run_pipeline

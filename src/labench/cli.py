@@ -25,6 +25,18 @@ byte-identical files regardless of ``--jobs``.
 
 A mask input must hold only 0 and 1; ``read_nrrd(as_mask=True)`` raises
 NotBinaryMask for any other value.
+
+Process exit: the executable (``python -m labench.cli`` and the
+``labench`` script) is :func:`run`. When :func:`main` returns, it
+flushes stdout and stderr and ends the process with ``os._exit``, which
+skips the interpreter's teardown: freeing every module and object, about
+0.1 s in a process that loaded scipy. Nothing is lost, because by then
+every file written is closed (each write is a ``with open(...)`` block
+or ``Path.write_text``), every ``--jobs`` pool has joined its workers
+(the ``with ProcessPoolExecutor`` block), and labench registers no
+``atexit`` handler. A ``SystemExit`` or an exception from :func:`main`
+exits through the interpreter as usual. In-process callers use
+:func:`main`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -114,6 +126,22 @@ def _parse_ints(text: str, n: int, name: str) -> tuple[int, ...]:
     if len(values) != n:
         raise SystemExit(_fail(f"{name} needs {n} comma-separated integers, got {text!r}"))
     return values
+
+
+def _parse_floats(text: str, name: str, minimum: float = -math.inf) -> tuple[float, ...]:
+    """The comma-separated numbers of option ``name``; ValueError naming the
+    first entry that is not a finite number >= ``minimum``."""
+    values = []
+    for part in text.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan  # fails the check below like inf does
+        if not (math.isfinite(value) and value >= minimum):
+            bound = f" >= {minimum:g}" if minimum > -math.inf else ""
+            raise ValueError(f"{name} entry {part!r} is not a finite number{bound}")
+        values.append(value)
+    return tuple(values)
 
 
 def _fail(message: str) -> int:
@@ -544,21 +572,8 @@ def cmd_pipeline(args) -> int:
 # --- experiment --------------------------------------------------------------------
 
 
-def _parse_offsets(text: str) -> list[float]:
-    offsets = []
-    for part in text.split(","):
-        try:
-            value = float(part)
-        except ValueError:
-            value = math.nan  # fails the check below like inf does
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"--offsets entry {part!r} is not a finite number >= 0")
-        offsets.append(value)
-    return offsets
-
-
 def cmd_experiment_offset(args) -> int:
-    offsets = _parse_offsets(args.offsets)
+    offsets = _parse_floats(args.offsets, "--offsets", minimum=0.0)
     roi = _parse_ints(args.roi, 3, "--roi")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
@@ -597,13 +612,13 @@ def cmd_synth(args) -> int:
     dims = _parse_ints(args.dims, 3, "--dims")
     if min(dims) < 1:
         raise SystemExit(_fail(f"--dims entries must be >= 1, got {args.dims!r}"))
-    spacing = tuple(float(s) for s in args.spacing.split(","))
+    spacing = _parse_floats(args.spacing, "--spacing")
     if len(spacing) == 1:
         spacing = spacing * 3
     if len(spacing) != 3:
         raise SystemExit(_fail(f"--spacing needs 1 or 3 comma-separated numbers, got {args.spacing!r}"))
     spacing = checked_spacing(spacing)
-    fractions = tuple(float(f) for f in args.tier_fractions.split(","))
+    fractions = _parse_floats(args.tier_fractions, "--tier-fractions")
     base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
 
     tiers = phantom.cohort_tiers(args.count, fractions)
@@ -739,5 +754,14 @@ def main(argv=None) -> int:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 
+def run() -> None:
+    """The ``labench`` executable: :func:`main` on ``sys.argv``, then end
+    the process at once with its exit code (see "Process exit" above)."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

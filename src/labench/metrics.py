@@ -3,9 +3,8 @@
 :func:`evaluate_case` is the one scorer: it gives every technical and
 biological value of a case (:class:`CaseMetrics`) from one pass over the
 two masks. :func:`dice` alone is kept for the pipeline's report and
-sweeps, and :func:`dice_profile_z` gives the slice-by-slice Dice. The
-module computes values only; :mod:`labench.cli` writes and reads the
-per-case tables.
+sweeps. The module computes values only; :mod:`labench.cli` writes and
+reads the per-case tables.
 
 Overlap scores (Dice, IoU, sensitivity, specificity) and volumes are
 exact voxel counts; boundary distances (Hausdorff, symmetric mean surface
@@ -214,19 +213,3 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
         volume_err_pct=100.0 * abs(volume_pred - volume_true) / volume_true,
     )
 
-
-def dice_profile_z(pred: Mask, truth: Mask) -> list[tuple[int, float | None]]:
-    """Slice-by-slice 2D Dice along z.
-
-    Returns (z, dice) per slice with 0-based z; slices where both masks
-    are empty have no defined value and carry None.
-    """
-    check_same_geometry(pred, truth)
-    inter = np.count_nonzero(pred.bits & truth.bits, axis=(0, 1))
-    np_ = np.count_nonzero(pred.bits, axis=(0, 1))
-    nt = np.count_nonzero(truth.bits, axis=(0, 1))
-    profile: list[tuple[int, float | None]] = []
-    for z in range(pred.dims[2]):
-        denom = int(np_[z] + nt[z])
-        profile.append((z, 2.0 * int(inter[z]) / denom if denom else None))
-    return profile

@@ -256,7 +256,7 @@ def tier_counts(n: int, fractions=DEFAULT_TIER_FRACTIONS) -> tuple[int, int, int
     """Largest-remainder apportionment of n members over the three tiers."""
     if n < 1:
         raise ValueError(f"cohort size must be >= 1, got {n}")
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(
             f"tier fractions must be 3 non-negative values summing to 1, got {fractions!r}"
         )

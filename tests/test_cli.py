@@ -109,6 +109,11 @@ def test_read_shared_option_is_accepted(command, option):
         (["synth", "--spacing", "1,1"], "'1,1'"),
         (["synth", "--spacing", "0"], "NonPositiveSpacing: spacing must be"),
         (["synth", "--spacing", "1,-1,1"], "(1.0, -1.0, 1.0)"),
+        (["synth", "--spacing", "1,abc"], "--spacing entry 'abc' is not a finite number\n"),
+        (
+            ["synth", "--tier-fractions", "0.3,x,0.7"],
+            "--tier-fractions entry 'x' is not a finite number\n",
+        ),
         (["synth", "--dims", "32,32,0"], "--dims entries must be >= 1, got '32,32,0'"),
         (["synth", "--dims", "8,8,4", "--spacing", "0.1"], "GeometryOutOfBounds: phantom geometry"),
         (["preprocess", "{scan}", "--clahe", "8,8"], "'8,8'"),
@@ -139,6 +144,7 @@ def test_read_shared_option_is_accepted(command, option):
     ],
     ids=[
         "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
+        "spacing-text", "tier-fractions-text",
         "dims-zero", "dims-jitter-leaves-grid",
         "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest", "roi",
         "offsets", "offsets-inf-before-read", "offsets-text-before-read",
@@ -165,6 +171,7 @@ def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value)
     err = capsys.readouterr().err
     assert err.startswith("labench: error: ") and value in err
     assert "Traceback" not in err
+    assert err.count("\n") == 1  # one error line
     assert not (tmp_path / "out").exists()
 
 

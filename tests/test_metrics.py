@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from labench.errors import DegenerateTruth, GeometryMismatch
 from labench.grids import Mask
-from labench.metrics import dice, dice_profile_z, evaluate_case, surface_voxels
+from labench.metrics import dice, evaluate_case, surface_voxels
 
 from conftest import mask_from, random_blob_mask
 from oracles import (
@@ -67,7 +67,7 @@ def test_published_mean_pair_consistency():
 def test_geometry_mismatch_raises():
     a = mask_from(np.zeros((4, 4, 4)))
     b = mask_from(np.zeros((4, 4, 5)))
-    for fn in (dice, evaluate_case, dice_profile_z):
+    for fn in (dice, evaluate_case):
         with pytest.raises(GeometryMismatch):
             fn(a, b)
 
@@ -252,26 +252,6 @@ def test_evaluate_case_empty_prediction_has_absent_distances():
     assert c.dice == 0.0
     assert c.hd_mm is None and c.stsd_mm is None
     assert c.diameter_err_pct == 100.0 and c.volume_err_pct == 100.0
-
-
-def test_dice_profile_identity_and_undefined_slices():
-    dims = (10, 10, 88)
-    truth = _cube(dims, (2, 2, 11), (8, 8, 82))  # occupies z in [11, 81]
-    profile = dice_profile_z(truth, truth)
-    assert len(profile) == 88
-    defined = [z for z, v in profile if v is not None]
-    # 1-based slices 12..82 in the paper's counting
-    assert defined == list(range(11, 82))
-    assert all(v == 1.0 for z, v in profile if v is not None)
-
-
-def test_dice_profile_single_slice_disagreement():
-    dims = (6, 6, 4)
-    a = _cube(dims, (0, 0, 1), (4, 1, 2))  # 4 voxels at z=1
-    b = _cube(dims, (2, 0, 1), (6, 1, 2))  # 4 voxels, overlap 2
-    profile = dict(dice_profile_z(a, b))
-    assert profile[1] == pytest.approx(2 * 2 / 8)
-    assert profile[0] is None and profile[2] is None
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -122,6 +122,12 @@ def test_tier_counts_rounding():
         tier_counts(5, (0.5, 0.2, 0.2))
 
 
+def test_tier_counts_rejects_a_nan_fraction():
+    # nan passes a `< 0` test and makes the sum check false
+    with pytest.raises(ValueError, match="tier fractions must be 3 non-negative values"):
+        tier_counts(3, (0.5, float("nan"), 0.5))
+
+
 def test_cohort_single_member_equals_direct_generation():
     base = _desk_spec()
     members = generate_cohort(base, 1, seed=5)
