@@ -26,6 +26,18 @@ byte-identical files regardless of ``--jobs``.
 A mask input must hold only 0 and 1; ``read_nrrd(as_mask=True)`` raises
 NotBinaryMask for any other value.
 
+Imports: each subcommand imports only its own modules. Every call is a
+process of its own, so a module it loads and never runs is start-up time
+paid on each call, and at desk-scale grids start-up is most of a
+command's time. This module loads what every command shares: the
+grids, NRRD I/O, metrics, quality and statistics functions it names at
+module level (``read_nrrd``, ``evaluate_case``, ``assess_quality``,
+``build_leaderboard`` and the rest, looked up at call time so that a
+tracer can wrap them). ``phantom``, ``pipeline``, ``postprocess`` and
+``preprocess`` are imported inside the commands that run them, scipy
+inside the functions that call it, and ``concurrent.futures`` only when
+a ``--jobs`` pool starts. The package ``labench`` itself imports nothing.
+
 Process exit: the executable (``python -m labench.cli`` and the
 ``labench`` script) is :func:`run`. When :func:`main` returns, it
 flushes stdout and stderr and ends the process with ``os._exit``, which
@@ -42,7 +54,6 @@ exits through the interpreter as usual. In-process callers use
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import json
@@ -52,9 +63,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import phantom, pipeline, postprocess, preprocess
 from .errors import DegeneratePartition, DegenerateSample, LabenchError, MalformedCsv
-from .grids import check_same_geometry, checked_spacing, downsample
+from .grids import DEFAULT_ROI_SIZE, check_same_geometry, checked_spacing, downsample
 from .metrics import CaseMetrics, dice, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
 from .quality import assess_quality, quality_distribution
@@ -163,6 +173,13 @@ def _require_file(path: str, name: str) -> Path:
     return p
 
 
+def _require_out_dir(path: str, name: str) -> None:
+    """Exit 1 unless the directory that output ``path`` goes into exists.
+    Commands call it with their input checks, so a run is not thrown away
+    at its last step."""
+    _require_dir(str(Path(path).parent), f"{name} {path!r}:")
+
+
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
@@ -242,6 +259,8 @@ def _index_dir(directory: Path, labels: bool = True) -> dict[str, Path]:
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
@@ -286,6 +305,7 @@ def _evaluate_one(task):
 def cmd_evaluate(args) -> int:
     preds = _index_dir(_require_dir(args.pred_dir, "prediction directory"))
     truths = _index_dir(_require_dir(args.truth_dir, "truth directory"))
+    _require_out_dir(args.out, "--out")
 
     def write(cases):
         if args.format == "json":
@@ -434,6 +454,7 @@ def cmd_quality(args) -> int:
         return _fail(f"--margin must be non-negative, got {args.margin}")
     scans = _index_dir(_require_dir(args.scans, "scan directory"), labels=False)
     masks = _index_dir(_require_dir(args.masks, "mask directory"))
+    _require_out_dir(args.out, "--out")
 
     def write(reports):
         rows = [(sid, r.snr, r.cr, r.het, r.band) for sid, r in sorted(reports.items())]
@@ -450,6 +471,8 @@ def cmd_quality(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    from . import preprocess
+
     if args.mask_out and not args.mask:
         return _fail("--mask-out needs --mask")
     if args.mask and args.downsample:
@@ -460,6 +483,9 @@ def cmd_preprocess(args) -> int:
         clahe = (int(tx), int(ty)), float(clip)
     except ValueError:
         return _fail(f"--clahe needs tiles and a clip limit, e.g. 8,8,3.0, got {args.clahe!r}")
+    _require_out_dir(args.out, "--out")
+    if args.mask_out:
+        _require_out_dir(args.mask_out, "--mask-out")
     volume = read_nrrd(_require_file(args.input, "input volume"), as_mask=False)
     mask = None
     if args.mask:
@@ -488,6 +514,8 @@ def cmd_preprocess(args) -> int:
 
 
 def _parse_op(text: str):
+    from . import postprocess
+
     parts = text.split(":")
     name = parts[0]
     try:
@@ -519,6 +547,7 @@ def _parse_op(text: str):
 
 def cmd_postprocess(args) -> int:
     ops = [_parse_op(text) for text in args.ops]
+    _require_out_dir(args.out, "--out")
     mask = read_nrrd(_require_file(args.input, "input mask"), as_mask=True)
     for op in ops:
         mask = op(mask)
@@ -530,6 +559,8 @@ def cmd_postprocess(args) -> int:
 
 
 def _build_segmenter(args, scan, truth):
+    from . import pipeline
+
     if args.segmenter == "oracle":
         if truth is None:
             raise SystemExit(_fail("--segmenter oracle needs --truth"))
@@ -546,6 +577,8 @@ def _build_segmenter(args, scan, truth):
 
 def _center(args, scan, truth):
     """The crop center that ``--localizer`` names."""
+    from . import pipeline
+
     if args.localizer == "oracle":
         if truth is None:
             raise SystemExit(_fail("--localizer oracle needs --truth"))
@@ -556,6 +589,9 @@ def _center(args, scan, truth):
 
 
 def cmd_pipeline(args) -> int:
+    from . import pipeline
+
+    _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True) if args.truth else None
     if truth is not None:
@@ -573,8 +609,11 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_experiment_offset(args) -> int:
+    from . import pipeline
+
     offsets = _parse_floats(args.offsets, "--offsets", minimum=0.0)
     roi = _parse_ints(args.roi, 3, "--roi")
+    _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
     segmenter = _build_segmenter(args, scan, truth)
@@ -584,6 +623,9 @@ def cmd_experiment_offset(args) -> int:
 
 
 def cmd_experiment_patch_size(args) -> int:
+    from . import pipeline
+
+    _require_out_dir(args.out, "--out")
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
     sizes = [_parse_ints(s, 2, "--sizes entry") for s in args.sizes.split(",")]
     rows = pipeline.patch_size_sweep(truth, sizes, z_extent=args.z_extent)
@@ -600,6 +642,8 @@ def cmd_experiment_patch_size(args) -> int:
 
 
 def _synth_one(task):
+    from . import phantom
+
     base, i, tier, seed, out_dir, encoding, digits = task
     volume, mask = phantom.cohort_member(base, seed + i, tier)
     case_id = f"case_{i:0{digits}d}"
@@ -609,6 +653,8 @@ def _synth_one(task):
 
 
 def cmd_synth(args) -> int:
+    from . import phantom
+
     dims = _parse_ints(args.dims, 3, "--dims")
     if min(dims) < 1:
         raise SystemExit(_fail(f"--dims entries must be >= 1, got {args.dims!r}"))
@@ -642,7 +688,7 @@ def cmd_synth(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="labench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    roi_default = ",".join(map(str, pipeline.DEFAULT_ROI_SIZE))
+    roi_default = ",".join(map(str, DEFAULT_ROI_SIZE))
     roi_help = f"ROI size in voxels; the default {roi_default} covers 150x100x60 mm at 0.625 mm"
 
     p = sub.add_parser("evaluate", parents=[], help="score prediction masks against truths")
@@ -722,7 +768,7 @@ def _build_parser() -> _Parser:
     pp = exp_sub.add_parser("patch-size", help="background share vs patch size")
     pp.add_argument("--truth", required=True)
     pp.add_argument("--sizes", default="400x400,360x360,320x320,280x280,240x160")
-    pp.add_argument("--z-extent", type=int, default=pipeline.DEFAULT_ROI_SIZE[2])
+    pp.add_argument("--z-extent", type=int, default=DEFAULT_ROI_SIZE[2])
     pp.add_argument("--out", required=True)
     _add_options(pp, "format")
     pp.set_defaults(func=cmd_experiment_patch_size)

@@ -23,6 +23,11 @@ CUBE26 = np.ones((3, 3, 3), dtype=bool)
 
 AXES = {"x": 0, "y": 1, "z": 2}
 
+# the pipeline's crop: the winning challenge pipelines' 240x160x96 voxels,
+# 150x100x60 mm at 0.625 mm. It lives here so the CLI parser can show it
+# without importing the pipeline.
+DEFAULT_ROI_SIZE = (240, 160, 96)
+
 _SLAB_VOXELS = 1 << 21  # voxels per float64 slab in downsample
 
 INTENSITY_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.float32))

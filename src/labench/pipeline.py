@@ -24,11 +24,18 @@ import numpy as np
 
 from . import grids
 from .errors import EmptyMask, NoForeground
-from .grids import Box, Grid, Mask, Volume, VoxelIndex, axis_index, check_same_geometry
+from .grids import (
+    DEFAULT_ROI_SIZE,
+    Box,
+    Grid,
+    Mask,
+    Volume,
+    VoxelIndex,
+    axis_index,
+    check_same_geometry,
+)
 from .metrics import dice
 from .postprocess import StructuringElement, close_mask, largest_component
-
-DEFAULT_ROI_SIZE = (240, 160, 96)
 
 
 def crop(grid: Grid, center: VoxelIndex, size: tuple[int, int, int]) -> tuple[Grid | None, Box]:

@@ -141,6 +141,45 @@ def test_read_shared_option_is_accepted(command, option):
             ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--offsets", "0,abc"],
             "--offsets entry 'abc' is not a finite number >= 0",
         ),
+        # an output whose directory is missing is named before any input is
+        # read: {corrupt} would fail the read, and evaluate and quality would
+        # otherwise score every case first
+        (
+            ["evaluate", "{dir}", "{dir}", "--out", "{nodir}/e.csv"],
+            "--out '{nodir}/e.csv': '{nodir}' is not a directory",
+        ),
+        (
+            ["evaluate", "{dir}", "{dir}", "--out", "{mask}/e.csv"],
+            "--out '{mask}/e.csv': '{mask}' is not a directory",
+        ),
+        (
+            ["quality", "--scans", "{dir}", "--masks", "{dir}", "--out", "{nodir}/q.csv"],
+            "--out '{nodir}/q.csv': '{nodir}' is not a directory",
+        ),
+        (
+            ["experiment", "offset", "--scan", "{corrupt}", "--truth", "{corrupt}", "--out", "{nodir}/o.csv"],
+            "--out '{nodir}/o.csv': '{nodir}' is not a directory",
+        ),
+        (
+            ["experiment", "patch-size", "--truth", "{corrupt}", "--out", "{nodir}/p.csv"],
+            "--out '{nodir}/p.csv': '{nodir}' is not a directory",
+        ),
+        (
+            ["preprocess", "{corrupt}", "--clahe", "2,2,3.0", "--out", "{nodir}/v.nrrd"],
+            "--out '{nodir}/v.nrrd': '{nodir}' is not a directory",
+        ),
+        (
+            ["preprocess", "{corrupt}", "--mask", "{corrupt}", "--mask-out", "{nodir}/m.nrrd"],
+            "--mask-out '{nodir}/m.nrrd': '{nodir}' is not a directory",
+        ),
+        (
+            ["postprocess", "{corrupt}", "--ops", "largest", "--out", "{nodir}/m.nrrd"],
+            "--out '{nodir}/m.nrrd': '{nodir}' is not a directory",
+        ),
+        (
+            ["pipeline", "--scan", "{corrupt}", "--out", "{nodir}/m.nrrd"],
+            "--out '{nodir}/m.nrrd': '{nodir}' is not a directory",
+        ),
     ],
     ids=[
         "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
@@ -148,22 +187,31 @@ def test_read_shared_option_is_accepted(command, option):
         "dims-zero", "dims-jitter-leaves-grid",
         "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest", "roi",
         "offsets", "offsets-inf-before-read", "offsets-text-before-read",
+        "evaluate-out", "evaluate-out-under-file", "quality-out", "offset-out", "patch-size-out",
+        "preprocess-out", "preprocess-mask-out", "postprocess-out", "pipeline-out",
     ],
 )
 def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):
     _write_pair(tmp_path, "c", _blob(), scan=np.where(_blob(), 600.0, 200.0).astype(np.float32))
     # a malformed value is named before the input is read, so a missing input goes unseen
+    (tmp_path / "corrupt.nrrd").write_bytes(b"NRRD0004\ntype: unsigned char\n")  # truncated
     paths = {
+        "dir": tmp_path,
         "scan": tmp_path / "c.nrrd",
         "mask": tmp_path / "c_label.nrrd",
         "missing": tmp_path / "none.nrrd",
+        "corrupt": tmp_path / "corrupt.nrrd",
+        "nodir": tmp_path / "nodir",
     }
     argv = [a.format(**paths) for a in argv]
+    value = value.format(**paths)
     out = "--out-dir" if argv[0] == "synth" else "--out"
+    if out not in argv:
+        argv += [out, str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = main(argv + [out, str(tmp_path / "out")])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code == 1
@@ -173,6 +221,7 @@ def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value)
     assert "Traceback" not in err
     assert err.count("\n") == 1  # one error line
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "nodir").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])
@@ -252,6 +301,77 @@ def test_evaluate_pool_imports_scipy_before_forking(tmp_path):
         "import sys, labench.cli\n"
         f"assert labench.cli.main({argv!r}) == 0\n"
         "assert 'scipy.ndimage' in sys.modules"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+# every command loads the CLI and what the tracer in perfbench/launch.py wraps on it
+_CLI_MODULES = {
+    "labench", "labench.cli", "labench.errors", "labench.grids", "labench.metrics",
+    "labench.nrrd_io", "labench.quality", "labench.stats",
+}
+
+
+def _import_set_argv(command, tmp_path):
+    """An argv that runs ``command`` to exit 0 on small inputs under ``tmp_path``."""
+    cases = tmp_path / "cases"
+    _two_quality_cases(cases)
+    scan, mask = str(cases / "s1.nrrd"), str(cases / "s1_label.nrrd")
+    if command == "rank":
+        for team, dices in (("alpha", (0.95, 0.93)), ("beta", (0.85, 0.86))):
+            rows = "".join(f"c{i},{d},{d / (2 - d)},0.9,0.99,8.0,1.0\n" for i, d in enumerate(dices))
+            (tmp_path / f"{team}.csv").write_text(_METRICS_HEADER + rows)
+        teams = [str(tmp_path / "alpha.csv"), str(tmp_path / "beta.csv")]
+        return ["rank", "--metrics", *teams, "--out-dir", str(tmp_path / "board")]
+    out = str(tmp_path / "out")
+    return {
+        "evaluate": ["evaluate", str(cases), str(cases), "--out", out, "--jobs", "1"],
+        "quality": ["quality", "--scans", str(cases), "--masks", str(cases), "--out", out, "--jobs", "1"],
+        "preprocess": ["preprocess", scan, "--clahe", "2,2,3.0", "--out", out],
+        "postprocess": ["postprocess", mask, "--ops", "largest", "--out", out],
+        "pipeline": ["pipeline", "--scan", scan, "--roi", "16,16,8", "--out", out],
+        "synth": ["synth", "--out-dir", out, "--count", "2", "--dims", "40,40,28", "--spacing", "1.0",
+                  "--jobs", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, own, pool_free",
+    [
+        ("evaluate", (), False),  # scipy.ndimage loads concurrent.futures itself
+        ("quality", (), True),
+        ("rank", (), False),  # so does scipy.special
+        ("preprocess", ("preprocess",), True),
+        ("postprocess", ("postprocess",), False),
+        ("pipeline", ("pipeline", "postprocess"), False),
+        ("synth", ("phantom",), True),
+    ],
+    ids=["evaluate", "quality", "rank", "preprocess", "postprocess", "pipeline", "synth"],
+)
+def test_each_command_imports_only_its_own_modules(tmp_path, command, own, pool_free):
+    # a command is one process, so every module it loads and never runs is
+    # start-up time on each call; without a pool there is no concurrent.futures
+    argv = _import_set_argv(command, tmp_path)
+    want = sorted(_CLI_MODULES | {f"labench.{m}" for m in own})
+    code = (
+        "import sys, labench.cli\n"
+        f"assert labench.cli.main({argv!r}) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'labench')\n"
+        f"assert loaded == {want!r}, loaded\n"
+    )
+    if pool_free:
+        code += "assert 'concurrent.futures' not in sys.modules\n"
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_import_loads_no_module():
+    code = (
+        "import sys, labench\n"
+        "loaded = [m for m in sys.modules if m.startswith('labench.') or m == 'numpy']\n"
+        "assert not loaded, loaded\n"
+        "assert labench.__version__"
     )
     result = _run_python(code)
     assert result.returncode == 0, result.stderr

@@ -2,12 +2,13 @@
 
 ``evaluate_case`` and ``assess_quality`` confine their work to the
 foreground box; every value they return must equal, bit for bit, the one
-the full-grid code in ``tests/oracles.py`` computes, and the quality
-foreground's numpy dilation must equal scipy's, box and region. Surface
-distances run the feature transform on the box where the two masks meet
-and measure the surface voxels outside it pair by pair; the tests force
-that split, by making pairs free in the cost guard, wherever the box is
-smaller than the union box.
+the full-grid code in ``tests/oracles.py`` computes, except the quality
+SNR and CR, which sum the background in another order and must agree to
+1e-12 relative. The quality foreground's numpy dilation must equal
+scipy's, box and region. Surface distances run the feature transform on
+the box where the two masks meet and measure the surface voxels outside
+it pair by pair; the tests force that split, by making pairs free in the
+cost guard, wherever the box is smaller than the union box.
 """
 
 import math
@@ -18,6 +19,7 @@ from scipy import ndimage
 
 from conftest import random_blob_mask
 from labench import metrics
+from labench.errors import EmptyBackground
 from labench.grids import Mask, Volume
 from labench.metrics import evaluate_case
 from labench.phantom import default_phantom_spec, generate
@@ -121,11 +123,51 @@ def test_evaluate_case_equals_full_grid(case, axis):
         assert evaluate_case(p, truth, axis) == full_grid_evaluate_case(p, truth, axis)
 
 
+def _assert_quality_equal(scan, la, margin):
+    # the background is summed in memory order, plane by plane, so SNR and
+    # CR may differ from the C-order gather in the last bits; HET and the
+    # band may not
+    for order in ("C", "F"):
+        ordered = Volume(np.asarray(scan.data, order=order), scan.spacing)
+        got = assess_quality(ordered, la, margin)
+        want = full_grid_assess_quality(ordered, la, margin)
+        assert got.het == want.het
+        assert got.band == want.band
+        assert got.snr == pytest.approx(want.snr, rel=1e-12)
+        assert got.cr == pytest.approx(want.cr, rel=1e-12)
+
+
 @pytest.mark.parametrize("margin", [0, 1, 3])
 def test_assess_quality_equals_full_grid(quality_case, margin):
     scan, truth, pred = quality_case
     for la in (truth, pred):
-        assert assess_quality(scan, la, margin) == full_grid_assess_quality(scan, la, margin)
+        _assert_quality_equal(scan, la, margin)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 3])
+def test_assess_quality_equals_full_grid_with_box_flush_with_the_frame(margin):
+    # the foreground box (mask box grown by margin) starts on the interior's
+    # low x face and ends on its high z face; a second island's box runs
+    # past the interior on the high y face
+    bits = np.zeros(DIMS, dtype=bool)
+    bits[2 * margin : 2 * margin + 9, 12:30, DIMS[2] - 2 * margin - 10 : DIMS[2] - 2 * margin] = True
+    bits[30:40, -3:, 5:12] = True
+    rng = np.random.default_rng(11)
+    data = rng.normal(200.0, 50.0, size=DIMS)
+    data[bits] = rng.normal(700.0, 60.0, size=int(bits.sum()))
+    _assert_quality_equal(Volume(data.astype(np.float32), SPACING), Mask(bits, SPACING), margin)
+
+
+def test_assess_quality_without_interior_has_no_background(quality_case):
+    # a frame of 20 voxels leaves no interior on the 40-voxel z axis
+    scan, truth, pred = quality_case
+    for order in ("C", "F"):
+        ordered = Volume(np.asarray(scan.data, order=order), scan.spacing)
+        for la in (truth, pred):
+            with pytest.raises(EmptyBackground):
+                assess_quality(ordered, la, 20)
+            with pytest.warns(RuntimeWarning):  # numpy's mean of no values
+                assert math.isnan(full_grid_assess_quality(ordered, la, 20).snr)
 
 
 def _assert_foreground_equal(bits, margin):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from labench.errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
 from labench.grids import Mask, Volume
+from labench.nrrd_io import read_nrrd, write_nrrd
 from labench.quality import QualityReport, assess_quality, quality_band, quality_distribution
 
 
@@ -139,6 +142,29 @@ def test_empty_mask_and_empty_background():
     single[1, 1, 1] = True
     with pytest.raises(EmptyBackground):  # the edge exclusion takes the whole grid
         assess_quality(Volume(data), Mask(single), margin=2)
+
+
+def test_assess_quality_memory_is_bounded_by_the_plane(tmp_path):
+    # the background is summed one float64 plane at a time, so beside the
+    # foreground box nothing grid-sized is made: 1.0 bytes per grid voxel
+    # at 128x128x64, where a grid-sized mask, gather and float64 copy took
+    # 13.8
+    dims = (128, 128, 64)
+    bits = np.zeros(dims, dtype=bool)
+    bits[40:80, 50:90, 20:45] = True
+    data = np.random.default_rng(5).normal(100.0, 20.0, size=dims).astype(np.float32)
+    data[bits] += 300.0
+    write_nrrd(Volume(data), tmp_path / "scan.nrrd")
+    scan = read_nrrd(tmp_path / "scan.nrrd", as_mask=False)
+    assert scan.data.flags.f_contiguous  # x-fastest, as read
+    la = Mask(bits)
+    tracemalloc.start()
+    try:
+        assess_quality(scan, la)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bits.size
 
 
 def test_quality_distribution():
