@@ -63,7 +63,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import DegeneratePartition, DegenerateSample, LabenchError, MalformedCsv
+from .errors import DegeneratePartition, LabenchError, MalformedCsv
 from .grids import DEFAULT_ROI_SIZE, check_same_geometry, checked_spacing, downsample
 from .metrics import CaseMetrics, dice, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
@@ -174,9 +174,11 @@ def _require_file(path: str, name: str) -> Path:
 
 
 def _require_out_dir(path: str, name: str) -> None:
-    """Exit 1 unless the directory that output ``path`` goes into exists.
-    Commands call it with their input checks, so a run is not thrown away
-    at its last step."""
+    """Exit 1 unless the directory that output ``path`` goes into exists and
+    ``path`` is not itself a directory. Commands call it with their input
+    checks, so a run is not thrown away at its last step."""
+    if Path(path).is_dir():
+        raise SystemExit(_fail(f"{name} {path!r} is a directory"))
     _require_dir(str(Path(path).parent), f"{name} {path!r}:")
 
 
@@ -346,6 +348,11 @@ def cmd_rank(args) -> int:
 
     if not args.metrics:
         raise SystemExit(_fail("rank needs --metrics files or --summary"))
+    stems = [Path(p).stem for p in args.metrics]
+    for i, team_id in enumerate(stems):
+        if team_id in stems[:i]:
+            first = args.metrics[stems.index(team_id)]
+            return _fail(f"team id {team_id!r} names two metrics files: {first!r} and {args.metrics[i]!r}")
     attr_map: dict[str, dict[str, str]] = {}
     if args.attributes:
         attr_map = _read_attributes(_require_file(args.attributes, "attributes"))
@@ -435,7 +442,7 @@ def _quality_dice_correlation(teams, snr_by_case: dict[str, float]):
     snr = [snr_by_case[cid] for cid in case_ids]
     try:
         r = correlate(snr, mean_dice)
-    except (DegenerateSample, LabenchError):
+    except LabenchError:
         return None
     return {"against": "snr", "metric": "mean dice", "pearson_r": r, "n": len(case_ids)}
 

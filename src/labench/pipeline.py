@@ -150,11 +150,8 @@ class ThresholdSegmenter:
             threshold = otsu_threshold(data)
         except NoForeground:
             return Mask(np.zeros(patch.dims, dtype=bool), patch.spacing)
-        mask = Mask(data > threshold, patch.spacing)
-        mask = largest_component(mask, connectivity=26)
-        if not mask.is_empty:
-            mask = close_mask(mask, StructuringElement("cross", 1))
-        return mask
+        mask = largest_component(Mask(data > threshold, patch.spacing), connectivity=26)
+        return close_mask(mask, StructuringElement("cross", 1))
 
 
 # --- pipeline and experiments ------------------------------------------------

@@ -3,8 +3,9 @@
 These mirror the post-processing column of the challenge methods table:
 keep-largest-component, dilation/erosion, and smoothing.
 
-Each operator is one :func:`labench.grids.on_box` call with its own reach, so
-it runs on the foreground box and equals the operator over the whole grid.
+Each operator is one :func:`labench.grids.on_box` call around one scipy
+call, with its own reach, so it runs on the foreground box and equals the
+operator over the whole grid.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from .grids import CROSS6, CUBE26, Mask, on_box
 
 @dataclass(frozen=True)
 class StructuringElement:
-    """Footprint for morphology: a 6-connected cross or 26-connected cube.
+    """Structuring element for morphology: a 6-connected cross or 26-connected cube.
 
-    Radius r yields the L1 ball (iterated cross) or the Chebyshev ball
-    ((2r+1)^3 cube) respectively.
+    Radius r means r rounds of the radius-1 ``unit`` element, which scipy
+    runs as ``iterations=r``: the L1 ball of radius r for the cross, the
+    (2r+1)^3 Chebyshev ball for the cube.
     """
 
     kind: str = "cross"
@@ -33,9 +35,9 @@ class StructuringElement:
         if self.radius < 1:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
 
-    def footprint(self) -> np.ndarray:
-        from scipy import ndimage
-        return ndimage.iterate_structure(CROSS6 if self.kind == "cross" else CUBE26, self.radius)
+    @property
+    def unit(self) -> np.ndarray:
+        return CROSS6 if self.kind == "cross" else CUBE26
 
 
 def largest_component(m: Mask, connectivity: int = 26) -> Mask:
@@ -63,13 +65,13 @@ def largest_component(m: Mask, connectivity: int = 26) -> Mask:
 
 def dilate(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     from scipy import ndimage
-    return on_box(m, se.radius, lambda b: ndimage.binary_dilation(b, se.footprint()))
+    return on_box(m, se.radius, lambda b: ndimage.binary_dilation(b, se.unit, se.radius))
 
 
 def erode(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     """Binary erosion; the grid border is treated as background."""
     from scipy import ndimage
-    return on_box(m, 0, lambda b: ndimage.binary_erosion(b, se.footprint(), border_value=0))
+    return on_box(m, 0, lambda b: ndimage.binary_erosion(b, se.unit, se.radius, border_value=0))
 
 
 def close_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
@@ -79,30 +81,24 @@ def close_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
     r, which holds the dilation; the closing stays inside the box."""
     from scipy import ndimage
     r = se.radius
-
-    def closed(bits):
-        padded = ndimage.binary_dilation(np.pad(bits, r), structure=se.footprint())
-        padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
-        return padded[r:-r, r:-r, r:-r]
-
-    return on_box(m, 0, closed)
+    return on_box(m, 0, lambda b: ndimage.binary_closing(np.pad(b, r), se.unit, r)[r:-r, r:-r, r:-r])
 
 
 def open_mask(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:
-    return dilate(erode(m, se), se)
-
-
-_NEIGHBOR_KERNEL = np.ones((3, 3, 3), dtype=np.uint8)
-_NEIGHBOR_KERNEL[1, 1, 1] = 0
+    """Erosion followed by dilation; the grid border is treated as background."""
+    from scipy import ndimage
+    return on_box(m, se.radius, lambda b: ndimage.binary_opening(b, se.unit, se.radius))
 
 
 def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
-    """Majority-filter smoothing over the 26-neighborhood, iterated.
+    """Majority-filter smoothing over the 3x3x3 box, iterated.
 
-    A voxel becomes foreground when more than half of its 26 neighbors
-    are, background when fewer than half are, and keeps its value on an
-    exact 13-13 tie. Out-of-grid neighbors replicate the nearest edge
-    voxel so flat regions touching the border are fixed points.
+    A voxel becomes foreground when at least 14 of the 27 voxels of its
+    3x3x3 box are. This is the 26-neighbour majority with ties kept (set
+    above 13 neighbours, cleared below, unchanged at 13), since the box
+    count is the neighbour count plus the voxel. Out-of-grid neighbours
+    replicate the nearest edge voxel so flat regions touching the border
+    are fixed points.
 
     Each pass grows the foreground by at most one voxel, so on the box
     grown by ``iterations + 1`` the crop faces stay background; where the
@@ -114,8 +110,7 @@ def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
 
     def smoothed(bits):
         for _ in range(iterations):
-            neighbors = ndimage.convolve(bits.astype(np.uint8), _NEIGHBOR_KERNEL, mode="nearest")
-            new = np.where(neighbors > 13, True, np.where(neighbors < 13, False, bits))
+            new = ndimage.convolve(bits.astype(np.uint8), CUBE26, mode="nearest") >= 14
             if np.array_equal(new, bits):
                 break
             bits = new

@@ -11,9 +11,11 @@ the whole grid and the scan drawn in one piece, which the boxed voxelization
 and the slab draw of :mod:`labench.phantom` must equal bit for bit, and
 ``two_pass_cohort``, built on them, the cohort composition that
 ``generate_cohort`` must reproduce bit for bit. ``full_grid_smooth_surface``, ``full_grid_close_mask``,
-``full_grid_largest_component``, ``full_grid_dilate`` and ``full_grid_erode``
-are the post-processing operators over the whole grid, which the boxed
-operators of :mod:`labench.postprocess` must equal.
+``full_grid_largest_component``, ``full_grid_dilate``, ``full_grid_erode`` and
+``full_grid_open_mask`` are the post-processing operators over the whole grid,
+each morphology step with the radius-r footprint built whole by
+``ndimage.iterate_structure``, which the boxed operators of
+:mod:`labench.postprocess`, iterating the radius-1 element, must equal.
 ``scipy_foreground_region`` is ``quality.foreground_region`` as it was with
 scipy's ``binary_dilation``, which the numpy shifts must equal.
 ``per_tile_clahe`` is CLAHE with one histogram and one mapping per tile in a
@@ -292,6 +294,11 @@ def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS, marg
     return members
 
 
+def _footprint(se) -> np.ndarray:
+    """The whole radius-r footprint of a structuring element."""
+    return ndimage.iterate_structure(CROSS6 if se.kind == "cross" else CUBE26, se.radius)
+
+
 def full_grid_smooth_surface(m: Mask, iterations: int = 1) -> Mask:
     """``smooth_surface`` as it was before it ran on the foreground box:
     the 26-neighbor majority filter convolved over the whole grid."""
@@ -314,8 +321,8 @@ def full_grid_close_mask(m: Mask, se) -> Mask:
         return m
     r = se.radius
     padded = np.pad(m.bits, r)
-    padded = ndimage.binary_dilation(padded, structure=se.footprint())
-    padded = ndimage.binary_erosion(padded, structure=se.footprint(), border_value=0)
+    padded = ndimage.binary_dilation(padded, structure=_footprint(se))
+    padded = ndimage.binary_erosion(padded, structure=_footprint(se), border_value=0)
     return Mask(padded[r:-r, r:-r, r:-r], m.spacing)
 
 
@@ -342,7 +349,7 @@ def full_grid_dilate(m: Mask, se) -> Mask:
     """``dilate`` as it was before it ran on the foreground box."""
     if m.is_empty:
         return m
-    return Mask(ndimage.binary_dilation(m.bits, structure=se.footprint()), m.spacing)
+    return Mask(ndimage.binary_dilation(m.bits, structure=_footprint(se)), m.spacing)
 
 
 def full_grid_erode(m: Mask, se) -> Mask:
@@ -351,9 +358,15 @@ def full_grid_erode(m: Mask, se) -> Mask:
     if m.is_empty:
         return m
     return Mask(
-        ndimage.binary_erosion(m.bits, structure=se.footprint(), border_value=0),
+        ndimage.binary_erosion(m.bits, structure=_footprint(se), border_value=0),
         m.spacing,
     )
+
+
+def full_grid_open_mask(m: Mask, se) -> Mask:
+    """``open_mask`` as it was before it was one scipy call: the whole grid
+    eroded, then dilated."""
+    return full_grid_dilate(full_grid_erode(m, se), se)
 
 
 def _tile_edges(n: int, tiles: int) -> np.ndarray:

@@ -156,6 +156,11 @@ def test_read_shared_option_is_accepted(command, option):
             ["quality", "--scans", "{dir}", "--masks", "{dir}", "--out", "{nodir}/q.csv"],
             "--out '{nodir}/q.csv': '{nodir}' is not a directory",
         ),
+        # an output that is a directory is named before any case is scored
+        (
+            ["quality", "--scans", "{dir}", "--masks", "{dir}", "--out", "{dir}"],
+            "--out '{dir}' is a directory",
+        ),
         (
             ["experiment", "offset", "--scan", "{corrupt}", "--truth", "{corrupt}", "--out", "{nodir}/o.csv"],
             "--out '{nodir}/o.csv': '{nodir}' is not a directory",
@@ -187,7 +192,8 @@ def test_read_shared_option_is_accepted(command, option):
         "dims-zero", "dims-jitter-leaves-grid",
         "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest", "roi",
         "offsets", "offsets-inf-before-read", "offsets-text-before-read",
-        "evaluate-out", "evaluate-out-under-file", "quality-out", "offset-out", "patch-size-out",
+        "evaluate-out", "evaluate-out-under-file", "quality-out", "quality-out-is-dir",
+        "offset-out", "patch-size-out",
         "preprocess-out", "preprocess-mask-out", "postprocess-out", "pipeline-out",
     ],
 )
@@ -931,6 +937,19 @@ def test_rank_rejects_a_nan_cell_in_either_file_order(tmp_path, capsys, order):
     assert capsys.readouterr().err == (
         f"labench: error: MalformedCsv: {tmp_path / 'b.csv'} row 'c1' 'dice' cell 'nan' "
         "is not a finite number\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_rank_rejects_two_metrics_files_with_one_team_id(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "t.csv").write_text(_METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\n")
+    first, second = str(tmp_path / "a" / "t.csv"), str(tmp_path / "b" / "t.csv")
+    out_dir = tmp_path / "board"
+    assert main(["rank", "--metrics", first, second, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"labench: error: team id 't' names two metrics files: {first!r} and {second!r}\n"
     )
     assert not out_dir.exists()
 

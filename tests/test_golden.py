@@ -85,6 +85,9 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
         ("postprocess", ["postprocess", p("pipe", "threshold-threshold.nrrd"),
                          "--out", p("post.nrrd"), "--encoding", "gzip", "--ops", "largest:6",
                          "close:cube:1", "open", "smooth:2", "dilate", "erode"]),
+        ("postprocess-wide", ["postprocess", p("pipe", "threshold-threshold.nrrd"),
+                              "--out", p("post-wide.nrrd"), "--ops", "dilate:cube:3",
+                              "close:cross:2", "open:cube:2", "erode:cross:3", "smooth:1"]),
         *_offset_commands(p),
         ("patch-size", ["experiment", "patch-size", "--truth", p("cohort", "case_000_label.nrrd"),
                         "--sizes", "24x24,16x16,10x8,3x2", "--z-extent", "10", "--out", p("sizes.csv")]),

@@ -24,6 +24,7 @@ from oracles import (
     full_grid_dilate,
     full_grid_erode,
     full_grid_largest_component,
+    full_grid_open_mask,
     full_grid_smooth_surface,
 )
 
@@ -119,13 +120,19 @@ def test_single_voxel_cross_dilation_is_seven():
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
 def test_footprints_are_l1_and_chebyshev_balls(radius):
-    offsets = np.abs(np.arange(-radius, radius + 1))
-    l1 = offsets[:, None, None] + offsets[None, :, None] + offsets[None, None, :]
-    cross = StructuringElement("cross", radius).footprint()
-    cube = StructuringElement("cube", radius).footprint()
-    assert cross.dtype == cube.dtype == np.bool_
+    # dilating one centre voxel draws the footprint: r rounds of the cross
+    # give the L1 ball, r rounds of the cube the (2r+1)^3 cube
+    n = 2 * radius + 3
+    bits = np.zeros((n, n, n), dtype=bool)
+    bits[radius + 1, radius + 1, radius + 1] = True
+    offsets = np.abs(np.arange(n) - (radius + 1))
+    ox, oy, oz = offsets[:, None, None], offsets[None, :, None], offsets[None, None, :]
+    l1 = ox + oy + oz
+    chebyshev = np.maximum(np.maximum(ox, oy), oz)
+    cross = dilate(mask_from(bits), StructuringElement("cross", radius)).bits
+    cube = dilate(mask_from(bits), StructuringElement("cube", radius)).bits
     assert np.array_equal(cross, l1 <= radius)
-    assert np.array_equal(cube, np.ones((2 * radius + 1,) * 3, dtype=bool))
+    assert np.array_equal(cube, chebyshev <= radius)
 
 
 def test_cube_element_dilation_is_27():
@@ -303,13 +310,22 @@ def test_largest_component_in_box_equals_full_grid(rng, connectivity):
 
 
 @pytest.mark.parametrize("kind", ["cross", "cube"])
-@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("radius", [1, 2, 3])
 def test_dilate_and_erode_in_box_equal_full_grid(rng, kind, radius):
     se = StructuringElement(kind, radius)
     for bits in _islands(rng):
         m = mask_from(bits)
         assert dilate(m, se) == full_grid_dilate(m, se)
         assert erode(m, se) == full_grid_erode(m, se)
+
+
+@pytest.mark.parametrize("kind", ["cross", "cube"])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_opening_in_box_equals_full_grid(rng, kind, radius):
+    se = StructuringElement(kind, radius)
+    for bits in _islands(rng):
+        m = mask_from(bits)
+        assert open_mask(m, se) == full_grid_open_mask(m, se)
 
 
 def test_surface_in_box_equals_full_grid(rng):
