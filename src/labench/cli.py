@@ -67,7 +67,7 @@ from .errors import DegeneratePartition, LabenchError, MalformedCsv
 from .grids import DEFAULT_ROI_SIZE, check_same_geometry, checked_spacing, downsample
 from .metrics import CaseMetrics, dice, evaluate_case
 from .nrrd_io import read_nrrd, write_nrrd
-from .quality import assess_quality, quality_distribution
+from .quality import DEFAULT_MARGIN, assess_quality, quality_distribution
 from .stats import (
     LEADERBOARD_METRICS,
     TeamResult,
@@ -182,6 +182,17 @@ def _require_out_dir(path: str, name: str) -> None:
     _require_dir(str(Path(path).parent), f"{name} {path!r}:")
 
 
+def _require_dir_or_new(path: str, name: str) -> Path:
+    """Exit 1 unless the nearest of output directory ``path`` and its
+    parents that exists is a directory, so that ``path`` can be made."""
+    p = Path(path)
+    existing = next(q for q in (p, *p.parents) if q.exists())
+    if not existing.is_dir():
+        where = "" if existing == p else f": {str(existing)!r}"
+        raise SystemExit(_fail(f"{name} {path!r}{where} is not a directory"))
+    return p
+
+
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
@@ -206,23 +217,31 @@ def read_case_csv(
     Blank cells of the ``nullable`` columns read as None; by default these
     are the surface distances, which an empty prediction leaves blank. A
     missing column, a non-numeric or non-finite cell or any other blank cell
-    raises MalformedCsv naming the file and the column.
+    raises MalformedCsv naming the file and the column; a repeated ``key``
+    value raises it naming the file and the id.
     """
     return {
         row[key]: {c: _number(path, row[key], c, row[c], c in nullable) for c in columns}
-        for row in _read_rows(path, (key, *columns))
+        for row in _read_rows(path, key, columns)
     }
 
 
-def _read_rows(path, columns) -> list[dict[str, str]]:
-    """The rows of a CSV file; MalformedCsv naming the file and the column
-    if one of ``columns`` is missing."""
+def _read_rows(path, key: str, columns=()) -> list[dict[str, str]]:
+    """The rows of a CSV file, one per ``key`` value; MalformedCsv naming
+    the file and the column if ``key`` or one of ``columns`` is missing, or
+    naming the file and the id if two rows share a ``key`` value."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for column in columns:
+        for column in (key, *columns):
             if column not in (reader.fieldnames or ()):
                 raise MalformedCsv(f"{path} has no {column!r} column")
-        return list(reader)
+        rows = list(reader)
+    seen = set()
+    for row in rows:
+        if row[key] in seen:
+            raise MalformedCsv(f"{path} has two rows with {key!r} {row[key]!r}")
+        seen.add(row[key])
+    return rows
 
 
 def _number(path, row_id: str, column: str, text: str | None, nullable: bool) -> float | None:
@@ -329,22 +348,23 @@ def cmd_evaluate(args) -> int:
 def _read_attributes(path: Path) -> dict[str, dict[str, str]]:
     return {
         row["team_id"]: {k: v for k, v in row.items() if k != "team_id"}
-        for row in _read_rows(path, ("team_id",))
+        for row in _read_rows(path, "team_id")
     }
 
 
 def cmd_rank(args) -> int:
     # every input is read and checked before the output directory exists
+    out_dir = _require_dir_or_new(args.out_dir, "--out-dir")
     if args.summary:
         # every cell may be blank, and a column left out reads as blank
         path = _require_file(args.summary, "summary")
         rows = [
             {"team_id": row["team_id"]}
             | {c: _number(path, row["team_id"], c, row.get(c), True) for c in LEADERBOARD_COLUMNS[1:]}
-            for row in _read_rows(path, ("team_id",))
+            for row in _read_rows(path, "team_id")
         ]
         board = leaderboard_from_summary(rows)
-        return _write_rank(args.out_dir, "published-summary ingest", board)
+        return _write_rank(out_dir, "published-summary ingest", board)
 
     if not args.metrics:
         raise SystemExit(_fail("rank needs --metrics files or --summary"))
@@ -373,13 +393,13 @@ def cmd_rank(args) -> int:
     attribute_names = sorted({name for attrs in attr_map.values() for name in attrs})
     for attribute in attribute_names:
         try:
-            comp = compare_groups(teams, attribute, metric="dice")
+            comp = compare_groups(teams, attribute)
         except DegeneratePartition:
             continue
         comparisons.append(
             {
                 "attribute": comp.attribute,
-                "metric": comp.metric,
+                "metric": "dice",
                 "groups": {
                     value: {"teams": n, "mean": mean} for value, (n, mean) in comp.groups.items()
                 },
@@ -388,7 +408,7 @@ def cmd_rank(args) -> int:
         )
 
     return _write_rank(
-        args.out_dir,
+        out_dir,
         "per-case metrics",
         board,
         group_comparisons=comparisons,
@@ -396,13 +416,12 @@ def cmd_rank(args) -> int:
     )
 
 
-def _write_rank(out_dir, source: str, board, **sections) -> int:
+def _write_rank(out_dir: Path, source: str, board, **sections) -> int:
     """Create ``out_dir`` and write leaderboard.csv and report.json into it:
-    run metadata, the ranked leaderboard, then ``sections``."""
-    out_dir = Path(out_dir)
+    run metadata, the ranked leaderboard rows ``board``, then ``sections``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for row in board.rows:
+    for row in board:
         stats = [s for m in LEADERBOARD_METRICS for s in (row.means[m], row.stds[m])]
         rows.append((row.team_id, *stats, row.p_value))
     _write_table(out_dir / "leaderboard.csv", LEADERBOARD_COLUMNS, rows, "csv")
@@ -420,7 +439,7 @@ def _write_rank(out_dir, source: str, board, **sections) -> int:
             "stds": row.stds,
             "p_value": row.p_value,
         }
-        for rank, row in enumerate(board.rows, start=1)
+        for rank, row in enumerate(board, start=1)
     ]
     report = {"metadata": metadata, "leaderboard": leaderboard, **sections}
     _write_json(out_dir / "report.json", report)
@@ -520,20 +539,28 @@ def cmd_preprocess(args) -> int:
 # --- postprocess ----------------------------------------------------------------
 
 
+# the most ':'-separated values each postprocess operator reads after its name
+_OP_VALUES = {"largest": 1, "dilate": 2, "erode": 2, "close": 2, "open": 2, "smooth": 1}
+
+
 def _parse_op(text: str):
     from . import postprocess
 
-    parts = text.split(":")
-    name = parts[0]
+    name, *values = text.split(":")
+    if name not in _OP_VALUES:
+        raise SystemExit(_fail(f"unknown postprocess op {text!r}"))
     try:
+        most = _OP_VALUES[name]
+        if len(values) > most:
+            raise ValueError(f"got {len(values)} values after {name!r}, which reads at most {most}")
         if name == "largest":
-            connectivity = int(parts[1]) if len(parts) > 1 else 26
+            connectivity = int(values[0]) if values else 26
             if connectivity not in (6, 26):
                 raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
             return lambda m: postprocess.largest_component(m, connectivity)
         if name in ("dilate", "erode", "close", "open"):
-            kind = parts[1] if len(parts) > 1 else "cross"
-            radius = int(parts[2]) if len(parts) > 2 else 1
+            kind = values[0] if values else "cross"
+            radius = int(values[1]) if len(values) > 1 else 1
             se = postprocess.StructuringElement(kind, radius)
             fn = {
                 "dilate": postprocess.dilate,
@@ -542,14 +569,13 @@ def _parse_op(text: str):
                 "open": postprocess.open_mask,
             }[name]
             return lambda m: fn(m, se)
-        if name == "smooth":
-            iterations = int(parts[1]) if len(parts) > 1 else 1
-            if iterations < 1:
-                raise ValueError(f"iterations must be >= 1, got {iterations}")
-            return lambda m: postprocess.smooth_surface(m, iterations)
+        # smooth
+        iterations = int(values[0]) if values else 1
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        return lambda m: postprocess.smooth_surface(m, iterations)
     except ValueError as exc:
         raise SystemExit(_fail(f"--ops entry {text!r}: {exc}"))
-    raise SystemExit(_fail(f"unknown postprocess op {text!r}"))
 
 
 def cmd_postprocess(args) -> int:
@@ -566,17 +592,14 @@ def cmd_postprocess(args) -> int:
 
 
 def _build_segmenter(args, scan, truth):
+    """The segmenter that ``--segmenter`` names; the options it needs were
+    checked before any input was read."""
     from . import pipeline
 
     if args.segmenter == "oracle":
-        if truth is None:
-            raise SystemExit(_fail("--segmenter oracle needs --truth"))
         return pipeline.MaskSegmenter(truth)
     if args.segmenter == "external":
-        if not args.pred_dir or not args.case_id:
-            raise SystemExit(_fail("--segmenter external needs --pred-dir and --case-id"))
-        path = _require_file(str(Path(args.pred_dir, f"{args.case_id}.nrrd")), "external prediction")
-        prediction = read_nrrd(path, as_mask=True)
+        prediction = read_nrrd(_require_file(args.prediction, "external prediction"), as_mask=True)
         check_same_geometry(scan, prediction)
         return pipeline.MaskSegmenter(prediction)
     return pipeline.ThresholdSegmenter()
@@ -587,8 +610,6 @@ def _center(args, scan, truth):
     from . import pipeline
 
     if args.localizer == "oracle":
-        if truth is None:
-            raise SystemExit(_fail("--localizer oracle needs --truth"))
         return pipeline.localize_oracle(truth)
     if args.localizer == "fixed":
         return tuple(n // 2 for n in scan.dims)
@@ -598,12 +619,17 @@ def _center(args, scan, truth):
 def cmd_pipeline(args) -> int:
     from . import pipeline
 
+    roi = _parse_ints(args.roi, 3, "--roi")
+    for option, choice in (("--localizer", args.localizer), ("--segmenter", args.segmenter)):
+        if choice == "oracle" and not args.truth:
+            return _fail(f"{option} oracle needs --truth")
+    if args.segmenter == "external" and not args.prediction:
+        return _fail("--segmenter external needs --prediction")
     _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True) if args.truth else None
     if truth is not None:
         check_same_geometry(scan, truth)
-    roi = _parse_ints(args.roi, 3, "--roi")
     segmenter = _build_segmenter(args, scan, truth)
     predicted = pipeline.run_pipeline(scan, _center(args, scan, truth), segmenter, roi)
     write_nrrd(predicted, args.out, encoding=args.encoding)
@@ -632,9 +658,9 @@ def cmd_experiment_offset(args) -> int:
 def cmd_experiment_patch_size(args) -> int:
     from . import pipeline
 
+    sizes = [_parse_ints(s, 2, "--sizes entry") for s in args.sizes.split(",")]
     _require_out_dir(args.out, "--out")
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
-    sizes = [_parse_ints(s, 2, "--sizes entry") for s in args.sizes.split(",")]
     rows = pipeline.patch_size_sweep(truth, sizes, z_extent=args.z_extent)
     _write_table(
         args.out,
@@ -675,8 +701,8 @@ def cmd_synth(args) -> int:
     base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
 
     tiers = phantom.cohort_tiers(args.count, fractions)
+    out_dir = _require_dir_or_new(args.out_dir, "--out-dir")
     phantom.check_cohort(base, args.count, seed=args.seed)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digits = max(3, len(str(args.count - 1)))
     tasks = [
@@ -717,7 +743,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--scans", required=True, help="directory of scan volumes")
     p.add_argument("--masks", required=True, help="directory of cavity masks")
     p.add_argument("--out", required=True, help="per-scan quality file")
-    p.add_argument("--margin", type=int, default=3, help="foreground dilation margin (voxels)")
+    p.add_argument(
+        "--margin", type=int, default=DEFAULT_MARGIN, help="foreground dilation margin (voxels)"
+    )
     _add_options(p, "format", "jobs")
     p.set_defaults(func=cmd_quality)
 
@@ -750,8 +778,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--truth", help="truth mask (oracle components, dice report)")
     p.add_argument("--localizer", choices=("threshold", "oracle", "fixed"), default="threshold")
     p.add_argument("--segmenter", choices=("threshold", "oracle", "external"), default="threshold")
-    p.add_argument("--pred-dir", help="external predictions directory")
-    p.add_argument("--case-id", help="case id for the external adapter")
+    p.add_argument("--prediction", help="the scan's mask that --segmenter external reads (.nrrd)")
     p.add_argument("--roi", default=roi_default, help=roi_help)
     p.add_argument("--downsample-factor", type=int, default=4)
     p.add_argument("--out", required=True, help="output mask (.nrrd)")

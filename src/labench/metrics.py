@@ -17,7 +17,7 @@ A case is scored inside the foreground box: the union of the prediction's
 and the truth's bounding boxes (:func:`labench.grids.bbox`, found from axis
 projections). Every voxel outside it is background in both masks, so the
 overlap counts taken inside it equal full-grid counts; only TN comes from
-the grid size. Diameters are box extents. Surface distances follow the
+the grid size. Diameters are box extents along x. Surface distances follow the
 surfaces, not the union box that stray islands stretch over the grid.
 scipy's exact feature transform of each surface runs on the overlap box W,
 the intersection of the two mask boxes grown by ``_GROW`` and clipped to
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTruth
-from .grids import CROSS6, Box, Mask, axis_index, bbox, check_same_geometry, on_box
+from .grids import CROSS6, Box, Mask, bbox, check_same_geometry, on_box
 
 
 @dataclass(frozen=True)
@@ -165,22 +165,21 @@ def _hd_stsd(a: np.ndarray, b: np.ndarray, box_a: Box, box_b: Box, spacing) -> t
     return hd, float((a_to_b.sum() + b_to_a.sum()) / (a_to_b.size + b_to_a.size))
 
 
-def _extent_mm(box: Box, ax: int, spacing) -> float:
-    """Foreground extent along one axis in mm, (max - min + 1) * spacing."""
-    return float(box[ax].stop - box[ax].start) * spacing[ax]
+def _diameter_mm(box: Box, spacing) -> float:
+    """Foreground extent along x in mm, (max - min + 1) * spacing."""
+    return float(box[0].stop - box[0].start) * spacing[0]
 
 
-def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> CaseMetrics:
+def evaluate_case(pred: Mask, truth: Mask) -> CaseMetrics:
     """Compute every technical and biological metric for one case.
 
     The truth must have both foreground and background voxels. An empty
     prediction is legal: its surface distances are absent (None), its
     diameter and volume are 0 and the percent errors are 100. The
-    diameter is the foreground extent along ``diameter_axis``; the
-    anterior-posterior diameter is the x axis in the challenge orientation.
+    diameter is the foreground extent along x, the anterior-posterior
+    axis in the challenge orientation, as the paper measures it.
     """
     box_p, box_t, p, t = _crops(pred, truth)
-    ax = axis_index(diameter_axis)
     tp, fp, fn = _overlap(p, t)
     tn = pred.nvox - tp - fp - fn
     if tp + fn == 0 or tn + fp == 0:
@@ -191,9 +190,9 @@ def evaluate_case(pred: Mask, truth: Mask, diameter_axis: int | str = "x") -> Ca
         diameter_pred = 0.0
     else:
         hd, stsd = _hd_stsd(p, t, box_p, box_t, pred.spacing)
-        diameter_pred = _extent_mm(box_p, ax, pred.spacing)
+        diameter_pred = _diameter_mm(box_p, pred.spacing)
 
-    diameter_true = _extent_mm(box_t, ax, truth.spacing)
+    diameter_true = _diameter_mm(box_t, truth.spacing)
     sx, sy, sz = pred.spacing
     volume_pred = (tp + fp) * sx * sy * sz / 1000.0
     volume_true = (tp + fn) * sx * sy * sz / 1000.0

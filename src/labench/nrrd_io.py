@@ -134,13 +134,12 @@ def _spacing_from_fields(fields: dict[str, str]) -> tuple[float, float, float]:
     return checked_spacing(spacing)
 
 
-def read_nrrd(path, as_mask: bool | None = None) -> Grid:
-    """Read an attached-header NRRD file into a Volume or Mask.
+def read_nrrd(path, as_mask: bool) -> Grid:
+    """Read an attached-header NRRD file into a Mask when ``as_mask`` is
+    true, else into a Volume of the declared sample type.
 
-    A grid is returned as a Mask when its declared type is 8-bit and every
-    value is 0 or 1; pass ``as_mask=True`` or ``as_mask=False`` to override
-    the heuristic. ``as_mask=True`` takes any sample type but raises
-    NotBinaryMask for a value other than 0 or 1.
+    A mask may have any sample type, but a value other than 0 or 1 raises
+    NotBinaryMask.
     """
     try:
         blob = Path(path).read_bytes()
@@ -199,8 +198,6 @@ def read_nrrd(path, as_mask: bool | None = None) -> Grid:
     arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
     arr = arr.astype(dtype, copy=False).reshape(sizes, order="F")
 
-    if as_mask is None:
-        as_mask = dtype == np.uint8 and arr.max() <= 1
     if not as_mask:
         return Volume(arr, spacing)
     bits = arr != 0

@@ -77,15 +77,10 @@ class PhantomSpec:
         return tuple(n * s / 2.0 for n, s in zip(self.dims, self.spacing))
 
 
-def default_phantom_spec(
-    dims=DEFAULT_DIMS,
-    spacing=DEFAULT_SPACING,
-    seed: int = 0,
-    n_tubes: int = 4,
-    **overrides,
-) -> PhantomSpec:
-    """Challenge-scale phantom: ellipsoidal body, vein sleeves on the upper
-    half, valve-plane truncation near the bottom.
+def default_phantom_spec(dims=DEFAULT_DIMS, spacing=DEFAULT_SPACING, **overrides) -> PhantomSpec:
+    """Challenge-scale phantom: ellipsoidal body, four vein sleeves on the
+    upper half, valve-plane truncation near the bottom. ``overrides`` are
+    :class:`PhantomSpec` fields.
 
     Without an explicit ``semi_axes_mm`` the body is scaled from the
     challenge-volume default so the whole assembly fits any grid extent.
@@ -95,7 +90,7 @@ def default_phantom_spec(
         extent = tuple(n * s for n, s in zip(dims, spacing))
         scale = min(e / d for e, d in zip(extent, default_extent))
         overrides["semi_axes_mm"] = tuple(a * scale for a in (30.0, 24.0, 18.0))
-    base = PhantomSpec(dims=dims, spacing=spacing, seed=seed, **overrides)
+    base = PhantomSpec(dims=dims, spacing=spacing, **overrides)
     cx, cy, cz = base.resolved_center()
     a, b, c = base.semi_axes_mm
     directions = [
@@ -103,7 +98,7 @@ def default_phantom_spec(
         (-0.75, 0.55, 0.37),
         (0.75, -0.55, 0.37),
         (-0.75, -0.55, 0.37),
-    ][: max(0, int(n_tubes))]
+    ]
     tubes = []
     for d in directions:
         u = np.asarray(d) / np.linalg.norm(d)
@@ -242,14 +237,11 @@ def generate(spec: PhantomSpec) -> tuple[Volume, Mask]:
 TIER_SNR_TARGETS = {"high": 0.5, "medium": 2.0, "low": 4.0}
 DEFAULT_TIER_FRACTIONS = (0.15, 0.70, 0.15)  # high, medium, low
 
-
-@dataclass(frozen=True)
-class CohortVariation:
-    """Uniform jitter half-widths applied per cohort member."""
-
-    semi_axes_frac: float = 0.10
-    center_shift_mm: float = 2.0
-    intensity_frac: float = 0.05
+# uniform jitter half-widths of each cohort member: the semi-axes and mu_fg
+# scale by 1 +- a fraction, the center moves by +- mm per axis
+_JITTER_SEMI_AXES_FRAC = 0.10
+_JITTER_CENTER_MM = 2.0
+_JITTER_INTENSITY_FRAC = 0.05
 
 
 def tier_counts(n: int, fractions=DEFAULT_TIER_FRACTIONS) -> tuple[int, int, int]:
@@ -274,17 +266,18 @@ def cohort_tiers(n: int, fractions=DEFAULT_TIER_FRACTIONS) -> list[str]:
     return [tier for tier, k in zip(BANDS, tier_counts(n, fractions)) for _ in range(k)]
 
 
-def _jittered_spec(base: PhantomSpec, member_seed: int, variation: CohortVariation) -> PhantomSpec:
-    """Jitter geometry and intensity; tubes and the valve plane follow the
-    body so attachment (and therefore mask connectivity) is preserved."""
+def _jittered_spec(base: PhantomSpec, member_seed: int) -> PhantomSpec:
+    """Jitter geometry and intensity by the ``_JITTER_*`` half-widths; tubes
+    and the valve plane follow the body so attachment (and therefore mask
+    connectivity) is preserved."""
     rng = np.random.default_rng((member_seed, 0xC0F0))
     old_center = np.asarray(base.resolved_center())
     old_axes = np.asarray(base.semi_axes_mm)
-    ratios = 1.0 + rng.uniform(-variation.semi_axes_frac, variation.semi_axes_frac, size=3)
-    shift = rng.uniform(-variation.center_shift_mm, variation.center_shift_mm, size=3)
+    ratios = 1.0 + rng.uniform(-_JITTER_SEMI_AXES_FRAC, _JITTER_SEMI_AXES_FRAC, size=3)
+    shift = rng.uniform(-_JITTER_CENTER_MM, _JITTER_CENTER_MM, size=3)
     new_center = old_center + shift
     new_axes = old_axes * ratios
-    mu_fg = base.mu_fg * (1.0 + rng.uniform(-variation.intensity_frac, variation.intensity_frac))
+    mu_fg = base.mu_fg * (1.0 + rng.uniform(-_JITTER_INTENSITY_FRAC, _JITTER_INTENSITY_FRAC))
 
     tubes = []
     for tube in base.tubes:
@@ -305,24 +298,18 @@ def _jittered_spec(base: PhantomSpec, member_seed: int, variation: CohortVariati
     )
 
 
-def cohort_member(
-    base: PhantomSpec,
-    seed: int,
-    tier: str,
-    variation: CohortVariation | None = None,
-    margin: int = DEFAULT_MARGIN,
-) -> tuple[Volume, Mask]:
+def cohort_member(base: PhantomSpec, seed: int, tier: str) -> tuple[Volume, Mask]:
     """One cohort member: ``base`` jittered with ``seed``, its noise level
-    chosen so that :func:`labench.quality.assess_quality` at ``margin``
-    lands in ``tier``."""
-    spec = _jittered_spec(base, seed, variation or CohortVariation())
+    chosen so that :func:`labench.quality.assess_quality` at its default
+    margin, ``quality.DEFAULT_MARGIN``, lands in ``tier``."""
+    spec = _jittered_spec(base, seed)
     if spec.mu_fg <= spec.mu_bg:
         raise InfeasibleTier("mu_fg must exceed mu_bg to target any quality band")
     bits = _voxelize(spec)
     if not bits.any():
         raise GeometryOutOfBounds(f"cohort member with seed {seed} has an empty mask")
     # the dilated foreground's rim of background scales the measured contrast by w
-    _, region = foreground_region(bits, margin)
+    _, region = foreground_region(bits, DEFAULT_MARGIN)
     w = np.count_nonzero(bits) / np.count_nonzero(region)
     sigma_bg = TIER_SNR_TARGETS[tier] * w * (spec.mu_fg - spec.mu_bg)
     return _draw(replace(spec, sigma_bg=sigma_bg), bits)
@@ -332,21 +319,16 @@ def check_cohort(base: PhantomSpec, n: int, seed: int = 0) -> None:
     """Raise what :func:`generate_cohort` would raise for the geometry of
     its n members, without voxelizing any of them."""
     for i in range(n):
-        _check_geometry(_jittered_spec(base, seed + i, CohortVariation()))
+        _check_geometry(_jittered_spec(base, seed + i))
 
 
 def generate_cohort(
-    base: PhantomSpec,
-    n: int,
-    variation: CohortVariation | None = None,
-    seed: int = 0,
-    tier_fractions=DEFAULT_TIER_FRACTIONS,
-    margin: int = DEFAULT_MARGIN,
+    base: PhantomSpec, n: int, seed: int = 0, tier_fractions=DEFAULT_TIER_FRACTIONS
 ) -> list[tuple[Volume, Mask, str]]:
     """Deterministic cohort with a declared quality-band mix: member i is
     :func:`cohort_member` with seed ``seed + i`` and the i-th entry of
     :func:`cohort_tiers`."""
     return [
-        (*cohort_member(base, seed + i, tier, variation, margin), tier)
+        (*cohort_member(base, seed + i, tier), tier)
         for i, tier in enumerate(cohort_tiers(n, tier_fractions))
     ]

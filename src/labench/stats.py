@@ -45,15 +45,6 @@ class LeaderboardRow:
     p_value: float | None
 
 
-@dataclass(frozen=True)
-class Leaderboard:
-    rows: tuple[LeaderboardRow, ...]  # already ranked
-
-    @property
-    def ranking(self) -> tuple[str, ...]:
-        return tuple(row.team_id for row in self.rows)
-
-
 # --- basic statistics -------------------------------------------------------
 
 
@@ -137,13 +128,13 @@ def welch_ttest(xs, ys) -> float:
 @dataclass(frozen=True)
 class GroupComparison:
     attribute: str
-    metric: str
     groups: dict[str, tuple[int, float]]  # value -> (team count, mean of team means)
     p_value: float | None  # Welch over team means; only defined for 2 groups
 
 
-def compare_groups(teams, attribute: str, metric: str = "dice") -> GroupComparison:
-    """Compare team-mean metric values across the groups an attribute induces.
+def compare_groups(teams, attribute: str) -> GroupComparison:
+    """Compare team-mean Dice, the metric of the paper's subgroup tests,
+    across the groups an attribute induces.
 
     The p-value is a Welch test over the two groups' team-mean samples;
     with more than two groups (or a group too small to test) it is None.
@@ -153,7 +144,7 @@ def compare_groups(teams, attribute: str, metric: str = "dice") -> GroupComparis
         value = team.attributes.get(attribute)
         if value is None or value == "":
             continue
-        team_mean = aggregate(team)[metric][0]
+        team_mean = aggregate(team)["dice"][0]
         if team_mean is None:
             continue
         buckets.setdefault(str(value), []).append(team_mean)
@@ -172,7 +163,7 @@ def compare_groups(teams, attribute: str, metric: str = "dice") -> GroupComparis
             p_value = welch_ttest(xs, ys)
         except DegenerateSample:
             p_value = None
-    return GroupComparison(attribute=attribute, metric=metric, groups=groups, p_value=p_value)
+    return GroupComparison(attribute=attribute, groups=groups, p_value=p_value)
 
 
 # --- leaderboard ---------------------------------------------------------------
@@ -188,8 +179,9 @@ def _rank_key(row: LeaderboardRow):
     )
 
 
-def build_leaderboard(teams) -> Leaderboard:
-    """Rank teams by mean Dice (ties: lower mean STSD, then team id).
+def build_leaderboard(teams) -> tuple[LeaderboardRow, ...]:
+    """Rank teams by mean Dice (ties: lower mean STSD, then team id) and
+    return their rows in rank order.
 
     All teams must share one case-id set. Each team's p-value is a Welch
     test of its per-case Dice against the concatenation of every other
@@ -227,11 +219,12 @@ def build_leaderboard(teams) -> Leaderboard:
             )
         )
     rows.sort(key=_rank_key)
-    return Leaderboard(rows=tuple(rows))
+    return tuple(rows)
 
 
-def leaderboard_from_summary(rows) -> Leaderboard:
-    """Rank pre-aggregated per-team summary rows (no per-case data).
+def leaderboard_from_summary(rows) -> tuple[LeaderboardRow, ...]:
+    """Rank pre-aggregated per-team summary rows (no per-case data) and
+    return them as leaderboard rows in rank order.
 
     Each row is a mapping with ``team_id`` and, as parsed numbers or None,
     ``<metric>_mean`` / ``<metric>_std`` entries and optionally
@@ -250,4 +243,4 @@ def leaderboard_from_summary(rows) -> Leaderboard:
             )
         )
     board_rows.sort(key=_rank_key)
-    return Leaderboard(rows=tuple(board_rows))
+    return tuple(board_rows)

@@ -31,12 +31,11 @@ import numpy as np
 from scipy import integrate, ndimage
 
 from labench.errors import EmptyMask
-from labench.grids import CROSS6, CUBE26, Box, Mask, Volume, axis_index, bbox
+from labench.grids import CROSS6, CUBE26, Box, Mask, Volume, bbox
 from labench.metrics import CaseMetrics
 from labench.phantom import (
     DEFAULT_TIER_FRACTIONS,
     TIER_SNR_TARGETS,
-    CohortVariation,
     PhantomSpec,
     _jittered_spec,
     tier_counts,
@@ -145,10 +144,9 @@ def _full_grid_extent_mm(m: Mask, ax: int) -> float:
     return float(occupied[-1] - occupied[0] + 1) * m.spacing[ax]
 
 
-def full_grid_evaluate_case(pred: Mask, truth: Mask, diameter_axis="x") -> CaseMetrics:
+def full_grid_evaluate_case(pred: Mask, truth: Mask) -> CaseMetrics:
     """Every count, surface and extent taken over the whole grid; the EDT
     runs on the union box of the two surfaces found by ``np.nonzero``."""
-    ax = axis_index(diameter_axis)
     tp = int(np.count_nonzero(pred.bits & truth.bits))
     fp = pred.count - tp
     fn = truth.count - tp
@@ -165,8 +163,8 @@ def full_grid_evaluate_case(pred: Mask, truth: Mask, diameter_axis="x") -> CaseM
         d_b_to_a = ndimage.distance_transform_edt(~sa, sampling=pred.spacing)[sb]
         hd = float(max(d_a_to_b.max(), d_b_to_a.max()))
         stsd = float((d_a_to_b.sum() + d_b_to_a.sum()) / (d_a_to_b.size + d_b_to_a.size))
-        diameter_pred = _full_grid_extent_mm(pred, ax)
-    diameter_true = _full_grid_extent_mm(truth, ax)
+        diameter_pred = _full_grid_extent_mm(pred, 0)
+    diameter_true = _full_grid_extent_mm(truth, 0)
     sx, sy, sz = pred.spacing
     volume_pred = pred.count * sx * sy * sz / 1000.0
     volume_true = truth.count * sx * sy * sz / 1000.0
@@ -272,7 +270,7 @@ def one_shot_draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
     return Volume(data.astype(np.float32), spec.spacing), Mask(bits, spec.spacing)
 
 
-def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS, margin=DEFAULT_MARGIN):
+def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS):
     """``generate_cohort`` as it was composed before each member was
     voxelized once: voxelize for the noise level, with the foreground
     dilated over the whole grid, then voxelize again and draw the scan,
@@ -281,11 +279,9 @@ def two_pass_cohort(base, n, seed=0, tier_fractions=DEFAULT_TIER_FRACTIONS, marg
     tiers = ["high"] * counts[0] + ["medium"] * counts[1] + ["low"] * counts[2]
     members = []
     for i, tier in enumerate(tiers):
-        spec = _jittered_spec(base, seed + i, CohortVariation())
+        spec = _jittered_spec(base, seed + i)
         bits = full_grid_voxelize(spec)
-        dilated = bits
-        if margin > 0:
-            dilated = ndimage.binary_dilation(bits, structure=CROSS6, iterations=margin)
+        dilated = ndimage.binary_dilation(bits, structure=CROSS6, iterations=DEFAULT_MARGIN)
         w = int(np.count_nonzero(bits)) / int(np.count_nonzero(dilated))
         sigma_bg = TIER_SNR_TARGETS[tier] * w * (spec.mu_fg - spec.mu_bg)
         spec = replace(spec, sigma_bg=sigma_bg)

@@ -131,7 +131,33 @@ def test_read_shared_option_is_accepted(command, option):
             ["postprocess", "{missing}", "--ops", "largest:5"],
             "--ops entry 'largest:5': connectivity must be 6 or 26, got 5",
         ),
+        (
+            ["postprocess", "{missing}", "--ops", "largest:26:9"],
+            "--ops entry 'largest:26:9': got 2 values after 'largest', which reads at most 1",
+        ),
+        (
+            ["postprocess", "{missing}", "--ops", "smooth:1:2"],
+            "--ops entry 'smooth:1:2': got 2 values after 'smooth', which reads at most 1",
+        ),
+        (
+            ["postprocess", "{missing}", "--ops", "dilate:cube:1:7"],
+            "--ops entry 'dilate:cube:1:7': got 3 values after 'dilate', which reads at most 2",
+        ),
         (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "box size must be positive, got (0, 20, 12)"),
+        (
+            ["pipeline", "--scan", "{missing}", "--roi", "1,x,3"],
+            "--roi needs 3 comma-separated integers, got '1,x,3'",
+        ),
+        (["pipeline", "--scan", "{missing}", "--segmenter", "oracle"], "--segmenter oracle needs --truth"),
+        (["pipeline", "--scan", "{missing}", "--localizer", "oracle"], "--localizer oracle needs --truth"),
+        (
+            ["pipeline", "--scan", "{missing}", "--segmenter", "external"],
+            "--segmenter external needs --prediction",
+        ),
+        (
+            ["experiment", "patch-size", "--truth", "{missing}", "--sizes", "24x24,10x"],
+            "--sizes entry needs 2 comma-separated integers, got '10x'",
+        ),
         (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
         (
             ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--offsets", "0,inf"],
@@ -185,16 +211,27 @@ def test_read_shared_option_is_accepted(command, option):
             ["pipeline", "--scan", "{corrupt}", "--out", "{nodir}/m.nrrd"],
             "--out '{nodir}/m.nrrd': '{nodir}' is not a directory",
         ),
+        # an output directory that names a file is named before any input is read
+        (["rank", "--metrics", "{missing}", "--out-dir", "{mask}"], "--out-dir '{mask}' is not a directory"),
+        (
+            ["rank", "--metrics", "{missing}", "--out-dir", "{mask}/board"],
+            "--out-dir '{mask}/board': '{mask}' is not a directory",
+        ),
+        (["synth", "--dims", "16,16,8", "--out-dir", "{mask}"], "--out-dir '{mask}' is not a directory"),
     ],
     ids=[
         "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
         "spacing-text", "tier-fractions-text",
         "dims-zero", "dims-jitter-leaves-grid",
-        "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest", "roi",
+        "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest",
+        "ops-largest-extra", "ops-smooth-extra", "ops-dilate-extra", "roi",
+        "roi-text-before-read", "segmenter-oracle-before-read", "localizer-oracle-before-read",
+        "segmenter-external-before-read", "sizes-before-read",
         "offsets", "offsets-inf-before-read", "offsets-text-before-read",
         "evaluate-out", "evaluate-out-under-file", "quality-out", "quality-out-is-dir",
         "offset-out", "patch-size-out",
         "preprocess-out", "preprocess-mask-out", "postprocess-out", "pipeline-out",
+        "rank-out-dir-is-file", "rank-out-dir-under-file", "synth-out-dir-is-file",
     ],
 )
 def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):
@@ -211,7 +248,7 @@ def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value)
     }
     argv = [a.format(**paths) for a in argv]
     value = value.format(**paths)
-    out = "--out-dir" if argv[0] == "synth" else "--out"
+    out = "--out-dir" if argv[0] in ("rank", "synth") else "--out"
     if out not in argv:
         argv += [out, str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught:
@@ -602,7 +639,7 @@ def test_preprocess_augment_round_trip(tmp_path):
         "--augment", str(cfg), "--mask", str(tmp_path / "m.nrrd"),
         "--mask-out", str(tmp_path / "ma.nrrd"),
     ]) == 0
-    flipped = read_nrrd(tmp_path / "ma.nrrd")
+    flipped = read_nrrd(tmp_path / "ma.nrrd", as_mask=True)
     assert flipped.count == int(bits.sum())
     assert np.array_equal(np.flip(flipped.bits, axis=0), bits)
 
@@ -636,7 +673,7 @@ def test_postprocess_chain(tmp_path):
         "postprocess", str(tmp_path / "m.nrrd"), "--out", str(out),
         "--ops", "largest:26", "smooth:1",
     ]) == 0
-    cleaned = read_nrrd(out)
+    cleaned = read_nrrd(out, as_mask=True)
     assert not cleaned.bits[0, 0, 0]
     assert cleaned.count > 0
 
@@ -671,7 +708,7 @@ def test_pipeline_command_oracle_exact(tmp_path, capsys):
         "--localizer", "oracle", "--segmenter", "oracle",
         "--roi", "20,20,12", "--out", str(out),
     ]) == 0
-    pred = read_nrrd(out)
+    pred = read_nrrd(out, as_mask=True)
     assert np.array_equal(pred.bits, bits)
 
 
@@ -684,10 +721,10 @@ def test_pipeline_external_segmenter(tmp_path):
     assert main([
         "pipeline", "--scan", str(tmp_path / "scan.nrrd"),
         "--localizer", "threshold", "--segmenter", "external",
-        "--pred-dir", str(ext), "--case-id", "scan",
+        "--prediction", str(ext / "scan.nrrd"),
         "--roi", "24,24,16", "--out", str(out),
     ]) == 0
-    pred = read_nrrd(out)
+    pred = read_nrrd(out, as_mask=True)
     assert np.array_equal(pred.bits, bits)
 
 
@@ -702,7 +739,7 @@ def test_pipeline_rejects_a_mask_of_other_geometry(tmp_path, capsys, grid):
     if grid == "truth":
         argv += ["--truth", str(small / "scan.nrrd")]
     else:
-        argv += ["--segmenter", "external", "--pred-dir", str(small), "--case-id", "scan"]
+        argv += ["--segmenter", "external", "--prediction", str(small / "scan.nrrd")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("labench: error: GeometryMismatch: grids disagree: dims (32, 32, 20) vs (12, 12, 8)")
@@ -923,6 +960,37 @@ def test_rank_malformed_csv_named_error(
     assert str(tmp_path / bad_file) in err and repr(column) in err
     if case_id is not None:
         assert repr(case_id) in err
+    assert not (tmp_path / "board").exists()
+
+
+_TWO_CASES = _METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.8,0.7,0.9,0.99,8,1\n"
+
+
+@pytest.mark.parametrize(
+    "option, name, text, key, repeated",
+    [
+        ("--metrics", "team.csv", _TWO_CASES + "c1,0.7,0.6,0.9,0.99,8,1\n", "case_id", "c1"),
+        (
+            "--quality", "quality.csv",
+            "scan_id,snr,cr,het,band\nc0,0.5,2,0.2,high\nc1,2,2,0.2,medium\nc0,4,2,0.2,low\n",
+            "scan_id", "c0",
+        ),
+        ("--attributes", "attributes.csv", "team_id,dim\nteam,2D\nteam,3D\n", "team_id", "team"),
+        ("--summary", "summary.csv", "team_id,dice_mean\na,0.9\nb,0.85\na,0.8\n", "team_id", "a"),
+    ],
+    ids=["metrics", "quality", "attributes", "summary"],
+)
+def test_rank_rejects_a_repeated_id(tmp_path, capsys, option, name, text, key, repeated):
+    # a repeated row would otherwise replace the one before it, or rank twice
+    (tmp_path / "team.csv").write_text(_TWO_CASES)
+    (tmp_path / name).write_text(text)
+    argv = ["rank", option, str(tmp_path / name), "--out-dir", str(tmp_path / "board")]
+    if option in ("--quality", "--attributes"):
+        argv += ["--metrics", str(tmp_path / "team.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"labench: error: MalformedCsv: {tmp_path / name} has two rows with {key!r} {repeated!r}\n"
+    )
     assert not (tmp_path / "board").exists()
 
 

@@ -117,10 +117,14 @@ def quality_case(request):
 
 @pytest.mark.parametrize("axis", ["x", "z"])
 def test_evaluate_case_equals_full_grid(case, axis):
+    # the diameter is the x extent; "z" swaps the case's x and z axes, so
+    # that the diameter spans what was its z extent
     _, truth, pred = case
-    empty = Mask(np.zeros(DIMS, dtype=bool), SPACING)
+    if axis == "z":
+        truth, pred = (Mask(np.swapaxes(m.bits, 0, 2), m.spacing[::-1]) for m in (truth, pred))
+    empty = Mask(np.zeros(truth.dims, dtype=bool), truth.spacing)
     for p in (pred, truth, empty):
-        assert evaluate_case(p, truth, axis) == full_grid_evaluate_case(p, truth, axis)
+        assert evaluate_case(p, truth) == full_grid_evaluate_case(p, truth)
 
 
 def _assert_quality_equal(scan, la, margin):

@@ -37,7 +37,7 @@ def _predictions(root: Path) -> None:
     """Two teams' masks for the cohort: ``shift`` moves each truth one voxel
     along x; ``slab`` drops the lower z half and leaves case_001 empty."""
     for case in ("case_000", "case_001", "case_002"):
-        truth = read_nrrd(root / "cohort" / f"{case}_label.nrrd")
+        truth = read_nrrd(root / "cohort" / f"{case}_label.nrrd", as_mask=True)
         for team in ("shift", "slab"):
             (root / team).mkdir(exist_ok=True)
             if team == "shift":
@@ -79,8 +79,9 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
                               "--clahe", "3,3,2.0", "--encoding", "gzip"]),
         *_pipeline_commands(p),
         ("pipeline-external", ["pipeline", "--scan", p("cohort", "case_000.nrrd"),
-                               "--segmenter", "external", "--pred-dir", p("shift"),
-                               "--case-id", "case_000", *ROI, "--downsample-factor", "2",
+                               "--segmenter", "external",
+                               "--prediction", p("shift", "case_000.nrrd"), *ROI,
+                               "--downsample-factor", "2",
                                "--out", p("pipe", "threshold-external.nrrd")]),
         ("postprocess", ["postprocess", p("pipe", "threshold-threshold.nrrd"),
                          "--out", p("post.nrrd"), "--encoding", "gzip", "--ops", "largest:6",

@@ -191,11 +191,9 @@ def test_diameter_examples():
     assert c.diameter_pred_mm == c.diameter_true_mm
     assert c.diameter_err_pct == 0.0
 
-    c = evaluate_case(span, span, diameter_axis="y")
-    assert c.diameter_pred_mm == c.diameter_true_mm == 1.0
-    assert evaluate_case(span, span, diameter_axis=2).diameter_true_mm == 1.0
-    with pytest.raises(ValueError):
-        evaluate_case(span, span, diameter_axis="w")
+    # the diameter is the x extent, however long the mask is along y or z
+    across = Mask(np.ascontiguousarray(span.bits.transpose(1, 0, 2)), (1.0, 0.625, 1.0))
+    assert evaluate_case(across, across).diameter_true_mm == 1.0
     # an empty prediction has no extent
     assert evaluate_case(mask_from(np.zeros(dims), span.spacing), span).diameter_pred_mm == 0.0
 

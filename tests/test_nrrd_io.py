@@ -44,7 +44,7 @@ def test_reads_challenge_geometry_header(tmp_path):
         ],
         payload,
     )
-    v = read_nrrd(path)
+    v = read_nrrd(path, as_mask=False)
     assert isinstance(v, Volume)
     assert v.dims == (576, 576, 1)
     assert v.spacing == (0.625, 0.625, 0.625)
@@ -58,7 +58,7 @@ def test_single_voxel_volume(tmp_path):
         ["NRRD0001", "type: float", "dimension: 3", "sizes: 1 1 1", "encoding: raw"],
         np.zeros(1, dtype="<f4").tobytes(),
     )
-    v = read_nrrd(path)
+    v = read_nrrd(path, as_mask=False)
     assert isinstance(v, Volume)
     assert v.dims == (1, 1, 1)
     assert v.spacing == (1.0, 1.0, 1.0)
@@ -70,7 +70,7 @@ def test_mask_round_trip_is_bit_exact(tmp_path, rng):
     m = Mask(bits, (0.625, 0.625, 0.625))
     path = tmp_path / "m.nrrd"
     write_nrrd(m, path)
-    back = read_nrrd(path)
+    back = read_nrrd(path, as_mask=True)
     assert isinstance(back, Mask)
     assert back == m
 
@@ -97,7 +97,8 @@ def test_gzip_and_raw_decode_identically(tmp_path, rng):
     v = Volume(data, (1.0, 2.0, 3.0))
     write_nrrd(v, tmp_path / "raw.nrrd", encoding="raw")
     write_nrrd(v, tmp_path / "gz.nrrd", encoding="gzip")
-    assert read_nrrd(tmp_path / "raw.nrrd") == read_nrrd(tmp_path / "gz.nrrd") == v
+    raw, gz = (read_nrrd(tmp_path / name, as_mask=False) for name in ("raw.nrrd", "gz.nrrd"))
+    assert raw == gz == v
 
 
 def test_payload_raster_order_is_x_fastest(tmp_path):
@@ -114,25 +115,27 @@ def test_payload_raster_order_is_x_fastest(tmp_path):
     payload = path.read_bytes().split(b"\n\n", 1)[1]
     assert np.array_equal(np.frombuffer(payload, dtype=np.uint8), flat)
     # and a payload read back lands on the same voxels
-    assert read_nrrd(path) == v
+    assert read_nrrd(path, as_mask=False) == v
 
 
-def test_mask_detection_heuristic_and_override(tmp_path):
+def test_caller_chooses_mask_or_volume(tmp_path):
     path = tmp_path / "g.nrrd"
     _write(
         path,
         ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 1", "encoding: raw"],
         bytes([0, 1, 1, 0]),
     )
-    assert isinstance(read_nrrd(path), Mask)
-    assert isinstance(read_nrrd(path, as_mask=False), Volume)
-    # values beyond {0,1} stay a volume, and cannot be read as a mask
+    bits = np.array([0, 1, 1, 0], dtype=bool).reshape((2, 2, 1), order="F")
+    assert read_nrrd(path, as_mask=True) == Mask(bits)
+    volume = read_nrrd(path, as_mask=False)
+    assert isinstance(volume, Volume) and volume.data.dtype == np.uint8
+    # values beyond {0,1} read as a volume, and cannot be read as a mask
     _write(
         path,
         ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 1", "encoding: raw"],
         bytes([0, 2, 1, 0]),
     )
-    assert isinstance(read_nrrd(path), Volume)
+    assert isinstance(read_nrrd(path, as_mask=False), Volume)
     with pytest.raises(NotBinaryMask, match="is not a binary mask"):
         read_nrrd(path, as_mask=True)
 
@@ -173,7 +176,7 @@ def test_space_directions_diagonal(tmp_path):
         ],
         b"\x05",
     )
-    v = read_nrrd(path)
+    v = read_nrrd(path, as_mask=False)
     assert v.spacing == (0.625, 0.625, 0.625)
 
 
@@ -192,7 +195,7 @@ def test_rejects_non_diagonal_space_directions(tmp_path):
         b"\x05",
     )
     with pytest.raises(UnsupportedSpaceDirections):
-        read_nrrd(path)
+        read_nrrd(path, as_mask=False)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +235,7 @@ def test_header_errors(tmp_path, mutate, error):
     path = tmp_path / "bad.nrrd"
     _write(path, mutate(lines), bytes(8))
     with pytest.raises(error):
-        read_nrrd(path)
+        read_nrrd(path, as_mask=False)
 
 
 def test_sign_flipped_spacing_fails_with_the_grids_rule_before_the_payload(tmp_path):
@@ -244,7 +247,7 @@ def test_sign_flipped_spacing_fails_with_the_grids_rule_before_the_payload(tmp_p
         bytes(3),  # a short payload: the header must be rejected first
     )
     with pytest.raises(NonPositiveSpacing) as exc:
-        read_nrrd(path)
+        read_nrrd(path, as_mask=False)
     assert str(exc.value) == (
         "spacing must be three strictly positive finite values, got (1.0, -1.0, 1.0)"
     )
@@ -258,14 +261,14 @@ def test_payload_count_mismatch(tmp_path):
         bytes(7),
     )
     with pytest.raises(DimensionMismatch):
-        read_nrrd(path)
+        read_nrrd(path, as_mask=False)
     _write(
         path,
         ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 2", "encoding: raw"],
         bytes(9),
     )
     with pytest.raises(DimensionMismatch):
-        read_nrrd(path)
+        read_nrrd(path, as_mask=False)
 
 
 _GZIP_2x2x2 = ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 2 2 2", "encoding: gzip"]
@@ -283,7 +286,7 @@ def test_gzip_payload_checks(tmp_path):
     ):
         _write(path, _GZIP_2x2x2, payload)
         with pytest.raises(DimensionMismatch):
-            read_nrrd(path)
+            read_nrrd(path, as_mask=True)
 
 
 def test_oversized_gzip_payload_is_rejected_in_bounded_memory(tmp_path):
@@ -296,7 +299,7 @@ def test_oversized_gzip_payload_is_rejected_in_bounded_memory(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(DimensionMismatch):
-            read_nrrd(path)
+            read_nrrd(path, as_mask=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -309,7 +312,7 @@ def test_raw_read_holds_one_copy_of_the_payload(tmp_path, rng):
     write_nrrd(v, path)
     tracemalloc.start()
     try:
-        back = read_nrrd(path)
+        back = read_nrrd(path, as_mask=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -43,7 +43,7 @@ def test_launcher_traces_synth_pipeline_and_postprocess(tmp_path):
     # without --truth, the only mask this run reads is the external prediction
     names = _launch(
         tmp_path, "external", "pipeline", "--scan", cohort / "case_000.nrrd",
-        "--segmenter", "external", "--pred-dir", cohort, "--case-id", "case_000_label",
+        "--segmenter", "external", "--prediction", cohort / "case_000_label.nrrd",
         "--roi", "16,16,16", "--downsample-factor", "2", "--out", tmp_path / "ext.nrrd",
     )
     assert {"cli.pipeline", "nrrd_io.read_volume", "nrrd_io.read_mask"} <= names

@@ -9,7 +9,6 @@ from scipy import ndimage
 from labench.errors import GeometryOutOfBounds, InfeasibleTier
 from labench import phantom
 from labench.phantom import (
-    CohortVariation,
     PhantomSpec,
     Tube,
     _draw,
@@ -162,12 +161,11 @@ def test_cohort_masks_connected():
         assert n == 1
 
 
-@pytest.mark.parametrize("margin", [0, 3])
-def test_cohort_equals_two_pass_composition(margin):
+def test_cohort_equals_two_pass_composition():
     base = _desk_spec()
     fractions = (0.34, 0.33, 0.33)
-    members = generate_cohort(base, 3, seed=4, tier_fractions=fractions, margin=margin)
-    expected = two_pass_cohort(base, 3, seed=4, tier_fractions=fractions, margin=margin)
+    members = generate_cohort(base, 3, seed=4, tier_fractions=fractions)
+    expected = two_pass_cohort(base, 3, seed=4, tier_fractions=fractions)
     assert [t for _, _, t in members] == ["high", "medium", "low"]
     for (v, m, t), (ev, em, et) in zip(members, expected):
         assert t == et
@@ -183,7 +181,7 @@ def test_infeasible_tier():
 
 def test_variation_jitters_geometry():
     base = _desk_spec()
-    members = generate_cohort(base, 3, seed=9, variation=CohortVariation(0.15, 3.0, 0.05))
+    members = generate_cohort(base, 3, seed=9)
     counts = {m.count for _, m, _ in members}
     assert len(counts) == 3  # all three geometries differ
 
@@ -199,7 +197,7 @@ _TUBE_OUT_LOW = Tube((8.0, 8.0, 14.0), (-1.0, -1.0, 0.0), 2.5, 15.0)
 
 _ORACLE_BASES = {
     "anisotropic": default_phantom_spec(dims=(48, 40, 30), spacing=(0.9, 1.1, 1.6)),
-    "no-tubes": _desk_spec(n_tubes=0),
+    "no-tubes": replace(_desk_spec(), tubes=()),
     "no-valve": replace(_desk_spec(), valve_plane=None),
     "clipped": PhantomSpec(
         dims=(40, 40, 30),
@@ -216,7 +214,7 @@ _ORACLE_BASES = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", sorted(_ORACLE_BASES))
 def test_voxelize_and_draw_equal_the_whole_grid_oracles(name, seed):
-    spec = _jittered_spec(_ORACLE_BASES[name], seed, CohortVariation())
+    spec = _jittered_spec(_ORACLE_BASES[name], seed)
     bits = _voxelize(spec)
     expected = full_grid_voxelize(spec)
     assert bits.any()
@@ -228,7 +226,7 @@ def test_voxelize_and_draw_equal_the_whole_grid_oracles(name, seed):
 
 
 def test_slab_draw_with_a_remainder_equals_the_one_shot_draw(monkeypatch):
-    spec = _jittered_spec(_ORACLE_BASES["anisotropic"], 3, CohortVariation())
+    spec = _jittered_spec(_ORACLE_BASES["anisotropic"], 3)
     ny, nz = spec.dims[1:]
     # 5 x-rows per slab over 48 rows: nine full slabs and one of 3 rows
     monkeypatch.setattr(phantom, "_SLAB_VOXELS", 5 * ny * nz + ny)
