@@ -128,6 +128,8 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _parse_ints(text: str, n: int, name: str) -> tuple[int, ...]:
+    """The ``n`` comma- or x-separated positive integers of option ``name``
+    (each is a size or a factor)."""
     parts = [p for p in text.replace("x", ",").split(",") if p]
     try:
         values = tuple(int(p) for p in parts)
@@ -135,7 +137,14 @@ def _parse_ints(text: str, n: int, name: str) -> tuple[int, ...]:
         values = ()
     if len(values) != n:
         raise SystemExit(_fail(f"{name} needs {n} comma-separated integers, got {text!r}"))
+    if min(values) < 1:
+        raise SystemExit(_fail(f"{name} needs {n} positive integers, got {text!r}"))
     return values
+
+
+def _require_positive(value: int, name: str) -> None:
+    if value < 1:
+        raise SystemExit(_fail(f"{name} must be >= 1, got {value}"))
 
 
 def _parse_floats(text: str, name: str, minimum: float = -math.inf) -> tuple[float, ...]:
@@ -620,11 +629,14 @@ def cmd_pipeline(args) -> int:
     from . import pipeline
 
     roi = _parse_ints(args.roi, 3, "--roi")
+    _require_positive(args.downsample_factor, "--downsample-factor")
     for option, choice in (("--localizer", args.localizer), ("--segmenter", args.segmenter)):
         if choice == "oracle" and not args.truth:
             return _fail(f"{option} oracle needs --truth")
     if args.segmenter == "external" and not args.prediction:
         return _fail("--segmenter external needs --prediction")
+    if args.prediction and args.segmenter != "external":
+        return _fail(f"--prediction is read only by --segmenter external, got --segmenter {args.segmenter}")
     _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True) if args.truth else None
@@ -659,6 +671,7 @@ def cmd_experiment_patch_size(args) -> int:
     from . import pipeline
 
     sizes = [_parse_ints(s, 2, "--sizes entry") for s in args.sizes.split(",")]
+    _require_positive(args.z_extent, "--z-extent")
     _require_out_dir(args.out, "--out")
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
     rows = pipeline.patch_size_sweep(truth, sizes, z_extent=args.z_extent)
@@ -689,8 +702,6 @@ def cmd_synth(args) -> int:
     from . import phantom
 
     dims = _parse_ints(args.dims, 3, "--dims")
-    if min(dims) < 1:
-        raise SystemExit(_fail(f"--dims entries must be >= 1, got {args.dims!r}"))
     spacing = _parse_floats(args.spacing, "--spacing")
     if len(spacing) == 1:
         spacing = spacing * 3

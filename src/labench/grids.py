@@ -1,10 +1,16 @@
 """In-memory 3D grids: grayscale volumes and binary masks.
 
-Arrays are indexed ``[ix, iy, iz]``; a grid has no linear order of its
-own. The x-fastest raster order of the NRRD files is owned by
-:mod:`labench.nrrd_io`, which converts at the file boundary. Grids are
-immutable after construction (the constructor marks the underlying array
-read-only), so they are safe to share across threads.
+Arrays are indexed ``[ix, iy, iz]``; no value depends on a grid's memory
+order. The x-fastest raster order of the NRRD files is owned by
+:mod:`labench.nrrd_io`, which converts at the file boundary; the masks
+that operators build are allocated x-fastest, so writing them needs no
+transpose. Grids are immutable after construction (the constructor marks
+the underlying array read-only), so they are safe to share across threads.
+
+The foreground is found from axis projections. :func:`boxes` gives tight
+boxes split on empty planes, which no surface or 26-connected component
+crosses, so stray islands far apart keep boxes of their own;
+:func:`bbox` is its one-box hull.
 """
 
 from __future__ import annotations
@@ -145,26 +151,89 @@ def axis_index(axis: int | str) -> int:
 Box = tuple[slice, slice, slice]
 
 
+def _runs(occupied: np.ndarray, gap: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of set entries of a 1-D projection,
+    where runs closer than ``gap`` empty entries count as one."""
+    at = np.flatnonzero(occupied)
+    if at.size == 0:
+        return []
+    first, last = int(at[0]), int(at[-1])
+    if last + 1 - first - at.size < gap:  # too few empty entries for a split
+        return [(first, last + 1)]
+    cut = np.flatnonzero(np.diff(at) > gap)
+    return list(zip([first, *(at[cut + 1]).tolist()], [*(at[cut] + 1).tolist(), last + 1]))
+
+
+_MAX_BOXES = 64  # boxes past which regions stay whole, so per-box overhead stays bounded
+
+
+def boxes(bits: np.ndarray, gap: int) -> list[Box]:
+    """Tight boxes that together hold every set voxel of ``bits`` once,
+    split wherever a box's projection on an axis has a run of at least
+    ``gap`` >= 1 empty planes; [] when nothing is set.
+
+    No 6-neighbour surface and no 26-connected component crosses an empty
+    plane, so per-box surfaces and labels equal those of the grid; every
+    voxel just outside a box's faces is background. One ``any`` along z
+    over the grid gives the x and y splits of every box; each x/y box then
+    takes one ``any`` over itself for its z extent, and a box split along
+    z one more for its own x/y projection. A split that would make more
+    than ``_MAX_BOXES`` boxes is not made (a lattice of voxels two planes
+    apart would otherwise give a box per voxel).
+    """
+    out = []
+    nx, ny, nz = bits.shape
+    # (x, y, z) ranges whose outside planes hold nothing, with the region's
+    # projection along z when known
+    todo = [((0, nx), (0, ny), (0, nz), bits.any(axis=2))]
+
+    def split(runs):
+        return len(runs) > 1 and len(out) + len(todo) + len(runs) <= _MAX_BOXES
+
+    while todo:
+        (x0, x1), (y0, y1), (z0, z1), xy = todo.pop()
+        if xy is None:
+            xy = bits[x0:x1, y0:y1, z0:z1].any(axis=2)
+        xs = _runs(xy.any(axis=1), gap)
+        if not xs:
+            continue
+        if split(xs):
+            todo += [((x0 + a, x0 + b), (y0, y1), (z0, z1), xy[a:b]) for a, b in reversed(xs)]
+            continue
+        ys = _runs(xy.any(axis=0), gap)
+        if split(ys):
+            todo += [((x0, x1), (y0 + a, y0 + b), (z0, z1), xy[:, a:b]) for a, b in reversed(ys)]
+            continue
+        x0, x1, y0, y1 = x0 + xs[0][0], x0 + xs[-1][1], y0 + ys[0][0], y0 + ys[-1][1]
+        zs = _runs(bits[x0:x1, y0:y1, z0:z1].any(axis=(0, 1)), gap)
+        if split(zs):
+            todo += [((x0, x1), (y0, y1), (z0 + a, z0 + b), None) for a, b in reversed(zs)]
+        else:
+            out.append((slice(x0, x1), slice(y0, y1), slice(z0 + zs[0][0], z0 + zs[-1][1])))
+    return out
+
+
+def hull(parts: list[Box]) -> Box | None:
+    """The smallest box holding every box of ``parts``; None when there are none."""
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return tuple(
+        slice(min(p[ax].start for p in parts), max(p[ax].stop for p in parts)) for ax in range(3)
+    )
+
+
 def bbox(bits: np.ndarray, pad: int = 0) -> Box | None:
     """Slices of the smallest box holding every set voxel of ``bits``,
     grown by ``pad`` voxels per side and clipped to the grid; None when
-    nothing is set.
-
-    The box comes from axis projections: one ``any`` along z over the
-    grid gives the x and y extents, and one over the x/y box the z extent.
+    nothing is set. This is :func:`boxes` with a gap no box can hold, so
+    one box: one ``any`` over the grid and one over the x/y box.
     """
     if pad < 0:
         raise ValueError(f"pad must be non-negative, got {pad}")
-    xy = bits.any(axis=2)
-    xs = np.flatnonzero(xy.any(axis=1))
-    if xs.size == 0:
+    box = hull(boxes(bits, max(bits.shape)))
+    if box is None:
         return None
-    ys = np.flatnonzero(xy.any(axis=0))
-    zs = np.flatnonzero(bits[xs[0] : xs[-1] + 1, ys[0] : ys[-1] + 1].any(axis=(0, 1)))
-    return tuple(
-        slice(max(int(c[0]) - pad, 0), min(int(c[-1]) + 1 + pad, n))
-        for c, n in zip((xs, ys, zs), bits.shape)
-    )
+    return tuple(slice(max(s.start - pad, 0), min(s.stop + pad, n)) for s, n in zip(box, bits.shape))
 
 
 def on_box(m: Mask, reach: int, op) -> Mask:
@@ -173,12 +242,12 @@ def on_box(m: Mask, reach: int, op) -> Mask:
     passes through unchanged. This equals ``op`` over the whole grid when
     ``op`` sets nothing farther than ``reach`` from the foreground and reads
     the crop faces as background (where the box is clipped, they are the
-    grid border). The crop keeps the grid's x-fastest order.
+    grid border). The result grid is x-fastest, as the NRRD files are.
     """
     box = bbox(m.bits, pad=reach)
     if box is None:
         return m
-    out = np.zeros(m.dims, dtype=bool)
+    out = np.zeros(m.dims, dtype=bool, order="F")
     out[box] = op(m.bits[box])
     return Mask(out, m.spacing)
 

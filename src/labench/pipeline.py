@@ -158,9 +158,10 @@ class ThresholdSegmenter:
 
 
 def run_pipeline(v: Volume, center: VoxelIndex, segmenter, roi_size=DEFAULT_ROI_SIZE) -> Mask:
-    """Crop around ``center`` -> segment -> place the patch mask in a zero grid."""
+    """Crop around ``center`` -> segment -> place the patch mask in a zero
+    grid, x-fastest as the NRRD files are."""
     patch, box = crop(v, center, roi_size)
-    full = np.zeros(v.dims, dtype=bool)
+    full = np.zeros(v.dims, dtype=bool, order="F")
     if patch is not None:
         full[box] = segmenter(patch, box).bits
     return Mask(full, v.spacing)

@@ -3,9 +3,12 @@
 These mirror the post-processing column of the challenge methods table:
 keep-largest-component, dilation/erosion, and smoothing.
 
-Each operator is one :func:`labench.grids.on_box` call around one scipy
-call, with its own reach, so it runs on the foreground box and equals the
-operator over the whole grid.
+:func:`largest_component` labels each of the mask's
+:func:`labench.grids.boxes` on its own, so stray islands far apart cost
+their own boxes, not the grid-wide box between them. Every other operator
+is one :func:`labench.grids.on_box` call around one scipy call, with its
+own reach, so it runs on the foreground box. Each equals the operator over
+the whole grid, and returns an x-fastest grid.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CROSS6, CUBE26, Mask, on_box
+from .grids import CROSS6, CUBE26, Mask, boxes, on_box
 
 
 @dataclass(frozen=True)
@@ -40,27 +43,45 @@ class StructuringElement:
         return CROSS6 if self.kind == "cross" else CUBE26
 
 
+def _first(box, labels: np.ndarray, ids, dims):
+    """(grid x-fastest linear index, box, labels, label) of the first voxel
+    in x-fastest order of ``labels``, which cover ``box``, with a label in ``ids``."""
+    flat = labels.ravel(order="F")
+    i = int(np.argmax(np.isin(flat, ids)))
+    at = [c + s.start for c, s in zip(np.unravel_index(i, labels.shape, order="F"), box)]
+    return int(np.ravel_multi_index(at, dims, order="F")), box, labels, flat[i]
+
+
 def largest_component(m: Mask, connectivity: int = 26) -> Mask:
     """Keep only the largest connected foreground component.
 
     Size ties are broken by the smallest minimum x-fastest linear index.
-    An empty mask passes through unchanged.
+    An empty mask passes through unchanged. Each of the mask's
+    :func:`labench.grids.boxes` (gap 1, which no component crosses) is
+    labelled on its own, so the labels are box-sized.
     """
     if connectivity not in (6, 26):
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
+    parts = boxes(m.bits, 1)
+    if not parts:
+        return m
     from scipy import ndimage
 
-    def largest(bits):
-        labels, _ = ndimage.label(bits, structure=CROSS6 if connectivity == 6 else CUBE26)
+    # per box: its largest size, the box, its labels and the labels of that size
+    labelled = []
+    for box in parts:
+        labels, _ = ndimage.label(m.bits[box], structure=CROSS6 if connectivity == 6 else CUBE26)
         sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
-        best = int(np.argmax(sizes)) + 1
-        tied = np.nonzero(sizes == sizes[best - 1])[0] + 1
-        if tied.size > 1:
-            flat = labels.ravel(order="F")
-            best = int(flat[np.argmax(np.isin(flat, tied))])
-        return labels == best
-
-    return on_box(m, 0, largest)
+        labelled.append((sizes.max(), box, labels, np.flatnonzero(sizes == sizes.max()) + 1))
+    top = max(entry[0] for entry in labelled)
+    tied = [entry[1:] for entry in labelled if entry[0] == top]
+    if len(tied) == 1 and tied[0][2].size == 1:
+        box, labels, (best,) = tied[0]
+    else:
+        _, box, labels, best = min((_first(*entry, m.dims) for entry in tied), key=lambda f: f[0])
+    out = np.zeros(m.dims, dtype=bool, order="F")
+    out[box] = labels == best
+    return Mask(out, m.spacing)
 
 
 def dilate(m: Mask, se: StructuringElement = StructuringElement()) -> Mask:

@@ -114,7 +114,7 @@ def test_read_shared_option_is_accepted(command, option):
             ["synth", "--tier-fractions", "0.3,x,0.7"],
             "--tier-fractions entry 'x' is not a finite number\n",
         ),
-        (["synth", "--dims", "32,32,0"], "--dims entries must be >= 1, got '32,32,0'"),
+        (["synth", "--dims", "32,32,0"], "--dims needs 3 positive integers, got '32,32,0'"),
         (["synth", "--dims", "8,8,4", "--spacing", "0.1"], "GeometryOutOfBounds: phantom geometry"),
         (["preprocess", "{scan}", "--clahe", "8,8"], "'8,8'"),
         (
@@ -143,7 +143,7 @@ def test_read_shared_option_is_accepted(command, option):
             ["postprocess", "{missing}", "--ops", "dilate:cube:1:7"],
             "--ops entry 'dilate:cube:1:7': got 3 values after 'dilate', which reads at most 2",
         ),
-        (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "box size must be positive, got (0, 20, 12)"),
+        (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "--roi needs 3 positive integers, got '0,20,12'"),
         (
             ["pipeline", "--scan", "{missing}", "--roi", "1,x,3"],
             "--roi needs 3 comma-separated integers, got '1,x,3'",
@@ -157,6 +157,41 @@ def test_read_shared_option_is_accepted(command, option):
         (
             ["experiment", "patch-size", "--truth", "{missing}", "--sizes", "24x24,10x"],
             "--sizes entry needs 2 comma-separated integers, got '10x'",
+        ),
+        # positive sizes and factors are checked before any input is read
+        (
+            ["pipeline", "--scan", "{missing}", "--roi", "0,20,12"],
+            "--roi needs 3 positive integers, got '0,20,12'",
+        ),
+        (
+            ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--roi", "8,-1,8"],
+            "--roi needs 3 positive integers, got '8,-1,8'",
+        ),
+        (
+            ["preprocess", "{missing}", "--downsample", "2,0,2"],
+            "--downsample needs 3 positive integers, got '2,0,2'",
+        ),
+        (
+            ["pipeline", "--scan", "{missing}", "--downsample-factor", "0"],
+            "--downsample-factor must be >= 1, got 0",
+        ),
+        (
+            ["experiment", "patch-size", "--truth", "{missing}", "--sizes", "24x24,0x24"],
+            "--sizes entry needs 2 positive integers, got '0x24'",
+        ),
+        (
+            ["experiment", "patch-size", "--truth", "{missing}", "--z-extent", "-3"],
+            "--z-extent must be >= 1, got -3",
+        ),
+        # a prediction that only the external segmenter reads
+        (
+            ["pipeline", "--scan", "{missing}", "--prediction", "{missing}"],
+            "--prediction is read only by --segmenter external, got --segmenter threshold",
+        ),
+        (
+            ["pipeline", "--scan", "{missing}", "--truth", "{missing}", "--segmenter", "oracle",
+             "--prediction", "{mask}"],
+            "--prediction is read only by --segmenter external, got --segmenter oracle",
         ),
         (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
         (
@@ -227,6 +262,10 @@ def test_read_shared_option_is_accepted(command, option):
         "ops-largest-extra", "ops-smooth-extra", "ops-dilate-extra", "roi",
         "roi-text-before-read", "segmenter-oracle-before-read", "localizer-oracle-before-read",
         "segmenter-external-before-read", "sizes-before-read",
+        "roi-zero-before-read", "offset-roi-negative-before-read", "preprocess-downsample-before-read",
+        "downsample-factor-before-read",
+        "sizes-zero-before-read", "z-extent-before-read",
+        "prediction-without-external", "prediction-with-oracle",
         "offsets", "offsets-inf-before-read", "offsets-text-before-read",
         "evaluate-out", "evaluate-out-under-file", "quality-out", "quality-out-is-dir",
         "offset-out", "patch-size-out",

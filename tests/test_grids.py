@@ -209,6 +209,28 @@ def test_bbox_memory_order(order):
     assert _as_extents(bbox(bits.T)) == _extents(bits.T)
 
 
+def test_boxes_stop_splitting_at_the_cap():
+    # voxels two planes apart on every axis would give a box per voxel
+    bits = np.zeros((40, 40, 10), dtype=bool)
+    bits[::2, ::2, ::2] = True
+    parts = grids.boxes(bits, 1)
+    assert 1 < len(parts) <= grids._MAX_BOXES
+    held = np.zeros(bits.shape, dtype=int)
+    for box in parts:
+        held[box] += 1
+        assert _as_extents(bbox(bits[box])) == tuple((0, s.stop - s.start) for s in box)
+    assert (held[bits] == 1).all()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_on_box_result_is_x_fastest(order):
+    bits = np.zeros((7, 8, 9), dtype=bool, order=order)
+    bits[1:3, 4:8, 2] = True
+    out = grids.on_box(Mask(bits), 1, lambda b: ~b)
+    assert out.bits.flags.f_contiguous
+    assert np.array_equal(out.bits[0:4, 3:8, 1:4], ~bits[0:4, 3:8, 1:4]) and out.count == 4 * 5 * 3 - 8
+
+
 @given(
     st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
     st.floats(0.0, 0.3),

@@ -189,6 +189,7 @@ def test_oracle_pipeline_is_exact():
     pred = run_pipeline(v, localize_oracle(m), MaskSegmenter(m), (24, 24, 24))
     assert dice(pred, m) == 1.0
     assert pred.dims == v.dims
+    assert pred.bits.flags.f_contiguous  # x-fastest, as written to NRRD
 
 
 def test_threshold_segmenter_exact_on_noiseless_phantom():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from labench.grids import Mask
+from labench.grids import Mask, boxes
 from labench.metrics import surface_voxels
 from labench.postprocess import (
     StructuringElement,
@@ -302,6 +302,28 @@ def _islands(rng, dims=(16, 13, 11)):
         yield np.asfortranarray(bits)
 
 
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_boxes_hold_each_voxel_once_in_tight_split_boxes(rng, gap):
+    # every box is tight, no box keeps a run of gap empty planes on any
+    # axis, and the islands of tied size that the component tests rely on
+    # do land in different boxes
+    tied_across = 0
+    for bits in _islands(rng):
+        parts = boxes(bits, gap)
+        held = np.zeros(bits.shape, dtype=int)
+        for box in parts:
+            held[box] += 1
+            for ax in range(3):
+                occupied = bits[box].any(axis=tuple(a for a in range(3) if a != ax))
+                assert occupied[0] and occupied[-1]
+                empty_runs = np.diff(np.flatnonzero(occupied)) - 1
+                assert (empty_runs < gap).all()
+        assert (held[bits] == 1).all()
+        sizes = [int(bits[box].sum()) for box in parts]
+        tied_across += len(parts) > 1 and sizes.count(max(sizes)) > 1
+    assert tied_across >= 5
+
+
 @pytest.mark.parametrize("connectivity", [6, 26])
 def test_largest_component_in_box_equals_full_grid(rng, connectivity):
     for bits in _islands(rng):
@@ -330,7 +352,7 @@ def test_opening_in_box_equals_full_grid(rng, kind, radius):
 
 def test_surface_in_box_equals_full_grid(rng):
     for bits in _islands(rng):
-        assert np.array_equal(surface_voxels(mask_from(bits)), _full_grid_surface(bits))
+        assert np.array_equal(surface_voxels(mask_from(bits)), np.argwhere(_full_grid_surface(bits)).T)
 
 
 def test_largest_component_memory_is_bounded_by_the_box():
@@ -346,4 +368,22 @@ def test_largest_component_memory_is_bounded_by_the_box():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 2 * bits.size
+
+
+def test_largest_component_memory_follows_the_islands():
+    # a compact blob plus two corner cubes: the foreground box spans the
+    # grid, but each island is labelled on its own box
+    bits = np.zeros((128, 128, 64), dtype=bool)
+    bits[40:80, 50:90, 20:45] = True
+    bits[1:4, 1:4, 1:4] = True
+    bits[-4:-1, -4:-1, -4:-1] = True
+    m = mask_from(bits)
+    tracemalloc.start()
+    try:
+        out = largest_component(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.count == 40 * 40 * 25
     assert peak < 2 * bits.size
