@@ -6,11 +6,18 @@ postprocess, pipeline, experiment {offset|patch-size}, synth. Exit codes:
 or were unpaired; the rest were processed and written).
 
 A subcommand takes only the shared options it reads: ``--jobs`` (worker
-processes; ``LABENCH_JOBS`` sets the default) on evaluate, quality and
+processes; ``LABENCH_JOBS``, an integer >= 1, is the default and is
+checked only when ``--jobs`` is not given) on evaluate, quality and
 synth; ``--format csv|json`` on evaluate, quality and both experiments;
 ``--seed`` on preprocess (augmentation) and synth; ``--encoding raw|gzip``
 (NRRD payload of written files) on preprocess, postprocess, pipeline and
 synth.
+
+Checks run in this order, and the first that fails ends the run: each
+option value, by its argparse ``type`` in ``parse_args``; the rules that
+join options (:data:`_RULES`); the input and output paths; then the
+reads. Every failure, argparse's usage errors included, is one line
+``labench: error: <message>`` on stderr with exit code 1.
 
 Every table (per-case metrics, scan quality, leaderboard, experiment
 curves, the synth manifest) goes through :func:`_write_table`. Its CSV
@@ -98,69 +105,111 @@ LEADERBOARD_COLUMNS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse defaults to 2, which we reserve
-    # for partial failures)
+    # usage problems exit 1 (argparse defaults to 2, which we reserve for
+    # partial failures) with the one error line of every other failure
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("LABENCH_JOBS", "1")))
-    except ValueError:
-        return 1
+        raise SystemExit(_fail(message))
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add the shared options named (seed, format, jobs, encoding) that a subcommand reads."""
     specs = {
-        "seed": dict(type=int, default=0, help="global random seed"),
+        "seed": dict(type=_non_negative, default=0, help="global random seed"),
         "format": dict(choices=("csv", "json"), default="csv", help="tabular output format"),
         "encoding": dict(choices=("raw", "gzip"), default="raw", help="NRRD payload encoding"),
         "jobs": dict(
-            type=int, default=_default_jobs(), help="worker processes (env LABENCH_JOBS)"
+            type=_positive,
+            default=os.environ.get("LABENCH_JOBS", "1"),
+            help="worker processes (env LABENCH_JOBS)",
         ),
     }
     for name in names:
         parser.add_argument(f"--{name}", **specs[name])
 
 
-def _parse_ints(text: str, n: int, name: str) -> tuple[int, ...]:
-    """The ``n`` comma- or x-separated positive integers of option ``name``
-    (each is a size or a factor)."""
-    parts = [p for p in text.replace("x", ",").split(",") if p]
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError:
-        values = ()
-    if len(values) != n:
-        raise SystemExit(_fail(f"{name} needs {n} comma-separated integers, got {text!r}"))
-    if min(values) < 1:
-        raise SystemExit(_fail(f"{name} needs {n} positive integers, got {text!r}"))
+# --- option values: each converter raises the ArgumentTypeError that argparse
+# reports as "argument --name: <message>"
+
+
+def _type(what: str):
+    """Make ``parse`` an argparse type: its ValueError or LabenchError
+    becomes an error that names ``what`` the option needs and the text."""
+
+    def wrap(parse):
+        def convert(text: str):
+            try:
+                return parse(text)
+            except (ValueError, LabenchError):
+                raise argparse.ArgumentTypeError(f"needs {what}, got {text!r}") from None
+
+        return convert
+
+    return wrap
+
+
+def _numbers(text: str, kind, minimum, counts=None) -> tuple:
+    """The comma-separated numbers of ``text`` (integers also split on x, as
+    in 24x24); ValueError unless each is a finite ``kind`` >= ``minimum`` and
+    their count is one of ``counts``."""
+    values = tuple(kind(p) for p in (text.replace("x", ",") if kind is int else text).split(","))
+    # the comparisons reject nan and inf, and never turn a large int into a float
+    if (counts and len(values) not in counts) or not all(minimum <= v < math.inf for v in values):
+        raise ValueError(text)
     return values
 
 
-def _require_positive(value: int, name: str) -> None:
-    if value < 1:
-        raise SystemExit(_fail(f"{name} must be >= 1, got {value}"))
+_triple = _type("3 integers >= 1")(lambda text: _numbers(text, int, 1, (3,)))
+_positive = _type("an integer >= 1")(lambda text: _numbers(text, int, 1, (1,))[0])
+_non_negative = _type("an integer >= 0")(lambda text: _numbers(text, int, 0, (1,))[0])
+_offsets = _type("finite numbers >= 0")(lambda text: _numbers(text, float, 0.0))
+_sizes = _type("XxY sizes >= 1")(lambda text: [_numbers(entry, int, 1, (2,)) for entry in text.split(",")])
 
 
-def _parse_floats(text: str, name: str, minimum: float = -math.inf) -> tuple[float, ...]:
-    """The comma-separated numbers of option ``name``; ValueError naming the
-    first entry that is not a finite number >= ``minimum``."""
-    values = []
-    for part in text.split(","):
-        try:
-            value = float(part)
-        except ValueError:
-            value = math.nan  # fails the check below like inf does
-        if not (math.isfinite(value) and value >= minimum):
-            bound = f" >= {minimum:g}" if minimum > -math.inf else ""
-            raise ValueError(f"{name} entry {part!r} is not a finite number{bound}")
-        values.append(value)
-    return tuple(values)
+@_type("1 or 3 numbers > 0")
+def _spacing(text: str) -> tuple[float, float, float]:
+    values = _numbers(text, float, -math.inf, (1, 3))
+    return checked_spacing(values * (3 // len(values)))
+
+
+@_type("3 numbers >= 0 summing to 1")
+def _tier_fractions(text: str) -> tuple[float, ...]:
+    values = _numbers(text, float, 0.0, (3,))
+    if abs(sum(values) - 1.0) > 1e-9:  # phantom.tier_counts's tolerance
+        raise ValueError(text)
+    return values
+
+
+@_type("tiles >= 1 and a finite clip limit > 1, e.g. 8,8,3.0")
+def _clahe(text: str) -> tuple[tuple[int, ...], float]:
+    tx, ty, clip = text.split(",")
+    tiles, clip_limit = _numbers(f"{tx},{ty}", int, 1, (2,)), float(clip)
+    if not (math.isfinite(clip_limit) and clip_limit > 1.0):
+        raise ValueError(text)
+    return tiles, clip_limit
+
+
+# --- option rules: per command, (broken(args), message) pairs for the options
+# that go together, checked after parsing and before any path or input
+
+_RULES = {
+    "rank": (
+        (lambda a: not (a.metrics or a.summary), "rank needs --metrics files or --summary"),
+        (lambda a: a.summary and (a.metrics or a.attributes or a.quality),
+         "--summary excludes --metrics, --attributes and --quality"),
+    ),
+    "preprocess": (
+        (lambda a: a.mask_out and not a.mask, "--mask-out needs --mask"),
+        (lambda a: a.augment and not a.mask, "--augment needs --mask (transforms apply to both)"),
+        (lambda a: a.mask and a.downsample, "--downsample cannot resample a --mask; leave one of them out"),
+    ),
+    "pipeline": (
+        (lambda a: a.localizer == "oracle" and not a.truth, "--localizer oracle needs --truth"),
+        (lambda a: a.segmenter == "oracle" and not a.truth, "--segmenter oracle needs --truth"),
+        (lambda a: a.segmenter == "external" and not a.prediction, "--segmenter external needs --prediction"),
+        (lambda a: a.prediction and a.segmenter != "external",
+         "--prediction is read only by --segmenter external, got --segmenter {segmenter}"),
+    ),
+}
 
 
 def _fail(message: str) -> int:
@@ -375,8 +424,6 @@ def cmd_rank(args) -> int:
         board = leaderboard_from_summary(rows)
         return _write_rank(out_dir, "published-summary ingest", board)
 
-    if not args.metrics:
-        raise SystemExit(_fail("rank needs --metrics files or --summary"))
     stems = [Path(p).stem for p in args.metrics]
     for i, team_id in enumerate(stems):
         if team_id in stems[:i]:
@@ -485,8 +532,6 @@ def _quality_one(task):
 
 
 def cmd_quality(args) -> int:
-    if args.margin < 0:
-        return _fail(f"--margin must be non-negative, got {args.margin}")
     scans = _index_dir(_require_dir(args.scans, "scan directory"), labels=False)
     masks = _index_dir(_require_dir(args.masks, "mask directory"))
     _require_out_dir(args.out, "--out")
@@ -508,39 +553,28 @@ def cmd_quality(args) -> int:
 def cmd_preprocess(args) -> int:
     from . import preprocess
 
-    if args.mask_out and not args.mask:
-        return _fail("--mask-out needs --mask")
-    if args.mask and args.downsample:
-        return _fail("--downsample cannot resample a --mask; leave one of them out")
-    factor = _parse_ints(args.downsample, 3, "--downsample") if args.downsample else None
-    try:
-        tx, ty, clip = args.clahe.split(",") if args.clahe else (0, 0, 0)
-        clahe = (int(tx), int(ty)), float(clip)
-    except ValueError:
-        return _fail(f"--clahe needs tiles and a clip limit, e.g. 8,8,3.0, got {args.clahe!r}")
     _require_out_dir(args.out, "--out")
     if args.mask_out:
         _require_out_dir(args.mask_out, "--mask-out")
+    augment = _require_file(args.augment, "augment config") if args.augment else None
     volume = read_nrrd(_require_file(args.input, "input volume"), as_mask=False)
     mask = None
     if args.mask:
         mask = read_nrrd(_require_file(args.mask, "mask"), as_mask=True)
         check_same_geometry(volume, mask)
 
-    if factor:
-        volume = downsample(volume, factor)
+    if args.downsample:
+        volume = downsample(volume, args.downsample)
     if args.normalize:
         volume = preprocess.normalize_intensity(volume)
     if args.clahe:
-        volume = preprocess.clahe_slicewise(volume, *clahe)
-    if args.augment:
-        if mask is None:
-            raise SystemExit(_fail("--augment needs --mask (transforms apply to both)"))
-        specs = preprocess.load_augmentation_specs(_require_file(args.augment, "augment config"))
+        volume = preprocess.clahe_slicewise(volume, *args.clahe)
+    if augment:
+        specs = preprocess.load_augmentation_specs(augment)
         volume, mask = preprocess.augment(volume, mask, specs, args.seed)
 
     write_nrrd(volume, args.out, encoding=args.encoding)
-    if mask is not None and args.mask_out:
+    if args.mask_out:  # which needs --mask
         write_nrrd(mask, args.mask_out, encoding=args.encoding)
     return 0
 
@@ -548,50 +582,45 @@ def cmd_preprocess(args) -> int:
 # --- postprocess ----------------------------------------------------------------
 
 
-# the most ':'-separated values each postprocess operator reads after its name
-_OP_VALUES = {"largest": 1, "dilate": 2, "erode": 2, "close": 2, "open": 2, "smooth": 1}
+# each postprocess operator: its function in postprocess, and the defaults
+# of the ':'-separated values it reads after its name
+_OPS = {
+    "largest": ("largest_component", (26,)),
+    "smooth": ("smooth_surface", (1,)),
+    "dilate": ("dilate", ("cross", 1)),
+    "erode": ("erode", ("cross", 1)),
+    "close": ("close_mask", ("cross", 1)),
+    "open": ("open_mask", ("cross", 1)),
+}
 
 
-def _parse_op(text: str):
+def _op(text: str):
+    """One ``--ops`` entry as the mask operator it names."""
     from . import postprocess
 
     name, *values = text.split(":")
-    if name not in _OP_VALUES:
-        raise SystemExit(_fail(f"unknown postprocess op {text!r}"))
+    if name not in _OPS:
+        raise argparse.ArgumentTypeError(f"unknown operator {text!r}")
+    fn, defaults = _OPS[name]
     try:
-        most = _OP_VALUES[name]
-        if len(values) > most:
-            raise ValueError(f"got {len(values)} values after {name!r}, which reads at most {most}")
-        if name == "largest":
-            connectivity = int(values[0]) if values else 26
-            if connectivity not in (6, 26):
-                raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-            return lambda m: postprocess.largest_component(m, connectivity)
-        if name in ("dilate", "erode", "close", "open"):
-            kind = values[0] if values else "cross"
-            radius = int(values[1]) if len(values) > 1 else 1
-            se = postprocess.StructuringElement(kind, radius)
-            fn = {
-                "dilate": postprocess.dilate,
-                "erode": postprocess.erode,
-                "close": postprocess.close_mask,
-                "open": postprocess.open_mask,
-            }[name]
-            return lambda m: fn(m, se)
-        # smooth
-        iterations = int(values[0]) if values else 1
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        return lambda m: postprocess.smooth_surface(m, iterations)
+        if len(values) > len(defaults):
+            raise ValueError(f"got {len(values)} values after {name!r}, which reads at most {len(defaults)}")
+        params = [type(d)(v) for d, v in zip(defaults, values)] + list(defaults[len(values) :])
+        if name == "largest" and params[0] not in (6, 26):
+            raise ValueError(f"connectivity must be 6 or 26, got {params[0]}")
+        if name == "smooth" and params[0] < 1:
+            raise ValueError(f"iterations must be >= 1, got {params[0]}")
+        if name not in ("largest", "smooth"):
+            params = [postprocess.StructuringElement(*params)]
     except ValueError as exc:
-        raise SystemExit(_fail(f"--ops entry {text!r}: {exc}"))
+        raise argparse.ArgumentTypeError(f"entry {text!r}: {exc}") from None
+    return lambda m: getattr(postprocess, fn)(m, *params)
 
 
 def cmd_postprocess(args) -> int:
-    ops = [_parse_op(text) for text in args.ops]
     _require_out_dir(args.out, "--out")
     mask = read_nrrd(_require_file(args.input, "input mask"), as_mask=True)
-    for op in ops:
+    for op in args.ops:
         mask = op(mask)
     write_nrrd(mask, args.out, encoding=args.encoding)
     return 0
@@ -628,22 +657,13 @@ def _center(args, scan, truth):
 def cmd_pipeline(args) -> int:
     from . import pipeline
 
-    roi = _parse_ints(args.roi, 3, "--roi")
-    _require_positive(args.downsample_factor, "--downsample-factor")
-    for option, choice in (("--localizer", args.localizer), ("--segmenter", args.segmenter)):
-        if choice == "oracle" and not args.truth:
-            return _fail(f"{option} oracle needs --truth")
-    if args.segmenter == "external" and not args.prediction:
-        return _fail("--segmenter external needs --prediction")
-    if args.prediction and args.segmenter != "external":
-        return _fail(f"--prediction is read only by --segmenter external, got --segmenter {args.segmenter}")
     _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True) if args.truth else None
     if truth is not None:
         check_same_geometry(scan, truth)
     segmenter = _build_segmenter(args, scan, truth)
-    predicted = pipeline.run_pipeline(scan, _center(args, scan, truth), segmenter, roi)
+    predicted = pipeline.run_pipeline(scan, _center(args, scan, truth), segmenter, args.roi)
     write_nrrd(predicted, args.out, encoding=args.encoding)
     if truth is not None:
         sys.stderr.write(f"labench: dice vs truth: {dice(predicted, truth):.6g}\n")
@@ -656,13 +676,11 @@ def cmd_pipeline(args) -> int:
 def cmd_experiment_offset(args) -> int:
     from . import pipeline
 
-    offsets = _parse_floats(args.offsets, "--offsets", minimum=0.0)
-    roi = _parse_ints(args.roi, 3, "--roi")
     _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
     segmenter = _build_segmenter(args, scan, truth)
-    curve = pipeline.offset_sweep(scan, truth, segmenter, roi, offsets, axis=args.axis)
+    curve = pipeline.offset_sweep(scan, truth, segmenter, args.roi, args.offsets, axis=args.axis)
     _write_table(args.out, ("offset_pct", "dice"), curve, args.format)
     return 0
 
@@ -670,11 +688,9 @@ def cmd_experiment_offset(args) -> int:
 def cmd_experiment_patch_size(args) -> int:
     from . import pipeline
 
-    sizes = [_parse_ints(s, 2, "--sizes entry") for s in args.sizes.split(",")]
-    _require_positive(args.z_extent, "--z-extent")
     _require_out_dir(args.out, "--out")
     truth = read_nrrd(_require_file(args.truth, "truth"), as_mask=True)
-    rows = pipeline.patch_size_sweep(truth, sizes, z_extent=args.z_extent)
+    rows = pipeline.patch_size_sweep(truth, args.sizes, z_extent=args.z_extent)
     _write_table(
         args.out,
         ("size_x", "size_y", "background_pct", "containment_pct"),
@@ -701,18 +717,9 @@ def _synth_one(task):
 def cmd_synth(args) -> int:
     from . import phantom
 
-    dims = _parse_ints(args.dims, 3, "--dims")
-    spacing = _parse_floats(args.spacing, "--spacing")
-    if len(spacing) == 1:
-        spacing = spacing * 3
-    if len(spacing) != 3:
-        raise SystemExit(_fail(f"--spacing needs 1 or 3 comma-separated numbers, got {args.spacing!r}"))
-    spacing = checked_spacing(spacing)
-    fractions = _parse_floats(args.tier_fractions, "--tier-fractions")
-    base = phantom.default_phantom_spec(dims=dims, spacing=spacing)
-
-    tiers = phantom.cohort_tiers(args.count, fractions)
     out_dir = _require_dir_or_new(args.out_dir, "--out-dir")
+    base = phantom.default_phantom_spec(dims=args.dims, spacing=args.spacing)
+    tiers = phantom.cohort_tiers(args.count, args.tier_fractions)
     phantom.check_cohort(base, args.count, seed=args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     digits = max(3, len(str(args.count - 1)))
@@ -731,7 +738,7 @@ def cmd_synth(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="labench", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     roi_default = ",".join(map(str, DEFAULT_ROI_SIZE))
     roi_help = f"ROI size in voxels; the default {roi_default} covers 150x100x60 mm at 0.625 mm"
 
@@ -755,7 +762,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--masks", required=True, help="directory of cavity masks")
     p.add_argument("--out", required=True, help="per-scan quality file")
     p.add_argument(
-        "--margin", type=int, default=DEFAULT_MARGIN, help="foreground dilation margin (voxels)"
+        "--margin", type=_non_negative, default=DEFAULT_MARGIN, help="foreground dilation margin (voxels)"
     )
     _add_options(p, "format", "jobs")
     p.set_defaults(func=cmd_quality)
@@ -763,9 +770,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="downsample / normalize / CLAHE / augment a volume")
     p.add_argument("input", help="input volume (.nrrd)")
     p.add_argument("--out", required=True)
-    p.add_argument("--downsample", help="per-axis integer factors, e.g. 2,2,1")
+    p.add_argument("--downsample", type=_triple, help="per-axis integer factors, e.g. 2,2,1")
     p.add_argument("--normalize", action="store_true", help="rescale intensities to [0,1]")
-    p.add_argument("--clahe", help="tiles and clip limit, e.g. 8,8,3.0")
+    p.add_argument("--clahe", type=_clahe, help="tiles and clip limit, e.g. 8,8,3.0")
     p.add_argument("--augment", help="JSON augmentation config")
     p.add_argument("--mask", help="mask transformed alongside the volume")
     p.add_argument("--mask-out", help="where to write the transformed mask")
@@ -778,6 +785,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--ops",
         nargs="+",
+        type=_op,
         required=True,
         help="operators in order: largest[:conn], dilate|erode|close|open[:cross|cube[:r]], smooth[:iters]",
     )
@@ -790,40 +798,42 @@ def _build_parser() -> _Parser:
     p.add_argument("--localizer", choices=("threshold", "oracle", "fixed"), default="threshold")
     p.add_argument("--segmenter", choices=("threshold", "oracle", "external"), default="threshold")
     p.add_argument("--prediction", help="the scan's mask that --segmenter external reads (.nrrd)")
-    p.add_argument("--roi", default=roi_default, help=roi_help)
-    p.add_argument("--downsample-factor", type=int, default=4)
+    p.add_argument("--roi", type=_triple, default=roi_default, help=roi_help)
+    p.add_argument("--downsample-factor", type=_positive, default=4)
     p.add_argument("--out", required=True, help="output mask (.nrrd)")
     _add_options(p, "encoding")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("experiment", help="pipeline geometry sweeps")
-    exp_sub = p.add_subparsers(dest="experiment")
+    exp_sub = p.add_subparsers(dest="experiment", required=True)
 
     pe = exp_sub.add_parser("offset", help="dice vs crop-center displacement")
     pe.add_argument("--scan", required=True)
     pe.add_argument("--truth", required=True)
     pe.add_argument("--segmenter", choices=("oracle", "threshold"), default="oracle")
-    pe.add_argument("--offsets", default="0,25,50,75,100,125,150", help="percent offsets")
+    pe.add_argument(
+        "--offsets", type=_offsets, default="0,25,50,75,100,125,150", help="percent offsets"
+    )
     pe.add_argument("--axis", choices=("x", "y", "z"), default="x")
-    pe.add_argument("--roi", default=roi_default, help=roi_help)
+    pe.add_argument("--roi", type=_triple, default=roi_default, help=roi_help)
     pe.add_argument("--out", required=True)
     _add_options(pe, "format")
     pe.set_defaults(func=cmd_experiment_offset)
 
     pp = exp_sub.add_parser("patch-size", help="background share vs patch size")
     pp.add_argument("--truth", required=True)
-    pp.add_argument("--sizes", default="400x400,360x360,320x320,280x280,240x160")
-    pp.add_argument("--z-extent", type=int, default=DEFAULT_ROI_SIZE[2])
+    pp.add_argument("--sizes", type=_sizes, default="400x400,360x360,320x320,280x280,240x160")
+    pp.add_argument("--z-extent", type=_positive, default=DEFAULT_ROI_SIZE[2])
     pp.add_argument("--out", required=True)
     _add_options(pp, "format")
     pp.set_defaults(func=cmd_experiment_patch_size)
 
     p = sub.add_parser("synth", help="write a synthetic phantom cohort")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--dims", default="576,576,88")
-    p.add_argument("--spacing", default="0.625")
-    p.add_argument("--tier-fractions", default="0.15,0.70,0.15")
+    p.add_argument("--count", type=_positive, default=1)
+    p.add_argument("--dims", type=_triple, default="576,576,88")
+    p.add_argument("--spacing", type=_spacing, default="0.625")
+    p.add_argument("--tier-fractions", type=_tier_fractions, default="0.15,0.70,0.15")
     _add_options(p, "seed", "jobs", "encoding")
     p.set_defaults(func=cmd_synth)
 
@@ -833,15 +843,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
-        parser.print_help(sys.stderr)
-        return 1
-    if args.command == "experiment" and getattr(args, "experiment", None) is None:
-        sys.stderr.write("usage: labench experiment {offset,patch-size} ...\n")
-        return 1
+    for broken, message in _RULES.get(args.command, ()):
+        if broken(args):
+            return _fail(message.format_map(vars(args)))
     try:
         return args.func(args)
-    except (LabenchError, ValueError) as exc:  # a rejected argument value
+    except (LabenchError, ValueError) as exc:  # an input or value the library rejects
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

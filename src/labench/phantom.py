@@ -172,7 +172,8 @@ def _voxelize(spec: PhantomSpec) -> np.ndarray:
     xs = (np.arange(nx, dtype=np.float64) + 0.5) * sx
     ys = (np.arange(ny, dtype=np.float64) + 0.5) * sy
     zs = (np.arange(nz, dtype=np.float64) + 0.5) * sz
-    solid = np.zeros(spec.dims, dtype=bool)
+    # x-fastest, as NRRD stores it, so a write copies no transpose
+    solid = np.zeros(spec.dims, dtype=bool, order="F")
     body_box, *tube_boxes = (_index_box(spec, lo, hi) for lo, hi in _mm_boxes(spec))
 
     cx, cy, cz = spec.resolved_center()

@@ -1,14 +1,19 @@
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import labench
 from labench import phantom, pipeline
@@ -35,7 +40,10 @@ def _blob(dims=(20, 20, 12), lo=(6, 6, 3), hi=(14, 14, 9)):
 
 def test_no_arguments_prints_usage_and_exits_nonzero(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main([]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "labench: error: the following arguments are required: command\n"
     assert list(tmp_path.iterdir()) == []  # filesystem untouched
 
 
@@ -47,14 +55,24 @@ def test_missing_required_args_exit_1(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_experiment_without_subcommand_exits_1():
-    assert main(["experiment"]) == 1
-
-
-def test_unknown_flag_exits_1():
+def test_experiment_without_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--out-dir", "x", "--bogus"])
+        main(["experiment"])
     assert exc.value.code == 1
+    assert capsys.readouterr().err == "labench: error: the following arguments are required: experiment\n"
+
+
+def test_unknown_flag_exits_1(capsys):
+    # argparse's usage errors are the one error line of every other failure
+    for argv, message in (
+        (["synth", "--out-dir", "x", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"labench: error: {message}")
 
 
 # minimal argv per subcommand, and the shared options each one reads
@@ -104,49 +122,50 @@ def test_read_shared_option_is_accepted(command, option):
     "argv,value",
     [
         (["synth", "--dims", "4,4,q"], "'4,4,q'"),
-        (["synth", "--tier-fractions", "0.5,0.5"], "(0.5, 0.5)"),
-        (["synth", "--count", "0"], "got 0"),
+        (["synth", "--tier-fractions", "0.5,0.5"], "--tier-fractions: needs 3 numbers >= 0 summing to 1, got '0.5,0.5'"),
+        (["synth", "--count", "0"], "--count: needs an integer >= 1, got '0'"),
         (["synth", "--spacing", "1,1"], "'1,1'"),
-        (["synth", "--spacing", "0"], "NonPositiveSpacing: spacing must be"),
-        (["synth", "--spacing", "1,-1,1"], "(1.0, -1.0, 1.0)"),
-        (["synth", "--spacing", "1,abc"], "--spacing entry 'abc' is not a finite number\n"),
+        (["synth", "--spacing", "0"], "--spacing: needs 1 or 3 numbers > 0, got '0'"),
+        (["synth", "--spacing", "1,-1,1"], "--spacing: needs 1 or 3 numbers > 0, got '1,-1,1'"),
+        (["synth", "--spacing", "1,abc"], "--spacing: needs 1 or 3 numbers > 0, got '1,abc'\n"),
         (
             ["synth", "--tier-fractions", "0.3,x,0.7"],
-            "--tier-fractions entry 'x' is not a finite number\n",
+            "--tier-fractions: needs 3 numbers >= 0 summing to 1, got '0.3,x,0.7'\n",
         ),
-        (["synth", "--dims", "32,32,0"], "--dims needs 3 positive integers, got '32,32,0'"),
+        (["synth", "--dims", "32,32,0"], "--dims: needs 3 integers >= 1, got '32,32,0'"),
         (["synth", "--dims", "8,8,4", "--spacing", "0.1"], "GeometryOutOfBounds: phantom geometry"),
         (["preprocess", "{scan}", "--clahe", "8,8"], "'8,8'"),
         (
             ["preprocess", "{missing}", "--clahe", "8,8,x"],
-            "--clahe needs tiles and a clip limit, e.g. 8,8,3.0, got '8,8,x'",
+            "--clahe: needs tiles >= 1 and a finite clip limit > 1, e.g. 8,8,3.0, got '8,8,x'",
         ),
+        (["preprocess", "{missing}", "--augment", "{missing}"], "--augment needs --mask"),
         (["postprocess", "{mask}", "--ops", "dilate:ball"], "'ball'"),
-        (["postprocess", "{missing}", "--ops", "smooth:1", "largest:x"], "--ops entry 'largest:x'"),
+        (["postprocess", "{missing}", "--ops", "smooth:1", "largest:x"], "--ops: entry 'largest:x'"),
         (
             ["postprocess", "{missing}", "--ops", "smooth:0"],
-            "--ops entry 'smooth:0': iterations must be >= 1, got 0",
+            "--ops: entry 'smooth:0': iterations must be >= 1, got 0",
         ),
         (
             ["postprocess", "{missing}", "--ops", "largest:5"],
-            "--ops entry 'largest:5': connectivity must be 6 or 26, got 5",
+            "--ops: entry 'largest:5': connectivity must be 6 or 26, got 5",
         ),
         (
             ["postprocess", "{missing}", "--ops", "largest:26:9"],
-            "--ops entry 'largest:26:9': got 2 values after 'largest', which reads at most 1",
+            "--ops: entry 'largest:26:9': got 2 values after 'largest', which reads at most 1",
         ),
         (
             ["postprocess", "{missing}", "--ops", "smooth:1:2"],
-            "--ops entry 'smooth:1:2': got 2 values after 'smooth', which reads at most 1",
+            "--ops: entry 'smooth:1:2': got 2 values after 'smooth', which reads at most 1",
         ),
         (
             ["postprocess", "{missing}", "--ops", "dilate:cube:1:7"],
-            "--ops entry 'dilate:cube:1:7': got 3 values after 'dilate', which reads at most 2",
+            "--ops: entry 'dilate:cube:1:7': got 3 values after 'dilate', which reads at most 2",
         ),
-        (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "--roi needs 3 positive integers, got '0,20,12'"),
+        (["pipeline", "--scan", "{scan}", "--roi", "0,20,12"], "--roi: needs 3 integers >= 1, got '0,20,12'"),
         (
             ["pipeline", "--scan", "{missing}", "--roi", "1,x,3"],
-            "--roi needs 3 comma-separated integers, got '1,x,3'",
+            "--roi: needs 3 integers >= 1, got '1,x,3'",
         ),
         (["pipeline", "--scan", "{missing}", "--segmenter", "oracle"], "--segmenter oracle needs --truth"),
         (["pipeline", "--scan", "{missing}", "--localizer", "oracle"], "--localizer oracle needs --truth"),
@@ -156,32 +175,32 @@ def test_read_shared_option_is_accepted(command, option):
         ),
         (
             ["experiment", "patch-size", "--truth", "{missing}", "--sizes", "24x24,10x"],
-            "--sizes entry needs 2 comma-separated integers, got '10x'",
+            "--sizes: needs XxY sizes >= 1, got '24x24,10x'",
         ),
         # positive sizes and factors are checked before any input is read
         (
             ["pipeline", "--scan", "{missing}", "--roi", "0,20,12"],
-            "--roi needs 3 positive integers, got '0,20,12'",
+            "--roi: needs 3 integers >= 1, got '0,20,12'",
         ),
         (
             ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--roi", "8,-1,8"],
-            "--roi needs 3 positive integers, got '8,-1,8'",
+            "--roi: needs 3 integers >= 1, got '8,-1,8'",
         ),
         (
             ["preprocess", "{missing}", "--downsample", "2,0,2"],
-            "--downsample needs 3 positive integers, got '2,0,2'",
+            "--downsample: needs 3 integers >= 1, got '2,0,2'",
         ),
         (
             ["pipeline", "--scan", "{missing}", "--downsample-factor", "0"],
-            "--downsample-factor must be >= 1, got 0",
+            "--downsample-factor: needs an integer >= 1, got '0'",
         ),
         (
             ["experiment", "patch-size", "--truth", "{missing}", "--sizes", "24x24,0x24"],
-            "--sizes entry needs 2 positive integers, got '0x24'",
+            "--sizes: needs XxY sizes >= 1, got '24x24,0x24'",
         ),
         (
             ["experiment", "patch-size", "--truth", "{missing}", "--z-extent", "-3"],
-            "--z-extent must be >= 1, got -3",
+            "--z-extent: needs an integer >= 1, got '-3'",
         ),
         # a prediction that only the external segmenter reads
         (
@@ -193,14 +212,14 @@ def test_read_shared_option_is_accepted(command, option):
              "--prediction", "{mask}"],
             "--prediction is read only by --segmenter external, got --segmenter oracle",
         ),
-        (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "'x'"),
+        (["experiment", "offset", "--scan", "{scan}", "--truth", "{mask}", "--offsets", "0,x"], "--offsets: needs finite numbers >= 0, got '0,x'"),
         (
             ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--offsets", "0,inf"],
-            "--offsets entry 'inf' is not a finite number >= 0",
+            "--offsets: needs finite numbers >= 0, got '0,inf'",
         ),
         (
             ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--offsets", "0,abc"],
-            "--offsets entry 'abc' is not a finite number >= 0",
+            "--offsets: needs finite numbers >= 0, got '0,abc'",
         ),
         # an output whose directory is missing is named before any input is
         # read: {corrupt} would fail the read, and evaluate and quality would
@@ -253,12 +272,36 @@ def test_read_shared_option_is_accepted(command, option):
             "--out-dir '{mask}/board': '{mask}' is not a directory",
         ),
         (["synth", "--dims", "16,16,8", "--out-dir", "{mask}"], "--out-dir '{mask}' is not a directory"),
+        # each value is named before any read, whether the input exists or not
+        (
+            ["preprocess", "{scan}", "--clahe", "0,0,3"],
+            "--clahe: needs tiles >= 1 and a finite clip limit > 1, e.g. 8,8,3.0, got '0,0,3'",
+        ),
+        (
+            ["preprocess", "{missing}", "--clahe", "8,8,nan"],
+            "--clahe: needs tiles >= 1 and a finite clip limit > 1, e.g. 8,8,3.0, got '8,8,nan'",
+        ),
+        (
+            ["preprocess", "{missing}", "--clahe", "8,8,1"],
+            "--clahe: needs tiles >= 1 and a finite clip limit > 1, e.g. 8,8,3.0, got '8,8,1'",
+        ),
+        (["synth", "--seed", "-5"], "--seed: needs an integer >= 0, got '-5'"),
+        (
+            ["synth", "--tier-fractions", "0.5,0.4,0.2"],
+            "--tier-fractions: needs 3 numbers >= 0 summing to 1, got '0.5,0.4,0.2'",
+        ),
+        (["evaluate", "{dir}", "{dir}", "--jobs", "0"], "--jobs: needs an integer >= 1, got '0'"),
+        (
+            ["quality", "--scans", "{missing}", "--masks", "{missing}", "--jobs", "-3"],
+            "--jobs: needs an integer >= 1, got '-3'",
+        ),
+        (["synth", "--jobs", "0"], "--jobs: needs an integer >= 1, got '0'"),
     ],
     ids=[
         "dims", "tier-fractions", "count", "spacing", "spacing-zero", "spacing-negative",
         "spacing-text", "tier-fractions-text",
         "dims-zero", "dims-jitter-leaves-grid",
-        "clahe", "clahe-clip", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest",
+        "clahe", "clahe-clip", "augment-without-mask-before-read", "ops-kind", "ops-connectivity", "ops-smooth", "ops-largest",
         "ops-largest-extra", "ops-smooth-extra", "ops-dilate-extra", "roi",
         "roi-text-before-read", "segmenter-oracle-before-read", "localizer-oracle-before-read",
         "segmenter-external-before-read", "sizes-before-read",
@@ -271,6 +314,8 @@ def test_read_shared_option_is_accepted(command, option):
         "offset-out", "patch-size-out",
         "preprocess-out", "preprocess-mask-out", "postprocess-out", "pipeline-out",
         "rank-out-dir-is-file", "rank-out-dir-under-file", "synth-out-dir-is-file",
+        "clahe-tiles-with-input", "clahe-nan-before-read", "clahe-clip-one-before-read", "synth-seed-negative", "tier-fractions-sum",
+        "evaluate-jobs-zero", "quality-jobs-negative-before-read", "synth-jobs-zero",
     ],
 )
 def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value):
@@ -307,9 +352,117 @@ def test_malformed_values_exit_1_naming_the_value(tmp_path, capsys, argv, value)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])
-def test_jobs_default_from_environment(command, monkeypatch):
+def test_jobs_default_from_environment(command, monkeypatch, capsys):
     monkeypatch.setenv("LABENCH_JOBS", "3")
     assert _build_parser().parse_args(_BASE_ARGV[command]).jobs == 3
+    # a bad value is named as --jobs's, unless --jobs overrides it
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("LABENCH_JOBS", bad)
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(_BASE_ARGV[command])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err == f"labench: error: argument --jobs: needs an integer >= 1, got {bad!r}\n"
+        assert _build_parser().parse_args(_BASE_ARGV[command] + ["--jobs", "2"]).jobs == 2
+
+
+# malformed forms of each kind of option value; none of them is valid
+_TEXT = st.sampled_from(("", "abc", "nan", "inf", "-inf"))
+_NEGATIVE = st.integers(max_value=-1).map(str)
+_INT = _TEXT | _NEGATIVE | st.sampled_from(("2.5", "1,2"))
+_POSITIVE = _INT | st.just("0")
+# malformed for every kind but the integers >= 0 and --offsets
+_COMMON = _TEXT | _NEGATIVE | st.just("0")
+
+
+def _common_or(*forms):
+    return _COMMON | st.sampled_from(forms)
+
+
+_TRIPLE = _common_or("4,4", "4,4,4,4", "4,0,4", "4,x,4")
+# per command: an argv whose inputs are missing, and its value options
+_FUZZ = {
+    "evaluate": (["evaluate", "{missing}", "{missing}", "--out", "{out}"], {"--format": _COMMON, "--jobs": _POSITIVE}),
+    "quality": (
+        ["quality", "--scans", "{missing}", "--masks", "{missing}", "--out", "{out}"],
+        {"--margin": _INT, "--format": _COMMON, "--jobs": _POSITIVE},
+    ),
+    "preprocess": (
+        ["preprocess", "{missing}", "--out", "{out}"],
+        {
+            "--downsample": _TRIPLE,
+            "--clahe": _common_or("8,8", "0,0,3", "8,0,3", "8,8,nan", "8,8,1", "8,8,3,1"),
+            "--seed": _INT,
+            "--encoding": _COMMON,
+        },
+    ),
+    "postprocess": (
+        ["postprocess", "{missing}", "--out", "{out}", "--ops", "largest"],
+        {
+            "--ops": _common_or("smooth:0", "largest:5", "dilate:ball", "erode:cube:0", "open:cross:1:2"),
+            "--encoding": _COMMON,
+        },
+    ),
+    "pipeline": (
+        ["pipeline", "--scan", "{missing}", "--out", "{out}"],
+        {
+            "--roi": _TRIPLE,
+            "--downsample-factor": _POSITIVE,
+            "--localizer": _COMMON,
+            "--segmenter": _COMMON,
+            "--encoding": _COMMON,
+        },
+    ),
+    "offset": (
+        ["experiment", "offset", "--scan", "{missing}", "--truth", "{missing}", "--out", "{out}"],
+        {
+            "--offsets": _TEXT | _NEGATIVE | st.sampled_from(("0,nan", "5,-1", "0,,5")),
+            "--roi": _TRIPLE,
+            "--segmenter": _COMMON,
+            "--axis": _COMMON,
+            "--format": _COMMON,
+        },
+    ),
+    "patch-size": (
+        ["experiment", "patch-size", "--truth", "{missing}", "--out", "{out}"],
+        {"--sizes": _common_or("24x24,10x", "24x24,0x24", "24x24x24"), "--z-extent": _POSITIVE, "--format": _COMMON},
+    ),
+    # an out-dir under a file: a valid value would fail on the path, before any run
+    "synth": (
+        ["synth", "--out-dir", "{file}/out"],
+        {
+            "--count": _POSITIVE,
+            "--dims": _TRIPLE,
+            "--spacing": _common_or("1,1", "1,0,1"),
+            "--tier-fractions": _common_or("0.5,0.5", "0.5,0.6,0.1", "1,0,0,0"),
+            "--seed": _INT,
+            "--jobs": _POSITIVE,
+            "--encoding": _COMMON,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@given(data=st.data())
+def test_fuzz_malformed_value_is_named_before_any_path(command, data):
+    argv, values = _FUZZ[command]
+    option = data.draw(st.sampled_from(sorted(values)))
+    value = data.draw(values[option])
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "file").write_text("")
+        paths = {"missing": f"{root}/missing", "out": f"{root}/out", "file": f"{root}/file"}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main([a.format(**paths) for a in argv] + [f"{option}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 1
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith(f"labench: error: argument {option}: ")
+        assert "Traceback" not in line and "ValueError:" not in line
+        assert os.listdir(root) == ["file"]
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
@@ -622,8 +775,10 @@ def test_quality_unpaired_and_failed_scans_exit_2(tmp_path, capsys):
 def test_quality_negative_margin_exits_1_before_reading(tmp_path, capsys):
     out = tmp_path / "q.csv"
     argv = ["quality", *_quality_inputs(tmp_path), "--out", str(out), "--margin", "-1"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "labench: error: --margin must be non-negative, got -1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "labench: error: argument --margin: needs an integer >= 0, got '-1'\n"
     assert not out.exists()
 
 
@@ -806,14 +961,15 @@ def test_experiment_offset_rejects_bad_offsets_before_any_run(tmp_path, capsys, 
     runs = []
     monkeypatch.setattr(pipeline, "run_pipeline", lambda *args: runs.append(args))
     out = tmp_path / "curve.csv"
-    assert main([
-        "experiment", "offset", "--scan", str(tmp_path / "scan.nrrd"),
-        "--truth", str(tmp_path / "scan_label.nrrd"),
-        "--offsets", offsets, "--roi", "20,20,12", "--out", str(out),
-    ]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "experiment", "offset", "--scan", str(tmp_path / "scan.nrrd"),
+            "--truth", str(tmp_path / "scan_label.nrrd"),
+            "--offsets", offsets, "--roi", "20,20,12", "--out", str(out),
+        ])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    bad = offsets.split(",")[1]
-    assert err == f"labench: error: ValueError: --offsets entry {bad!r} is not a finite number >= 0\n"
+    assert err == f"labench: error: argument --offsets: needs finite numbers >= 0, got {offsets!r}\n"
     assert runs == []
     assert not out.exists()
 
@@ -1090,8 +1246,12 @@ def test_rank_table_without_team_id_is_malformed_csv(tmp_path, capsys, option):
     [
         ([], "rank needs --metrics files or --summary"),
         (["--metrics", "absent.csv"], "'absent.csv' is not a file"),
+        (
+            ["--summary", "s.csv", "--metrics", "none.csv", "--quality", "none2.csv"],
+            "--summary excludes --metrics, --attributes and --quality",
+        ),
     ],
-    ids=["no-metrics", "missing-file"],
+    ids=["no-metrics", "missing-file", "summary-with-metrics"],
 )
 def test_rejected_rank_creates_no_output_directory(tmp_path, capsys, monkeypatch, extra, message):
     monkeypatch.chdir(tmp_path)

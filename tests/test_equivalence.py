@@ -232,7 +232,10 @@ def forced_split(monkeypatch):
     distances_to = metrics._distances_to
 
     def noting(surface, source, query, box, spacing):
-        split.append(surface[box].shape != surface.shape)
+        # each face of the union box holds a surface voxel of one of the two
+        # masks, so the box is smaller exactly when some voxel lies outside it
+        points = np.hstack([source, query])
+        split.append(any(s.start > p.min() or s.stop <= p.max() for s, p in zip(box, points)))
         return distances_to(surface, source, query, box, spacing)
 
     monkeypatch.setattr(metrics, "_distances_to", noting)
@@ -263,4 +266,4 @@ def test_split_equals_full_grid_on_random_pairs(forced_split):
                 bits[at] = True
         p, t = Mask(pred, spacing), Mask(truth, spacing)
         assert evaluate_case(p, t) == full_grid_evaluate_case(p, t), (i, spacing)
-    assert sum(forced_split) >= 200
+    assert sum(forced_split) >= 408  # of 480 calls

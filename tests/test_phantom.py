@@ -245,8 +245,9 @@ def test_cohort_member_memory_is_bounded_by_the_scan():
     assert nvox > phantom._SLAB_VOXELS
     tracemalloc.start()
     try:
-        cohort_member(base, 7, "high")
+        _, mask = cohort_member(base, 7, "high")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 12 * nvox
+    assert mask.bits.flags.f_contiguous  # written without a transposing copy
