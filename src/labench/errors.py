@@ -124,6 +124,10 @@ class NoForeground(LabenchError):
     """Thresholding produced an empty foreground."""
 
 
+class RoiTooSmall(LabenchError):
+    """No crop center lets the ROI box hold the truth foreground along an axis."""
+
+
 # --- stats / leaderboard ------------------------------------------------
 
 class EmptyCases(LabenchError):

@@ -252,6 +252,60 @@ def on_box(m: Mask, reach: int, op) -> Mask:
     return Mask(out, m.spacing)
 
 
+def _pairwise_sum(part, lo: int, n: int) -> np.ndarray:
+    """The sum of ``part(lo)`` .. ``part(lo + n - 1)`` (n >= 1) in float64,
+    added in the order of numpy's pairwise sum: in turn below 8 terms, into
+    eight running sums combined as a tree up to 128, halved above that (the
+    first half a multiple of 8 long). One term comes back as ``part(lo)``."""
+    if n == 1:
+        return part(lo)
+    if n < 8:
+        res = np.add(part(lo), part(lo + 1), dtype=np.float64)
+        for i in range(lo + 2, lo + n):
+            res += part(i)
+        return res
+    if n <= 128:
+        r = [part(lo + j).astype(np.float64) for j in range(8)]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                r[j] += part(lo + i + j)
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[a] += r[b]
+        for i in range(n - n % 8, n):
+            r[0] += part(lo + i)
+        return r[0]
+    half = n // 2 - n // 2 % 8
+    res = _pairwise_sum(part, lo, half)
+    res += _pairwise_sum(part, lo + half, n - half)
+    return res
+
+
+def _block_means(data: np.ndarray, axis: int, f: int) -> np.ndarray:
+    """Float64 means of the runs of ``f`` entries along ``axis`` (the last
+    run may be shorter), bit for bit ``np.add.reduceat`` of the float64
+    data divided by the run lengths. reduceat adds each run's first entry
+    to the pairwise sum of the rest; here the k-th entries of every run
+    form one strided part, so each addition is one whole-array add."""
+    n = data.shape[axis]
+    shape = list(data.shape)
+    shape[axis] = -(-n // f)
+    out = np.empty(shape)
+    full = n - n % f
+    for lo, hi in ((0, full), (full, n)):
+        if lo == hi:
+            continue
+
+        def part(k, lo=lo, hi=hi):
+            return data[(slice(None),) * axis + (slice(lo + k, hi, f),)]
+
+        count = min(f, hi - lo)
+        acc = part(0).astype(np.float64)
+        if count > 1:
+            acc += _pairwise_sum(part, 1, count - 1)
+        np.divide(acc, count, out=out[(slice(None),) * axis + (slice(lo // f, -(-hi // f)),)])
+    return out
+
+
 def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
     """Block-mean downsampling.
 
@@ -260,6 +314,13 @@ def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
     spacing is multiplied by the factor. Factors of (1, 1, 1) return the
     input unchanged; any other factor yields a float32 volume since block
     means are generally fractional.
+
+    Summation order: the blocks are reduced along x, then y, then z, each
+    time in float64, and every block sum equals ``np.add.reduceat`` over
+    the block (its first value plus numpy's pairwise sum of the rest), so
+    the result is bit for bit the whole-grid reduceat means. The work runs
+    over z-slabs of whole z-blocks, about ``_SLAB_VOXELS`` voxels each,
+    and widens the input to float64 one strided part at a time.
     """
     fx, fy, fz = (int(f) for f in factor)
     if min(fx, fy, fz) < 1:
@@ -272,15 +333,12 @@ def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
 
     nx, ny, nz = v.dims
     out = np.empty((-(-nx // fx), -(-ny // fy), -(-nz // fz)), dtype=np.float32)
-    # z-slabs of whole fz blocks hold whole block sums in a slab-sized float64 copy
     step = fz * max(1, _SLAB_VOXELS // (nx * ny * fz))
     for z0 in range(0, nz, step):
-        data = v.data[:, :, z0 : z0 + step].astype(np.float64)
+        data = v.data[:, :, z0 : z0 + step]
         for axis, f in enumerate((fx, fy, fz)):
             if f > 1:
-                starts = np.arange(0, data.shape[axis], f)
-                counts = np.diff(np.append(starts, data.shape[axis])).reshape((-1,) + (1,) * (2 - axis))
-                data = np.add.reduceat(data, starts, axis=axis) / counts
+                data = _block_means(data, axis, f)
         out[:, :, z0 // fz : z0 // fz + data.shape[2]] = data
 
     sx, sy, sz = v.spacing

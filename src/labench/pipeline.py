@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import grids
-from .errors import EmptyMask, NoForeground
+from .errors import EmptyMask, NoForeground, RoiTooSmall
 from .grids import (
     DEFAULT_ROI_SIZE,
     Box,
@@ -80,13 +80,17 @@ def otsu_threshold(data: np.ndarray) -> float:
     return float(edges[k + 1])
 
 
+def _centroid(bits: np.ndarray) -> tuple[float, float, float]:
+    """Mean index of the set voxels of ``bits`` per axis, found on their box."""
+    box = grids.bbox(bits)
+    return tuple(float((c + sl.start).mean()) for c, sl in zip(np.nonzero(bits[box]), box))
+
+
 def localize_oracle(truth: Mask) -> VoxelIndex:
     """Truth foreground centroid rounded half-up to a voxel index."""
     if truth.is_empty:
         raise EmptyMask("cannot localize an empty truth mask")
-    box = grids.bbox(truth.bits)
-    coords = np.nonzero(truth.bits[box])
-    return tuple(int(np.floor((c + sl.start).mean() + 0.5)) for c, sl in zip(coords, box))
+    return tuple(int(np.floor(c + 0.5)) for c in _centroid(truth.bits))
 
 
 def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
@@ -108,11 +112,10 @@ def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
     if bright.is_empty:
         raise NoForeground("thresholding produced an empty foreground")
     bright = largest_component(bright, connectivity=26).bits
-    cx, cy, cz = (float(c.mean()) for c in np.nonzero(bright))
     # block centers: downsampled index c covers full-res [c*f, c*f + f)
     return tuple(
         int(np.clip(np.floor((c + 0.5) * f), 0, dim - 1))
-        for c, dim in zip((cx, cy, cz), v.dims)
+        for c, dim in zip(_centroid(bright), v.dims)
     )
 
 
@@ -172,7 +175,8 @@ def max_noloss_displacement(truth: Mask, roi_size, axis: int = 0) -> int:
     that keeps every foreground voxel inside the box.
 
     This is the sweep's 100% point: the mask is pressed against the box
-    side without losing any voxels.
+    side without losing any voxels. RoiTooSmall when no crop center keeps
+    every foreground voxel inside the box.
     """
     c = localize_oracle(truth)[axis]
     w = roi_size[axis]
@@ -181,7 +185,7 @@ def max_noloss_displacement(truth: Mask, roi_size, axis: int = 0) -> int:
     d_max = lo - c + w // 2           # box start must stay at or below the mask start
     d_min = hi - c - (w - w // 2 - 1)  # box end must stay at or above the mask end
     if d_max < max(0, d_min):
-        raise ValueError(f"roi size {roi_size!r} cannot hold the mask along axis {axis}")
+        raise RoiTooSmall(f"roi size {roi_size!r} cannot hold the mask along axis {axis}")
     return d_max
 
 

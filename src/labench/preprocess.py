@@ -54,6 +54,9 @@ def _axis_interp(n: int, edges: np.ndarray):
     return left, right, w
 
 
+_CHUNK_PIXELS = 1 << 14  # pixels per chunk of CLAHE's per-pixel work
+
+
 def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: float = 4.0) -> Volume:
     """Contrast-limited adaptive histogram equalization of each xy slice.
 
@@ -62,6 +65,16 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
     256 levels over each slice's value range and mapped back, so the output
     range stays within the input range for every intensity type; a float
     volume holding NaN or infinity raises NonFiniteIntensity.
+
+    The clip threshold and the mapping's scale use every level of the
+    dtype, but the histogram and mapping tables hold only the smallest
+    power of two of bins, at least 128, above the volume's maximum: the
+    bins past it are empty, so numpy's pairwise sum of a tile's excess and
+    the cumulative sum give the same values over either width. Each
+    slice's per-pixel work runs in the slice's memory order (y-major rows
+    for an x-fastest grid), in chunks of about ``_CHUNK_PIXELS`` pixels,
+    in place in buffers allocated once per call; a float slice maps back
+    through a table of its 256 levels.
     """
     tx, ty = int(tiles[0]), int(tiles[1])
     if tx < 1 or ty < 1:
@@ -71,8 +84,11 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
     if not clip_limit > 1.0:
         raise ValueError(f"clip_limit must be > 1.0, got {clip_limit!r}")
     integer = np.issubdtype(v.data.dtype, np.integer)
-    levels = int(np.iinfo(v.data.dtype).max) + 1 if integer else 256
-    if not integer:
+    if integer:
+        levels = int(np.iinfo(v.data.dtype).max) + 1
+        bins = max(128, 1 << int(v.data.max()).bit_length())
+    else:
+        levels = bins = 256
         los, his = v.data.min(axis=(0, 1)), v.data.max(axis=(0, 1))
         if not (np.isfinite(los).all() and np.isfinite(his).all()):
             raise NonFiniteIntensity("CLAHE cannot map a volume holding NaN or infinity")
@@ -80,39 +96,76 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
     nx, ny, nz = v.dims
     x_edges, y_edges = (np.round(np.linspace(0, n, t + 1)).astype(int) for n, t in ((nx, tx), (ny, ty)))
     x_sizes, y_sizes = np.diff(x_edges), np.diff(y_edges)
-    tile_x, tile_y = np.repeat(np.arange(tx), x_sizes), np.repeat(np.arange(ty), y_sizes)
-    keys = (tile_x[:, None] * ty + tile_y) * levels
     n_t = (x_sizes[:, None] * y_sizes).reshape(-1, 1)
     threshold = clip_limit * n_t / levels
-    xl, xr, wx = (a[:, None] for a in _axis_interp(nx, x_edges))
-    yl, yr, wy = _axis_interp(ny, y_edges)
-    # each pixel's four tile offsets and bilinear weights, in the order they are summed
-    corners = [((x * ty + y) * levels, u * w) for y, w in ((yl, 1 - wy), (yr, wy))
-               for x, u in ((xl, 1 - wx), (xr, wx))]
+    # a slice is worked on as rows along its smaller stride: y-major for x-fastest
+    # grids; per-pixel tables broadcast from axis vectors come out in that order
+    y_major = v.data.strides[0] < v.data.strides[1]
+    along_x, along_y = ((1, -1), (-1, 1)) if y_major else ((-1, 1), (1, -1))
+    xl, xr, wx = (a.reshape(along_x) for a in _axis_interp(nx, x_edges))
+    yl, yr, wy = (a.reshape(along_y) for a in _axis_interp(ny, y_edges))
+    tile_x = np.repeat(np.arange(tx), x_sizes).reshape(along_x)
+    keys = (tile_x * ty + np.repeat(np.arange(ty), y_sizes).reshape(along_y)) * bins
+    # each pixel's four tile offsets from its own tile and their bilinear
+    # weights, in the order they are summed
+    corners = [((x * ty + y) * bins - keys, u * w)
+               for y, w in ((yl, 1 - wy), (yr, wy)) for x, u in ((xl, 1 - wx), (xr, wx))]
+
+    def rows(a):
+        return a.T if y_major else a
+
+    n_rows, n_cols = keys.shape
+    step = max(1, _CHUNK_PIXELS // n_cols)  # rows per chunk
+    key = np.empty_like(keys)  # each pixel's tile * bins + level
+    idx = np.empty((min(step, n_rows), n_cols), dtype=np.intp)
+    gathered, res = np.empty(idx.shape), np.empty(idx.shape)
 
     out = np.empty_like(v.data)
-    # one bincount over tile * levels + level keys gives every tile histogram of a slice
     for z in range(nz):
-        img = v.data[:, :, z]
+        img, dst = rows(v.data[:, :, z]), rows(out[:, :, z])
         if integer:
-            lv = img.astype(np.intp)
+            key[...] = img
         else:
             lo, hi = float(los[z]), float(his[z])
             if hi <= lo:
-                out[:, :, z] = img
+                dst[...] = img
                 continue
-            q = (img.astype(np.float64) - lo) / (hi - lo) * (levels - 1)
-            lv = np.floor(q + 0.5).astype(np.intp)
-        hist = np.bincount((keys + lv).ravel(), minlength=tx * ty * levels)
-        hist = hist.reshape(tx * ty, levels).astype(np.float64)
+            for r0 in range(0, n_rows, step):
+                q = res[: min(step, n_rows - r0)]
+                np.subtract(img[r0 : r0 + step], lo, out=q, dtype=np.float64)
+                q /= hi - lo
+                q *= levels - 1
+                q += 0.5
+                key[r0 : r0 + step] = np.floor(q, out=q)
+            decode = (lo + np.arange(levels) / (levels - 1) * (hi - lo)).astype(out.dtype)
+        key += keys
+        # one bincount over the keys gives every tile histogram of the slice
+        hist = np.bincount(key.ravel(), minlength=tx * ty * bins)
+        hist = hist.reshape(tx * ty, bins).astype(np.float64)
         if math.isfinite(clip_limit):
             # a tile without excess adds 0 to bins that the clip leaves as they are
             excess = np.maximum(hist - threshold, 0.0).sum(axis=1, keepdims=True)
             hist = np.minimum(hist, threshold) + excess / levels
         mapping = (np.cumsum(hist, axis=1) / n_t * (levels - 1)).ravel()
-        res = sum(w * mapping.take(k + lv) for k, w in corners)
-        res = np.clip(np.floor(res + 0.5), 0, levels - 1)
-        out[:, :, z] = res if integer else lo + res / (levels - 1) * (hi - lo)
+        for r0 in range(0, n_rows, step):
+            rs, m = slice(r0, r0 + step), min(step, n_rows - r0)
+            i, r = idx[:m], res[:m]
+            # every index is in range; mode="clip" only spares take a bounds-checked copy
+            for c, (offset, weight) in enumerate(corners):
+                term = gathered[:m] if c else r
+                np.add(key[rs], offset[rs], out=i)
+                np.take(mapping, i, out=term, mode="clip")
+                term *= weight[rs]
+                if c:
+                    r += term
+            r += 0.5
+            # the weights and mappings are >= 0, so only the top of the clip can bite
+            np.minimum(np.floor(r, out=r), levels - 1, out=r)
+            if integer:
+                dst[rs] = r
+            else:
+                i[...] = r
+                np.take(decode, i, out=dst[rs], mode="clip")
     return Volume(out, v.spacing)
 
 

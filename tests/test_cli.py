@@ -955,6 +955,19 @@ def test_experiment_offset_csv(tmp_path):
     assert float(rows[2]["dice"]) < 1.0
 
 
+def test_experiment_offset_names_a_roi_too_small_for_the_truth(tmp_path, capsys):
+    # the truth spans 12 voxels along x, so no 8-voxel box holds it
+    _scan_with_truth(tmp_path)
+    out = tmp_path / "curve.csv"
+    assert main([
+        "experiment", "offset", "--scan", str(tmp_path / "scan.nrrd"),
+        "--truth", str(tmp_path / "scan_label.nrrd"), "--roi", "8,20,12", "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == "labench: error: RoiTooSmall: roi size (8, 20, 12) cannot hold the mask along axis 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("offsets", ["0,inf", "0,nan", "0,-5"])
 def test_experiment_offset_rejects_bad_offsets_before_any_run(tmp_path, capsys, monkeypatch, offsets):
     _scan_with_truth(tmp_path)

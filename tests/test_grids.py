@@ -108,18 +108,39 @@ def test_structuring_elements_are_scipy_connectivities():
         assert np.array_equal(element, expected)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("factor", [(2, 2, 2), (3, 2, 5), (1, 4, 3), (2, 1, 1), (4, 3, 23)])
-def test_slab_downsample_equals_whole_grid(monkeypatch, order, factor):
-    # slabs of 1 to 3 blocks; 23 slices leave a partial last block for most factors
-    data = np.random.default_rng(sum(factor)).normal(100, 30, size=(13, 11, 23))
+def _assert_slabs_equal_whole_grid(monkeypatch, dims, order, factor):
+    # half the values are +-2**50, which cancel in many blocks and leave the
+    # others' sum rounded to quarters in an order-dependent way, so that a
+    # change in the float64 summation order shows in float32
+    rng = np.random.default_rng(sum(factor))
+    big = rng.choice([-(2.0**50), 2.0**50], size=dims)
+    data = np.where(rng.random(dims) < 0.5, big, rng.normal(0, 1, size=dims))
     v = Volume(np.asarray(data.astype(np.float32), order=order), (0.5, 0.75, 1.25))
     expected = whole_grid_downsample(v, factor)
-    for slab in (1, 13 * 11 * factor[2] * 2, 13 * 11 * factor[2] * 3):
+    plane = dims[0] * dims[1]
+    for slab in (1, plane * factor[2] * 2, plane * factor[2] * 3):
         monkeypatch.setattr(grids, "_SLAB_VOXELS", slab)
         out = downsample(v, factor)
         assert out.spacing == expected.spacing
         assert np.array_equal(out.data.view(np.uint32), expected.data.view(np.uint32))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "factor", [(2, 2, 2), (3, 2, 5), (1, 4, 3), (2, 1, 1), (4, 3, 23), (9, 9, 9), (2, 3, 16)]
+)
+def test_slab_downsample_equals_whole_grid(monkeypatch, order, factor):
+    # slabs of 1 to 3 blocks; 23 slices leave a partial last block for most
+    # factors. Block sums follow numpy's pairwise order, which changes at 8
+    # terms: 9 gives 8 terms after the first, 16 gives 15 and a partial 6
+    _assert_slabs_equal_whole_grid(monkeypatch, (13, 11, 23), order, factor)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_slab_downsample_equals_whole_grid_past_128_terms(monkeypatch, order):
+    # numpy's pairwise sum splits runs of more than 128 terms in halves: blocks
+    # of 150 give 149 terms after the first, the partial last block 9
+    _assert_slabs_equal_whole_grid(monkeypatch, (8, 8, 310), order, (1, 1, 150))
 
 
 def test_downsample_memory_is_bounded_by_the_slab(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from labench import preprocess
 from labench.errors import ConstantVolume, InvalidSpec, NonFiniteIntensity, TooManyTiles
 from labench.grids import Mask, Volume
 from labench.preprocess import (
@@ -155,6 +157,42 @@ def test_clahe_equals_per_tile_oracle(rng, dtype, order):
         for clip in (1.5, 2.2, 3.0, math.inf):
             expected = per_tile_clahe(v, tiles, clip).data
             assert _same_bits(clahe_slicewise(v, tiles, clip).data, expected), (tiles, clip)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "dtype, top", [(np.uint8, 255), (np.uint16, 200), (np.uint16, 4095), (np.uint16, 40000), (np.float32, None)]
+)
+def test_clahe_equals_per_tile_oracle_past_one_chunk(rng, dtype, top, order):
+    # a 150 x 130 slice is more than one chunk in either memory order, so its
+    # last chunk is partial; uint16 tables hold the power of two above ``top``
+    dims = (150, 130, 2)
+    assert preprocess._CHUNK_PIXELS < 150 * 130
+    if dtype == np.float32:
+        data = rng.normal(100.0, 25.0, size=dims)
+    else:
+        data = rng.integers(0, top + 1, size=dims)
+    v = _volume(np.asarray(data.astype(dtype), order=order))
+    for tiles, clip in (((8, 8), 3.0), ((3, 5), math.inf)):
+        expected = per_tile_clahe(v, tiles, clip).data
+        assert _same_bits(clahe_slicewise(v, tiles, clip).data, expected), (tiles, clip)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
+def test_clahe_memory_is_the_output_plus_slice_buffers(dtype):
+    # 16 float64 buffers of a slice are 4 bytes per voxel at 32 slices; 2 x 2
+    # tiles keep the tables small. uint16 tables of every level took about 16
+    # bytes per voxel more
+    dims = (150, 130, 32)
+    data = np.random.default_rng(0).integers(0, 200, size=dims).astype(dtype)
+    v = Volume(np.asfortranarray(data))
+    tracemalloc.start()
+    try:
+        clahe_slicewise(v, (2, 2), 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nvox * (v.data.itemsize + 4)
 
 
 @given(
