@@ -17,7 +17,10 @@ Checks run in this order, and the first that fails ends the run: each
 option value, by its argparse ``type`` in ``parse_args``; the rules that
 join options (:data:`_RULES`); the input and output paths; then the
 reads. Every failure, argparse's usage errors included, is one line
-``labench: error: <message>`` on stderr with exit code 1.
+``labench: error: <message>`` on stderr with exit code 1. An input that
+the library rejects raises a :class:`LabenchError`, which :func:`main`
+prints as ``<Type>: <message>``; any other exception, a bare
+``ValueError`` included, is a bug and escapes with its traceback.
 
 Every table (per-case metrics, scan quality, leaderboard, experiment
 curves, the synth manifest) goes through :func:`_write_table`. Its CSV
@@ -286,14 +289,18 @@ def read_case_csv(
 
 def _read_rows(path, key: str, columns=()) -> list[dict[str, str]]:
     """The rows of a CSV file, one per ``key`` value; MalformedCsv naming
-    the file and the column if ``key`` or one of ``columns`` is missing, or
-    naming the file and the id if two rows share a ``key`` value."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in (key, *columns):
-            if column not in (reader.fieldnames or ()):
-                raise MalformedCsv(f"{path} has no {column!r} column")
-        rows = list(reader)
+    the file if it is not UTF-8 CSV text, naming the file and the column if
+    ``key`` or one of ``columns`` is missing, or naming the file and the id
+    if two rows share a ``key`` value."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for column in (key, *columns):
+                if column not in (reader.fieldnames or ()):
+                    raise MalformedCsv(f"{path} has no {column!r} column")
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedCsv(f"{path} is not UTF-8 CSV text: {exc}") from None
     seen = set()
     for row in rows:
         if row[key] in seen:
@@ -848,7 +855,7 @@ def main(argv=None) -> int:
             return _fail(message.format_map(vars(args)))
     try:
         return args.func(args)
-    except (LabenchError, ValueError) as exc:  # an input or value the library rejects
+    except LabenchError as exc:  # an input the library rejects; anything else is a bug
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

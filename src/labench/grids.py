@@ -1,11 +1,13 @@
 """In-memory 3D grids: grayscale volumes and binary masks.
 
-Arrays are indexed ``[ix, iy, iz]``; no value depends on a grid's memory
-order. The x-fastest raster order of the NRRD files is owned by
-:mod:`labench.nrrd_io`, which converts at the file boundary; the masks
-that operators build are allocated x-fastest, so writing them needs no
-transpose. Grids are immutable after construction (the constructor marks
-the underlying array read-only), so they are safe to share across threads.
+Arrays are indexed ``[ix, iy, iz]`` and every grid is x-fastest: its
+strides ascend over the axes longer than 1, as in the raster order of the
+NRRD files. The constructor keeps an array already laid out so (an NRRD
+read, a phantom, a box view of another grid) and copies any other layout
+once, so a grid's values never depend on the layout it was given and no
+function reads the layout. Grids are immutable after construction (the
+constructor marks the array it keeps read-only), so they are safe to
+share across threads.
 
 The foreground is found from axis projections. :func:`boxes` gives tight
 boxes split on empty planes, which no surface or 26-connected component
@@ -49,6 +51,18 @@ def checked_spacing(spacing) -> tuple[float, float, float]:
     return s
 
 
+def _x_fastest(array, what: str) -> np.ndarray:
+    """``array`` as a read-only x-fastest 3D array: kept when its strides
+    already ascend over the axes longer than 1, else copied once."""
+    if array.ndim != 3 or 0 in array.shape:
+        raise ValueError(f"{what} must be a non-empty 3D array, got shape {array.shape}")
+    strides = [0, *(s for s, n in zip(array.strides, array.shape) if n > 1)]
+    if any(a >= b for a, b in zip(strides, strides[1:])):
+        array = np.asfortranarray(array)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """3D grayscale intensity grid with physical voxel spacing in mm."""
@@ -58,14 +72,11 @@ class Volume:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if data.ndim != 3 or 0 in data.shape:
-            raise ValueError(f"volume data must be a non-empty 3D array, got shape {data.shape}")
         if data.dtype not in INTENSITY_DTYPES:
             raise ValueError(
                 f"unsupported intensity dtype {data.dtype}; expected uint8, uint16 or float32"
             )
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _x_fastest(data, "volume data"))
         object.__setattr__(self, "spacing", checked_spacing(self.spacing))
 
     @property
@@ -97,10 +108,7 @@ class Mask:
         bits = np.asarray(self.bits)
         if bits.dtype != np.bool_:
             raise ValueError(f"mask bits must be boolean, got dtype {bits.dtype}")
-        if bits.ndim != 3 or 0 in bits.shape:
-            raise ValueError(f"mask bits must be a non-empty 3D array, got shape {bits.shape}")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _x_fastest(bits, "mask bits"))
         object.__setattr__(self, "spacing", checked_spacing(self.spacing))
 
     @property
@@ -332,7 +340,7 @@ def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
         return v
 
     nx, ny, nz = v.dims
-    out = np.empty((-(-nx // fx), -(-ny // fy), -(-nz // fz)), dtype=np.float32)
+    out = np.empty((-(-nx // fx), -(-ny // fy), -(-nz // fz)), dtype=np.float32, order="F")
     step = fz * max(1, _SLAB_VOXELS // (nx * ny * fz))
     for z0 in range(0, nz, step):
         data = v.data[:, :, z0 : z0 + step]

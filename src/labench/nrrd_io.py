@@ -218,7 +218,7 @@ def write_nrrd(grid: Grid, path, encoding: str = "raw") -> None:
         raise UnsupportedEncoding(f"unsupported encoding {encoding!r}")
 
     if isinstance(grid, Mask):
-        arr = grid.bits.astype(np.uint8, order="F")
+        arr = grid.bits.view(np.uint8)
     else:
         arr = grid.data
     dtype = arr.dtype

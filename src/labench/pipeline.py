@@ -20,10 +20,12 @@ module reads no files; the CLI reads every input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import grids
-from .errors import EmptyMask, NoForeground, RoiTooSmall
+from .errors import EmptyMask, NoForeground, NonFiniteIntensity, RoiTooSmall
 from .grids import (
     DEFAULT_ROI_SIZE,
     Box,
@@ -63,9 +65,12 @@ def crop(grid: Grid, center: VoxelIndex, size: tuple[int, int, int]) -> tuple[Gr
 
 
 def otsu_threshold(data: np.ndarray) -> float:
-    """Otsu's threshold (maximal between-class variance) over 256 bins."""
-    flat = data.ravel().astype(np.float64)
+    """Otsu's threshold (maximal between-class variance) over 256 bins;
+    NonFiniteIntensity for data holding NaN or infinity."""
+    flat = data.ravel(order="K").astype(np.float64)
     lo, hi = float(flat.min()), float(flat.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteIntensity("Otsu's threshold needs a volume without NaN or infinity")
     if hi <= lo:
         raise NoForeground("constant volume has no separable foreground")
     hist, edges = np.histogram(flat, bins=256, range=(lo, hi))
@@ -152,7 +157,7 @@ class ThresholdSegmenter:
         try:
             threshold = otsu_threshold(data)
         except NoForeground:
-            return Mask(np.zeros(patch.dims, dtype=bool), patch.spacing)
+            return Mask(np.zeros(patch.dims, dtype=bool, order="F"), patch.spacing)
         mask = largest_component(Mask(data > threshold, patch.spacing), connectivity=26)
         return close_mask(mask, StructuringElement("cross", 1))
 

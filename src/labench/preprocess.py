@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -71,9 +72,9 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
     power of two of bins, at least 128, above the volume's maximum: the
     bins past it are empty, so numpy's pairwise sum of a tile's excess and
     the cumulative sum give the same values over either width. Each
-    slice's per-pixel work runs in the slice's memory order (y-major rows
-    for an x-fastest grid), in chunks of about ``_CHUNK_PIXELS`` pixels,
-    in place in buffers allocated once per call; a float slice maps back
+    slice's per-pixel work runs in its memory order, as y-major rows of
+    the x-fastest grid, in chunks of about ``_CHUNK_PIXELS`` pixels, in
+    place in buffers allocated once per call; a float slice maps back
     through a table of its 256 levels.
     """
     tx, ty = int(tiles[0]), int(tiles[1])
@@ -98,21 +99,15 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
     x_sizes, y_sizes = np.diff(x_edges), np.diff(y_edges)
     n_t = (x_sizes[:, None] * y_sizes).reshape(-1, 1)
     threshold = clip_limit * n_t / levels
-    # a slice is worked on as rows along its smaller stride: y-major for x-fastest
-    # grids; per-pixel tables broadcast from axis vectors come out in that order
-    y_major = v.data.strides[0] < v.data.strides[1]
-    along_x, along_y = ((1, -1), (-1, 1)) if y_major else ((-1, 1), (1, -1))
-    xl, xr, wx = (a.reshape(along_x) for a in _axis_interp(nx, x_edges))
-    yl, yr, wy = (a.reshape(along_y) for a in _axis_interp(ny, y_edges))
-    tile_x = np.repeat(np.arange(tx), x_sizes).reshape(along_x)
-    keys = (tile_x * ty + np.repeat(np.arange(ty), y_sizes).reshape(along_y)) * bins
+    # a slice is worked on as y-major rows, its memory order in an x-fastest
+    # grid; per-pixel tables broadcast from axis vectors come out in that order
+    xl, xr, wx = _axis_interp(nx, x_edges)
+    yl, yr, wy = (a[:, None] for a in _axis_interp(ny, y_edges))
+    keys = (np.repeat(np.arange(tx), x_sizes) * ty + np.repeat(np.arange(ty), y_sizes)[:, None]) * bins
     # each pixel's four tile offsets from its own tile and their bilinear
     # weights, in the order they are summed
     corners = [((x * ty + y) * bins - keys, u * w)
                for y, w in ((yl, 1 - wy), (yr, wy)) for x, u in ((xl, 1 - wx), (xr, wx))]
-
-    def rows(a):
-        return a.T if y_major else a
 
     n_rows, n_cols = keys.shape
     step = max(1, _CHUNK_PIXELS // n_cols)  # rows per chunk
@@ -122,7 +117,7 @@ def clahe_slicewise(v: Volume, tiles: tuple[int, int] = (8, 8), clip_limit: floa
 
     out = np.empty_like(v.data)
     for z in range(nz):
-        img, dst = rows(v.data[:, :, z]), rows(out[:, :, z])
+        img, dst = v.data[:, :, z].T, out[:, :, z].T
         if integer:
             key[...] = img
         else:
@@ -179,6 +174,17 @@ READS = {
     "flip": ("flip_axis",),
 }
 
+# each field's type, its range as a test, and the text that names both; a
+# bool is not a number
+_VALUES = {
+    "seed": (numbers.Integral, lambda v: v >= 0, "an integer >= 0"),
+    "angle_deg": (numbers.Real, math.isfinite, "a finite number"),
+    "magnitude": (numbers.Real, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    "grid_size": (numbers.Integral, lambda v: v >= 2, "an integer >= 2"),
+    "scale": (numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "flip_axis": (str, lambda v: v in AXES, "x, y or z"),
+}
+
 
 @dataclass(frozen=True)
 class AugmentationSpec:
@@ -200,8 +206,9 @@ class AugmentationSpec:
 
     def validated(self) -> "AugmentationSpec":
         """``self``; InvalidSpec for an unknown kind, a field the kind does
-        not read that is set off its default, or a value out of range."""
-        if self.kind not in READS:
+        not read that is set off its default, or a field it reads whose
+        type or value is outside :data:`_VALUES`."""
+        if not isinstance(self.kind, str) or self.kind not in READS:
             raise InvalidSpec(f"unknown augmentation kind {self.kind!r}")
         unread = [
             f.name for f in fields(self)
@@ -209,23 +216,26 @@ class AugmentationSpec:
         ]
         if unread:
             raise InvalidSpec(f"augmentation kind {self.kind!r} does not read {unread}")
-        for name in ("angle_deg", "magnitude", "scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpec(f"{name} must be finite")
-        if self.kind == "flip" and self.flip_axis not in AXES:
-            raise InvalidSpec(f"flip axis must be x, y or z, got {self.flip_axis!r}")
-        if self.kind == "elastic" and self.grid_size < 2:
-            raise InvalidSpec(f"elastic grid_size must be >= 2, got {self.grid_size}")
-        if self.kind == "perspective-scale" and self.scale <= 0:
-            raise InvalidSpec(f"scale must be positive, got {self.scale}")
+        for name in READS[self.kind]:
+            kind, within, what = _VALUES[name]
+            value = getattr(self, name)
+            try:
+                valid = isinstance(value, kind) and not isinstance(value, bool) and within(value)
+            except OverflowError:  # an int too large for a float
+                valid = False
+            if not valid:
+                raise InvalidSpec(f"{name} must be {what}, got {value!r}")
         return self
 
 
 def load_augmentation_specs(path) -> list[AugmentationSpec]:
     """Load a JSON list of transform entries; a key the entry's kind does
-    not read is rejected."""
-    with open(path) as fh:
-        entries = json.load(fh)
+    not read is rejected, and so is a file that is not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InvalidSpec(f"{path} is not a JSON file: {exc}") from None
     if not isinstance(entries, list):
         raise InvalidSpec("augmentation config must be a JSON list")
     specs = []
@@ -260,7 +270,7 @@ def _affine_pair(volume: Volume, mask: Mask, matrix: np.ndarray):
         mask.bits.astype(np.uint8), matrix, offset=offset, order=0,
         mode="constant", cval=0, prefilter=False,
     )
-    return Volume(np.ascontiguousarray(new_data), volume.spacing), Mask(new_bits > 0, mask.spacing)
+    return Volume(new_data, volume.spacing), Mask(new_bits > 0, mask.spacing)
 
 
 def _rotate(volume: Volume, mask: Mask, angle_deg: float):
@@ -271,8 +281,8 @@ def _rotate(volume: Volume, mask: Mask, angle_deg: float):
         if k == 0:
             return volume, mask
         return (
-            Volume(np.ascontiguousarray(np.rot90(volume.data, k, axes=(0, 1))), volume.spacing),
-            Mask(np.ascontiguousarray(np.rot90(mask.bits, k, axes=(0, 1))), mask.spacing),
+            Volume(np.rot90(volume.data, k, axes=(0, 1)), volume.spacing),
+            Mask(np.rot90(mask.bits, k, axes=(0, 1)), mask.spacing),
         )
     if angle_deg % 360.0 == 0.0:
         return volume, mask
@@ -292,6 +302,8 @@ def _scale(volume: Volume, mask: Mask, factor: float):
 
 
 def _elastic(volume: Volume, mask: Mask, magnitude: float, grid_size: int, seed: int):
+    if grid_size**3 > volume.nvox:
+        raise InvalidSpec(f"elastic grid_size {grid_size} has more control points than the volume has voxels")
     if magnitude == 0.0:
         return volume, mask
     from scipy import ndimage
@@ -316,8 +328,8 @@ def _elastic(volume: Volume, mask: Mask, magnitude: float, grid_size: int, seed:
 def _flip(volume: Volume, mask: Mask, axis_name: str):
     axis = AXES[axis_name]
     return (
-        Volume(np.ascontiguousarray(np.flip(volume.data, axis=axis)), volume.spacing),
-        Mask(np.ascontiguousarray(np.flip(mask.bits, axis=axis)), mask.spacing),
+        Volume(np.flip(volume.data, axis=axis), volume.spacing),
+        Mask(np.flip(mask.bits, axis=axis), mask.spacing),
     )
 
 

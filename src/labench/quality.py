@@ -15,13 +15,15 @@ background is everything else, excluding voxels within ``margin`` of the
 grid edge. The dilation is numpy shifts on the foreground box, equal to
 scipy's ``binary_dilation``, whose 0.35 s import would dwarf its 2 ms of
 work. Means and standard deviations are population statistics over the
-region voxels, in float64. The foreground is gathered from its box. The
-background is summed in memory order: one float64 copy of an interior
-plane at a time along the scan's slowest axis (z for the x-fastest grids
-``read_nrrd`` returns), its foreground zeroed, one pass for the mean and
-one for the squared deviations. Nothing grid-sized is made, and only
-background voxels are added (a whole-interior sum less the foreground sum
-would cancel when the foreground is much brighter). numpy's ``mean`` and
+region voxels, in float64; a region holding NaN or infinity gives a mean
+that is not finite, which raises NonFiniteIntensity. The foreground is
+gathered from its box. The background is summed in z planes, the
+slowest axis of every (x-fastest) grid, so a scan gives the same bits
+whatever layout it was built from: one float64 copy of an interior plane
+at a time, its foreground zeroed, one pass for the mean and one for the
+squared deviations. Nothing grid-sized is made, and only background
+voxels are added (a whole-interior sum less the foreground sum would
+cancel when the foreground is much brighter). numpy's ``mean`` and
 ``std`` of a C-order gather add the same values in another order, so SNR
 and CR can differ from theirs in the last bits (under 1e-15 relative).
 Quality bands: high for snr < 1, medium for 1..3 inclusive, low above 3.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
+from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask, NonFiniteIntensity
 from .grids import Box, Mask, Volume, bbox, check_same_geometry
 
 BANDS = ("high", "medium", "low")
@@ -87,10 +89,8 @@ def _background_stats(
 ) -> tuple[float, float]:
     """Mean and population standard deviation of the background: the voxels
     of the interior (the grid less its ``margin``-wide frame) outside the
-    foreground ``region`` at ``box``, summed plane by plane as the module
+    foreground ``region`` at ``box``, summed in z planes as the module
     docstring says. EmptyBackground when there are none."""
-    if data.strides[0] > data.strides[2]:  # z varies fastest: walk x planes
-        data, region, box = data.T, region.T, box[::-1]
     interior = data[tuple(slice(margin, n - margin) for n in data.shape)]
     # the foreground inside the interior, at [lo, hi) in grid indices; the
     # box is a mask box grown by margin, so lo <= hi unless the interior is empty
@@ -115,6 +115,8 @@ def _background_stats(
         return acc
 
     mean = total(None) / count
+    if not math.isfinite(mean):
+        raise NonFiniteIntensity("the scan's background holds NaN or infinity")
     return mean, math.sqrt(total(mean) / count)
 
 
@@ -125,6 +127,8 @@ def assess_quality(scan: Volume, la: Mask, margin: int = DEFAULT_MARGIN) -> Qual
     mu_bg, sigma_bg = _background_stats(scan.data, box, fg_region, margin)
     fg = scan.data[box][fg_region].astype(np.float64)
     mu_fg = float(fg.mean())
+    if not math.isfinite(mu_fg):
+        raise NonFiniteIntensity("the scan's foreground holds NaN or infinity")
     if mu_fg <= mu_bg:
         raise DegenerateContrast(
             f"foreground mean {mu_fg:.6g} does not exceed background mean {mu_bg:.6g}"

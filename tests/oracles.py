@@ -382,6 +382,28 @@ def _axis_interp(n: int, edges: np.ndarray):
     return left, right, w
 
 
+def tile_mappings(lv: np.ndarray, levels: int, tiles: tuple[int, int], clip_limit: float) -> np.ndarray:
+    """The ``(tx, ty, levels)`` float64 CLAHE mapping of each tile of the
+    slice of levels ``lv``: every level of the dtype wide."""
+    tx, ty = tiles
+    x_edges = _tile_edges(lv.shape[0], tx)
+    y_edges = _tile_edges(lv.shape[1], ty)
+    mappings = np.empty((tx, ty, levels), dtype=np.float64)
+    for i in range(tx):
+        for j in range(ty):
+            tile = lv[x_edges[i]:x_edges[i + 1], y_edges[j]:y_edges[j + 1]]
+            n_t = tile.size
+            hist = np.bincount(tile.ravel(), minlength=levels).astype(np.float64)
+            if math.isfinite(clip_limit):
+                threshold = clip_limit * n_t / levels
+                excess = np.maximum(hist - threshold, 0.0).sum()
+                if excess > 0.0:
+                    hist = np.minimum(hist, threshold) + excess / levels
+            cdf = np.cumsum(hist) / n_t
+            mappings[i, j] = cdf * (levels - 1)
+    return mappings
+
+
 def _clahe_slice(img: np.ndarray, tiles: tuple[int, int], clip_limit: float) -> np.ndarray:
     tx, ty = tiles
     nx, ny = img.shape
@@ -401,20 +423,7 @@ def _clahe_slice(img: np.ndarray, tiles: tuple[int, int], clip_limit: float) -> 
 
     x_edges = _tile_edges(nx, tx)
     y_edges = _tile_edges(ny, ty)
-
-    mappings = np.empty((tx, ty, levels), dtype=np.float64)
-    for i in range(tx):
-        for j in range(ty):
-            tile = lv[x_edges[i]:x_edges[i + 1], y_edges[j]:y_edges[j + 1]]
-            n_t = tile.size
-            hist = np.bincount(tile.ravel(), minlength=levels).astype(np.float64)
-            if math.isfinite(clip_limit):
-                threshold = clip_limit * n_t / levels
-                excess = np.maximum(hist - threshold, 0.0).sum()
-                if excess > 0.0:
-                    hist = np.minimum(hist, threshold) + excess / levels
-            cdf = np.cumsum(hist) / n_t
-            mappings[i, j] = cdf * (levels - 1)
+    mappings = tile_mappings(lv, levels, tiles, clip_limit)
 
     xl, xr, wx = _axis_interp(nx, x_edges)
     yl, yr, wy = _axis_interp(ny, y_edges)

@@ -461,8 +461,63 @@ def test_fuzz_malformed_value_is_named_before_any_path(command, data):
         assert code == 1
         (line,) = err.getvalue().splitlines()
         assert line.startswith(f"labench: error: argument {option}: ")
-        assert "Traceback" not in line and "ValueError:" not in line
+        assert "Traceback" not in err.getvalue() and "ValueError" not in err.getvalue()
         assert os.listdir(root) == ["file"]
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**30),
+    st.floats(),
+    st.sampled_from(["x", "y", "z", "w", "", "2"]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@given(
+    kind=st.sampled_from(["rotate", "elastic", "perspective-scale", "flip", "shear"]),
+    entry=st.dictionaries(
+        st.sampled_from(["seed", "angle_deg", "magnitude", "grid_size", "scale", "flip_axis"]),
+        _JSON_VALUES,
+        max_size=3,
+    ),
+)
+def test_fuzz_augment_entry_is_applied_or_named(kind, entry):
+    # any JSON value in any field: the transform runs, or the entry is an
+    # InvalidSpec on one line; nothing else escapes
+    with tempfile.TemporaryDirectory() as root:
+        bits = _blob(dims=(8, 8, 6), lo=(2, 2, 1), hi=(6, 6, 5))
+        write_nrrd(Volume(np.where(bits, 200, 50).astype(np.uint8)), f"{root}/v.nrrd")
+        write_nrrd(Mask(bits), f"{root}/m.nrrd")
+        Path(root, "cfg.json").write_text(json.dumps([{"kind": kind, **entry}]))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an extreme transform may overflow a cast
+            code = main([
+                "preprocess", f"{root}/v.nrrd", "--out", f"{root}/o.nrrd",
+                "--augment", f"{root}/cfg.json", "--mask", f"{root}/m.nrrd",
+            ])
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 1
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("labench: error: InvalidSpec: ")
+
+
+def test_a_value_error_inside_a_command_escapes_main(monkeypatch, tmp_path, capsys):
+    # main prints a LabenchError, an input the library rejects; a bare
+    # ValueError from a command is a bug, so it keeps its traceback
+    from labench import cli
+
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_rank", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["rank", "--summary", str(tmp_path / "s.csv"), "--out-dir", str(tmp_path / "board")])
+    assert capsys.readouterr().err == ""
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
@@ -772,6 +827,21 @@ def test_quality_unpaired_and_failed_scans_exit_2(tmp_path, capsys):
     assert [r["scan_id"] for r in csv.DictReader(out.open())] == ["s0", "s1"]
 
 
+def test_quality_names_a_scan_holding_nan(tmp_path, capsys):
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    bits = _blob()
+    data = np.where(bits, 300.0, 100.0).astype(np.float32)
+    data[10, 10, 6] = np.nan
+    write_nrrd(Volume(data), scans / "s1.nrrd")
+    write_nrrd(Mask(bits), scans / "s1_label.nrrd")
+    out = tmp_path / "q.csv"
+    assert main(["quality", "--scans", str(scans), "--masks", str(scans), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("labench: failed scan: s1: NonFiniteIntensity: ")
+    assert out.read_text() == "scan_id,snr,cr,het,band\n"
+
+
 def test_quality_negative_margin_exits_1_before_reading(tmp_path, capsys):
     out = tmp_path / "q.csv"
     argv = ["quality", *_quality_inputs(tmp_path), "--out", str(out), "--margin", "-1"]
@@ -836,6 +906,40 @@ def test_preprocess_augment_round_trip(tmp_path):
     flipped = read_nrrd(tmp_path / "ma.nrrd", as_mask=True)
     assert flipped.count == int(bits.sum())
     assert np.array_equal(np.flip(flipped.bits, axis=0), bits)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"kind": "rotate", "angle_deg": "x"}]',
+        '[{"kind": "rotate", "angle_deg": null}]',
+        '[{"kind": "rotate", "angle_deg": true}]',
+        '[{"kind": "perspective-scale", "scale": "2"}]',
+        '[{"kind": "elastic", "grid_size": 2.5}]',
+        '[{"kind": "elastic", "seed": "a"}]',
+        '[{"kind": ["rotate"]}]',
+        '[{"kind": "elastic", "magnitude": -1.0}]',
+        '[{"kind": "elastic", "seed": -5}]',
+        '[{"kind": "elastic", "magnitude": 1.0, "grid_size": 100}]',
+        "not json",
+        b"\xff\xfe[]",
+    ],
+    ids=[
+        "angle-text", "angle-null", "angle-bool", "scale-text", "grid-size-float", "seed-text",
+        "kind-list", "magnitude-negative", "seed-negative", "grid-size-above-voxels", "not-json", "not-utf8",
+    ],
+)
+def test_preprocess_bad_augment_config_is_invalid_spec(tmp_path, capsys, text):
+    # a synth case, as the command reads it
+    assert main(["synth", "--out-dir", str(tmp_path), "--dims", "24,24,16", "--spacing", "1"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out.nrrd"
+    argv = ["preprocess", str(tmp_path / "case_000.nrrd"), "--out", str(out), "--augment", str(cfg)]
+    assert main(argv + ["--mask", str(tmp_path / "case_000_label.nrrd")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("labench: error: InvalidSpec: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -938,6 +1042,27 @@ def test_pipeline_rejects_a_mask_of_other_geometry(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("labench: error: GeometryMismatch: grids disagree: dims (32, 32, 20) vs (12, 12, 8)")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--out", "{out}"],
+        ["pipeline", "--localizer", "oracle", "--truth", "{truth}", "--out", "{out}"],
+        ["experiment", "offset", "--truth", "{truth}", "--segmenter", "threshold", "--roi", "20,20,12", "--out", "{out}"],
+    ],
+    ids=["pipeline", "pipeline-threshold-segmenter", "offset-threshold-segmenter"],
+)
+def test_threshold_stages_name_a_non_finite_scan(tmp_path, capsys, argv):
+    bits = _scan_with_truth(tmp_path)
+    data = np.where(bits, 500.0, 20.0).astype(np.float32)
+    data[16, 16, 10] = np.nan
+    write_nrrd(Volume(data), tmp_path / "scan.nrrd")
+    paths = {"truth": tmp_path / "scan_label.nrrd", "out": tmp_path / "out"}
+    argv = [a.format(**paths) for a in argv] + ["--scan", str(tmp_path / "scan.nrrd")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("labench: error: NonFiniteIntensity: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_offset_csv(tmp_path):
@@ -1168,6 +1293,20 @@ def test_rank_malformed_csv_named_error(
     assert str(tmp_path / bad_file) in err and repr(column) in err
     if case_id is not None:
         assert repr(case_id) in err
+    assert not (tmp_path / "board").exists()
+
+
+@pytest.mark.parametrize("option", ["--metrics", "--quality", "--attributes", "--summary"])
+def test_rank_names_a_table_that_is_not_utf8(tmp_path, capsys, option):
+    (tmp_path / "team.csv").write_text(_METRICS_HEADER + "c0,0.9,0.8,0.9,0.99,8,1\nc1,0.8,0.7,0.9,0.99,8,1\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"team_id,case_id,scan_id,snr,dice_mean\n\xff\xfe,1,1,1,1\n")
+    argv = ["rank", option, str(bad), "--out-dir", str(tmp_path / "board")]
+    if option in ("--quality", "--attributes"):
+        argv += ["--metrics", str(tmp_path / "team.csv")]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"labench: error: MalformedCsv: {bad} is not UTF-8 CSV text: ")
     assert not (tmp_path / "board").exists()
 
 

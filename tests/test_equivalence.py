@@ -128,9 +128,8 @@ def test_evaluate_case_equals_full_grid(case, axis):
 
 
 def _assert_quality_equal(scan, la, margin):
-    # the background is summed in memory order, plane by plane, so SNR and
-    # CR may differ from the C-order gather in the last bits; HET and the
-    # band may not
+    # the background is summed z plane by z plane, so SNR and CR may differ
+    # from the C-order gather in the last bits; HET and the band may not
     for order in ("C", "F"):
         ordered = Volume(np.asarray(scan.data, order=order), scan.spacing)
         got = assess_quality(ordered, la, margin)

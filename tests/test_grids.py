@@ -54,6 +54,41 @@ def test_grids_are_immutable():
         m.bits[0, 0, 0] = True
 
 
+# layouts a caller may hand a constructor: the values of ``a`` in another memory order
+_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "flip": lambda a: np.flip(np.asfortranarray(a[::-1]), axis=0),
+    "rot90": lambda a: np.rot90(np.asfortranarray(np.rot90(a, -1, axes=(0, 1))), 1, axes=(0, 1)),
+    "y-fastest": lambda a: np.asfortranarray(a.transpose(1, 0, 2)).transpose(1, 0, 2),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_grids_are_x_fastest_whatever_layout_they_are_given(layout):
+    values = np.arange(4 * 5 * 6).reshape(4, 5, 6)
+    for make, cast in ((Volume, lambda a: a.astype(np.float32)), (Mask, lambda a: a % 3 == 0)):
+        given = _LAYOUTS[layout](cast(values))
+        assert np.array_equal(given, cast(values))
+        held = make(given).data if make is Volume else make(given).bits
+        assert held.flags.f_contiguous and not held.flags.writeable
+        assert np.array_equal(held, given)
+        if layout == "F":  # kept as it is, so frozen as the grid's own
+            assert held is given and not given.flags.writeable
+        else:  # copied once; the caller's array stays the caller's
+            assert not np.shares_memory(held, given) and given.flags.writeable
+
+
+def test_a_box_view_of_a_grid_is_kept_without_a_copy():
+    v = Volume(np.arange(6 * 7 * 8, dtype=np.float32).reshape(6, 7, 8), (0.5, 1.0, 2.0))
+    for box in ((slice(1, 4), slice(2, 6), slice(3, 7)), (slice(2, 3), slice(None), slice(5, 6))):
+        view = v.data[box]
+        patch = Volume(view, v.spacing)
+        assert patch.data is view and np.shares_memory(patch.data, v.data)
+    m = Mask(v.data > 100.0)
+    assert np.shares_memory(Mask(m.bits[1:5, ::2, 2:]).bits, m.bits)
+
+
 def test_geometry_check():
     a = Mask(np.zeros((2, 2, 2), dtype=bool), (1.0, 1.0, 1.0))
     b = Mask(np.zeros((2, 2, 2), dtype=bool), (1.0, 1.0, 2.0))
@@ -77,6 +112,14 @@ def test_downsample_constant_field():
     assert out.spacing == (2.0, 2.0, 2.0)
     assert np.all(out.data == 7.0)
     assert float(out.data.mean()) == 7.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_downsample_result_is_x_fastest(order):
+    data = np.arange(9 * 8 * 7, dtype=np.float32).reshape(9, 8, 7)
+    out = downsample(Volume(np.asarray(data, order=order)), (2, 3, 2))
+    assert out.data.flags.f_contiguous
+    assert out == whole_grid_downsample(Volume(data), (2, 3, 2))
 
 
 def test_downsample_block_mean():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from labench.errors import EmptyMask, NoForeground
+from labench.errors import EmptyMask, NoForeground, NonFiniteIntensity
 from labench.grids import Mask, Volume
 from labench.metrics import dice
 from labench.phantom import default_phantom_spec, generate
@@ -13,6 +13,7 @@ from labench.pipeline import (
     localize_threshold,
     max_noloss_displacement,
     offset_sweep,
+    otsu_threshold,
     patch_size_sweep,
     run_pipeline,
 )
@@ -51,6 +52,7 @@ def test_crop_then_uncrop_of_foreground_inside_box():
     assert box == (slice(0, 13), slice(20, 36), slice(6, 22))
     assert np.array_equal(patch.bits, m.bits[box])
     assert np.shares_memory(patch.bits, m.bits)
+    assert np.shares_memory(MaskSegmenter(m)(None, box).bits, m.bits)
 
     # foreground inside the box: pasting the patch back restores the mask
     patch, box = crop(m, localize_oracle(m), (20, 20, 16))
@@ -181,6 +183,20 @@ def test_localize_threshold_uniform_volume_errors():
         localize_threshold(v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_threshold_localizer_and_segmenter_name_a_non_finite_scan(bad):
+    v, m = _blob_volume()
+    data = np.array(v.data)
+    data[20, 18, 14] = bad
+    scan = Volume(data)
+    with pytest.raises(NonFiniteIntensity):
+        otsu_threshold(data)
+    with pytest.raises(NonFiniteIntensity):
+        localize_threshold(scan)
+    with pytest.raises(NonFiniteIntensity):
+        run_pipeline(scan, localize_oracle(m), ThresholdSegmenter(), (24, 24, 24))
+
+
 # --- pipeline ------------------------------------------------------------------
 
 
@@ -190,6 +206,13 @@ def test_oracle_pipeline_is_exact():
     assert dice(pred, m) == 1.0
     assert pred.dims == v.dims
     assert pred.bits.flags.f_contiguous  # x-fastest, as written to NRRD
+
+
+def test_threshold_segmenter_on_a_constant_patch_is_empty_and_x_fastest():
+    patch = Volume(np.full((6, 5, 4), 7.0, dtype=np.float32))
+    out = ThresholdSegmenter()(patch, tuple(slice(0, n) for n in patch.dims))
+    assert out.is_empty and out.dims == patch.dims
+    assert out.bits.flags.f_contiguous
 
 
 def test_threshold_segmenter_exact_on_noiseless_phantom():

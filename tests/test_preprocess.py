@@ -20,7 +20,7 @@ from labench.preprocess import (
     normalize_intensity,
 )
 
-from oracles import equalize_by_rank, per_tile_clahe
+from oracles import equalize_by_rank, per_tile_clahe, tile_mappings
 
 
 def _volume(data, spacing=(1.0, 1.0, 1.0)):
@@ -178,6 +178,43 @@ def test_clahe_equals_per_tile_oracle_past_one_chunk(rng, dtype, top, order):
         assert _same_bits(clahe_slicewise(v, tiles, clip).data, expected), (tiles, clip)
 
 
+@pytest.mark.parametrize("top", [3, 200, 4095])
+def test_clahe_integer_mappings_equal_full_width_ones(monkeypatch, top):
+    # the tables hold fewer bins than uint16 has levels, so every mapping
+    # entry must equal the full 65,536-bin one bit for bit. numpy's pairwise
+    # excess sum runs in turn below 8 bins and splits a width that is not a
+    # power of two elsewhere; the rounded pixels almost never show the last
+    # bit this moves, so the float64 mappings that ``np.take`` reads are
+    # recorded and compared. The level histograms vary from tile to tile
+    # (a skew that grows along x and y), as the last bit of a sum depends on
+    # how its partial sums round
+    tiles, clip = (5, 6), 2.2
+    dims = (40, 36, 3)
+    skew = np.exp(np.linspace(-2, 2, dims[0])[:, None, None] + np.linspace(-2, 2, dims[1])[:, None])
+    data = (np.random.default_rng(top).random(dims) ** skew * (top + 1)).astype(np.uint16)
+    data[0, 0, :] = top
+    read = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def take(self, a, *args, **kwargs):
+            if not read or read[-1] is not a:
+                read.append(a)
+            return np.take(a, *args, **kwargs)
+
+    monkeypatch.setattr(preprocess, "np", Recording())
+    clahe_slicewise(Volume(data), tiles, clip)
+    monkeypatch.undo()
+    assert len(read) == dims[2]  # one mapping per slice
+    for z, mapping in enumerate(read):
+        full = tile_mappings(data[:, :, z].astype(np.int64), 65536, tiles, clip).reshape(30, -1)
+        got = mapping.reshape(30, -1)
+        assert got.shape[1] > top
+        assert np.array_equal(got, full[:, : got.shape[1]]), z
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32])
 def test_clahe_memory_is_the_output_plus_slice_buffers(dtype):
     # 16 float64 buffers of a slice are 4 bytes per voxel at 32 slices; 2 x 2
@@ -319,6 +356,23 @@ def test_mask_stays_binary_under_all_kinds(rng):
         assert m2.bits.dtype == np.bool_
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AugmentationSpec(kind="rotate", angle_deg=90.0),
+        AugmentationSpec(kind="rotate", angle_deg=33.0),
+        AugmentationSpec(kind="elastic", magnitude=1.5, seed=9),
+        AugmentationSpec(kind="perspective-scale", scale=1.3),
+        AugmentationSpec(kind="flip", flip_axis="y"),
+    ],
+    ids=["rotate-90", "rotate", "elastic", "perspective-scale", "flip"],
+)
+def test_augmentation_results_are_x_fastest(rng, spec):
+    v, m = _pair(rng)
+    v2, m2 = apply_augmentation(v, m, spec)
+    assert v2.data.flags.f_contiguous and m2.bits.flags.f_contiguous
+
+
 def test_invalid_specs():
     v = Volume(np.zeros((4, 4, 4), dtype=np.uint8))
     m = Mask(np.zeros((4, 4, 4), dtype=bool))
@@ -328,6 +382,48 @@ def test_invalid_specs():
         apply_augmentation(v, m, AugmentationSpec(kind="flip", flip_axis="w"))
     with pytest.raises(InvalidSpec):
         apply_augmentation(v, m, AugmentationSpec(kind="rotate", angle_deg=math.nan))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (AugmentationSpec(kind=["rotate"]), "unknown augmentation kind ['rotate']"),
+        (AugmentationSpec(kind="rotate", angle_deg="x"), "angle_deg must be a finite number, got 'x'"),
+        (AugmentationSpec(kind="rotate", angle_deg=None), "angle_deg must be a finite number, got None"),
+        (AugmentationSpec(kind="rotate", angle_deg=True), "angle_deg must be a finite number, got True"),
+        (AugmentationSpec(kind="rotate", angle_deg=10**400), "angle_deg must be a finite number, got 1000"),
+        (AugmentationSpec(kind="perspective-scale", scale="2"), "scale must be a finite number > 0, got '2'"),
+        (AugmentationSpec(kind="perspective-scale", scale=math.inf), "scale must be a finite number > 0, got inf"),
+        (AugmentationSpec(kind="elastic", magnitude=-1.0), "magnitude must be a finite number >= 0, got -1.0"),
+        (AugmentationSpec(kind="elastic", grid_size=2.5), "grid_size must be an integer >= 2, got 2.5"),
+        (AugmentationSpec(kind="elastic", seed="a"), "seed must be an integer >= 0, got 'a'"),
+        (AugmentationSpec(kind="elastic", seed=-5), "seed must be an integer >= 0, got -5"),
+        (AugmentationSpec(kind="flip", flip_axis=0), "flip_axis must be x, y or z, got 0"),
+        # a 4 x 4 x 4 grid has 64 voxels, fewer than 5**3 control points
+        (AugmentationSpec(kind="elastic", magnitude=1.0, grid_size=5), "grid_size 5 has more control points"),
+    ],
+)
+def test_a_field_of_the_wrong_type_or_range_is_invalid(spec, message):
+    v = Volume(np.zeros((4, 4, 4), dtype=np.uint8))
+    m = Mask(np.zeros((4, 4, 4), dtype=bool))
+    with pytest.raises(InvalidSpec) as exc:
+        apply_augmentation(v, m, spec)
+    assert message in str(exc.value)
+
+
+def test_numpy_scalars_are_numbers_of_their_kind(rng):
+    v, m = _pair(rng)
+    spec = AugmentationSpec(kind="elastic", magnitude=np.float32(1.0), grid_size=np.int64(3), seed=np.uint8(4))
+    plain = AugmentationSpec(kind="elastic", magnitude=1.0, grid_size=3, seed=4)
+    assert apply_augmentation(v, m, spec) == apply_augmentation(v, m, plain)
+
+
+@pytest.mark.parametrize("text", ["[{'kind': 'flip'}]", "[{\"kind\": \"rotate\"", "\udcff"])
+def test_a_config_that_is_not_utf8_json_is_invalid(tmp_path, text):
+    path = tmp_path / "aug.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(InvalidSpec, match="is not a JSON file"):
+        load_augmentation_specs(path)
 
 
 @pytest.mark.parametrize(

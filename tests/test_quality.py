@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from labench.errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask
+from labench.errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask, NonFiniteIntensity
 from labench.grids import Mask, Volume
 from labench.nrrd_io import read_nrrd, write_nrrd
+from labench.phantom import cohort_member, default_phantom_spec
 from labench.quality import QualityReport, assess_quality, quality_band, quality_distribution
 
 
@@ -142,6 +143,29 @@ def test_empty_mask_and_empty_background():
     single[1, 1, 1] = True
     with pytest.raises(EmptyBackground):  # the edge exclusion takes the whole grid
         assess_quality(Volume(data), Mask(single), margin=2)
+
+
+@pytest.mark.parametrize("seed, tier", [(1, "high"), (2, "medium"), (3, "low")])
+def test_report_is_the_same_for_any_layout_of_the_scan(seed, tier):
+    # one scan held C-ordered and x-fastest: every field equal, to the bit
+    scan, la = cohort_member(default_phantom_spec((96, 96, 40)), seed, tier)
+    want = assess_quality(scan, la)
+    for given in (np.ascontiguousarray(scan.data), np.asfortranarray(scan.data)):
+        assert assess_quality(Volume(given, scan.spacing), la) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(2, 2, 2), (10, 10, 6), (0, 0, 0)], ids=["background", "foreground", "frame"])
+def test_a_non_finite_voxel_where_quality_is_measured_is_named(bad, where):
+    bits = _two_level_phantom()
+    data = np.where(bits, 200.0, 100.0).astype(np.float32)
+    data[(12, 12, 6)] = 190.0
+    data[where] = bad
+    if where == (0, 0, 0):  # in the edge frame, which the margin leaves out
+        assert assess_quality(Volume(data), Mask(bits), margin=1).band == "high"
+        return
+    with pytest.raises(NonFiniteIntensity):
+        assess_quality(Volume(data), Mask(bits), margin=1)
 
 
 def test_assess_quality_memory_is_bounded_by_the_plane(tmp_path):
