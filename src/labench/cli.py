@@ -46,7 +46,8 @@ module level (``read_nrrd``, ``evaluate_case``, ``assess_quality``,
 tracer can wrap them). ``phantom``, ``pipeline``, ``postprocess`` and
 ``preprocess`` are imported inside the commands that run them, scipy
 inside the functions that call it, and ``concurrent.futures`` only when
-a ``--jobs`` pool starts. The package ``labench`` itself imports nothing.
+a ``--jobs`` pool starts. ``synth``, ``quality`` and ``rank`` load no
+scipy at all. The package ``labench`` itself imports nothing.
 
 Process exit: the executable (``python -m labench.cli`` and the
 ``labench`` script) is :func:`run`. When :func:`main` returns, it

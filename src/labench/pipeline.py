@@ -153,7 +153,9 @@ class ThresholdSegmenter:
         data = patch.data
         if self.smooth_sigma > 0.0:
             from scipy import ndimage
-            data = ndimage.gaussian_filter(data.astype(np.float64), self.smooth_sigma)
+            data = data.astype(np.float64)
+            # an x-fastest output, so the threshold mask below needs no copy
+            data = ndimage.gaussian_filter(data, self.smooth_sigma, output=np.empty_like(data))
         try:
             threshold = otsu_threshold(data)
         except NoForeground:

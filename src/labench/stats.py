@@ -1,11 +1,13 @@
 """Cross-case aggregation, significance testing and leaderboard building.
 
 Significance uses the two-tailed Welch (unequal-variance) t-test. Its
-t-distribution tail is the regularized incomplete beta function from
-``scipy.special``; scipy is imported inside the functions that call it.
-A team's leaderboard p-value compares its per-case Dice sample against
-the pooled per-case Dice of all other teams; that pooling choice is
-recorded in the JSON report metadata.
+t-distribution tail, a regularized incomplete beta function, is computed
+in this module (:func:`_t_tail`), so ranking imports no scipy. It is
+within 1e-12 relative of scipy's ``betainc`` for df 1 to 1e4 and |t| up
+to 50; the tests hold it to 1e-11 with scipy as the reference. A team's
+leaderboard p-value compares its per-case Dice sample against the pooled
+per-case Dice of all other teams; that pooling choice is recorded in the
+JSON report metadata.
 
 The module computes values only; :mod:`labench.cli` reads the per-case
 tables into :class:`TeamResult` rows and writes the leaderboard.
@@ -97,7 +99,9 @@ def correlate(xs, ys) -> float:
 
 
 def welch_ttest(xs, ys) -> float:
-    """Two-tailed p-value of Welch's unequal-variance t-test."""
+    """Two-tailed p-value of Welch's unequal-variance t-test. The tail is
+    :func:`_t_tail`, within 1e-12 relative of scipy's ``betainc`` (the
+    tests' reference); identical samples give exactly 1.0."""
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     n1, n2 = len(xs), len(ys)
@@ -117,9 +121,43 @@ def welch_ttest(xs, ys) -> float:
     df = (v1 + v2) ** 2 / (
         (v1 * v1 / (n1 - 1) if v1 else 0.0) + (v2 * v2 / (n2 - 1) if v2 else 0.0)
     )
-    from scipy.special import betainc
-    # two-tailed tail of Student's t: I_{df/(df+t^2)}(df/2, 1/2)
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    return _t_tail(t, df)
+
+
+def _t_tail(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom: the
+    regularized incomplete beta I_x(a, b), a = df/2, b = 1/2, x = df/(df+t²).
+
+    Lentz's continued fraction, taken for I_{1-x}(b, a) = 1 - I_x(a, b)
+    past x = (a+1)/(a+b+2), times a prefactor formed in log space. x and
+    1 - x are each formed from t²/df, so neither inherits the other's rounding.
+    """
+    tt = t * t
+    if tt == 0.0:  # also for 0 < |t| < 1e-154, whose tail rounds to 1
+        return 1.0
+    a = df / 2.0
+    if a < 64.0:
+        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
+    else:  # log Γ(a+½) - log Γ(a) with Stirling tails s, not two lgammas near a·log a
+        s = [(1 / 12 - 1 / (360 * z * z)) / z for z in (a + 0.5, a)]
+        log_ratio = a * math.log1p(0.5 / a) + 0.5 * math.log(a) - 0.5 + s[0] - s[1]
+    front = math.exp(
+        log_ratio - 0.5 * math.log(math.pi) - a * math.log1p(tt / df) - 0.5 * math.log1p(df / tt)
+    )
+    x = 1.0 / (1.0 + tt / df)
+    swap = x > (a + 1.0) / (a + 2.5)
+    p, q, z = (0.5, a, 1.0 / (1.0 + df / tt)) if swap else (a, 0.5, x)
+    f, c, d = 1.0, 1.0, 0.0  # f = 1 + d1/(1 + d2/(1 + ...)), O(sqrt(a)) terms
+    for k in range(1, 10_000):
+        m = k // 2
+        coef = (-(p + m) * (p + q + m) if k % 2 else m * (q - m)) * z / ((p + k - 1) * (p + k))
+        d = 1.0 / (1.0 + coef * d or 1e-300)
+        c = 1.0 + coef / c or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) < 4e-16:
+            break
+    tail = front / (p * f)  # I_z(p, q)
+    return 1.0 - tail if swap else tail
 
 
 # --- group comparisons --------------------------------------------------------

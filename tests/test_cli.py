@@ -532,8 +532,8 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_does_not_load_scipy_stats():
     # scipy is imported inside the functions that call it, so a CLI start loads
-    # none of it (scipy.ndimage or scipy.special alone adds 0.15-0.35 s); synth
-    # and quality never call it, evaluate, pipeline, postprocess and rank do
+    # none of it (scipy.ndimage alone adds 0.15-0.35 s); synth, quality and
+    # rank never call it, evaluate, pipeline and postprocess do
     code = "import labench.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
@@ -561,19 +561,31 @@ def _two_quality_cases(directory):
         _write_pair(directory, f"s{i}", bits, scan=data)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", ["synth", "quality"])
+@pytest.mark.parametrize(
+    "command, jobs",
+    [("synth", "1"), ("synth", "2"), ("quality", "1"), ("quality", "2"),
+     pytest.param("rank", None, id="rank")],  # rank has no --jobs
+)
 def test_synth_and_quality_load_no_scipy(tmp_path, command, jobs):
     if command == "synth":
         argv = ["synth", "--out-dir", str(tmp_path / "out"), "--count", "2", "--dims", "40,40,28",
                 "--spacing", "1.0"]
-    else:
+    elif command == "quality":
         _two_quality_cases(tmp_path / "cases")
         cases = str(tmp_path / "cases")
         argv = ["quality", "--scans", cases, "--masks", cases, "--out", str(tmp_path / "q.csv")]
+    else:
+        argv = _import_set_argv("rank", tmp_path)
+        (tmp_path / "attrs.csv").write_text("team_id,cnn_count\nalpha,double\nbeta,single\n")
+        (tmp_path / "quality.csv").write_text(
+            "scan_id,snr,cr,het,band\nc0,0.5,2.0,0.2,high\nc1,2.0,2.0,0.2,medium\n"
+        )
+        argv += ["--quality", str(tmp_path / "quality.csv"), "--attributes", str(tmp_path / "attrs.csv")]
+    if jobs is not None:
+        argv += ["--jobs", jobs]
     code = (
         "import sys, labench.cli\n"
-        f"assert labench.cli.main({[*argv, '--jobs', jobs]!r}) == 0\n"
+        f"assert labench.cli.main({argv!r}) == 0\n"
         "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert not loaded, loaded"
     )
@@ -631,7 +643,7 @@ def _import_set_argv(command, tmp_path):
     [
         ("evaluate", (), False),  # scipy.ndimage loads concurrent.futures itself
         ("quality", (), True),
-        ("rank", (), False),  # so does scipy.special
+        ("rank", (), True),
         ("preprocess", ("preprocess",), True),
         ("postprocess", ("postprocess",), False),
         ("pipeline", ("pipeline", "postprocess"), False),

@@ -224,6 +224,24 @@ def test_threshold_segmenter_exact_on_noiseless_phantom():
     assert dice(pred, m) == 1.0
 
 
+def test_smoothed_threshold_segment_equals_one_from_the_default_filter_output():
+    # the segmenter filters into an x-fastest buffer; scipy's default output is
+    # C-ordered, and the values, so the mask, must be the same bits
+    from scipy import ndimage
+
+    from labench.postprocess import StructuringElement, close_mask, largest_component
+
+    v, m = generate(default_phantom_spec(dims=(64, 64, 40), spacing=(1.0, 1.0, 1.0)))
+    patch, box = crop(v, localize_oracle(m), (48, 40, 32))
+    smooth = ndimage.gaussian_filter(patch.data.astype(np.float64), 1.5)
+    raw = Mask(smooth > otsu_threshold(smooth), patch.spacing)
+    want = close_mask(largest_component(raw, connectivity=26), StructuringElement("cross", 1))
+    got = ThresholdSegmenter(smooth_sigma=1.5)(patch, box)
+    assert not want.is_empty
+    assert np.array_equal(got.bits, want.bits)
+    assert got.bits.flags.f_contiguous
+
+
 def test_fixed_center_on_off_center_phantom_matches_inbox_bound():
     dims = (40, 40, 24)
     bits = np.zeros(dims, dtype=bool)

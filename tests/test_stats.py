@@ -2,9 +2,11 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 
 from labench.errors import (
     CaseSetMismatch,
@@ -15,6 +17,7 @@ from labench.errors import (
 )
 from labench.stats import (
     TeamResult,
+    _t_tail,
     aggregate,
     build_leaderboard,
     compare_groups,
@@ -153,6 +156,41 @@ def test_welch_symmetry(seed):
     xs = rng.normal(0.0, 1.0, size=6).tolist()
     ys = rng.normal(0.4, 2.0, size=5).tolist()
     assert welch_ttest(xs, ys) == pytest.approx(welch_ttest(ys, xs), abs=1e-12)
+
+
+# a log-spaced grid: df from 1 to 1e4 and |t| from 1e-6 to 50
+_TAIL_DFS = np.logspace(0, 4, 81).tolist()
+_TAIL_TS = np.logspace(-6, math.log10(50), 121).tolist()
+
+
+def _scipy_t_tail(t, df):
+    """scipy's I_x(df/2, 1/2) at x = df/(df+t²). Past x = 1/2 it is read as
+    the equal complement 1 - I_{1-x}(1/2, df/2), because x rounds 1 - x to
+    a multiple of 2**-53 near 1: at df 1e4 and |t| 1e-6 the direct form is
+    off by 4e-7 relative."""
+    tt = t * t
+    x = df / (df + tt)
+    if x <= 0.5:
+        return float(betainc(df / 2, 0.5, x))
+    return float(betaincc(0.5, df / 2, tt / (df + tt)))
+
+
+def test_t_tail_matches_scipy_betainc():
+    worst = max(
+        (abs(_t_tail(t, df) - ref) / ref, t, df)
+        for df in _TAIL_DFS
+        for t in _TAIL_TS
+        if (ref := _scipy_t_tail(t, df)) >= 1e-300
+    )
+    assert worst[0] <= 1e-11, worst
+
+
+def test_t_tail_is_a_probability_falling_with_abs_t():
+    for df in _TAIL_DFS:
+        assert _t_tail(0.0, df) == 1.0
+        tails = [_t_tail(sign * t, df) for t in _TAIL_TS for sign in (1.0, -1.0)]
+        assert all(0.0 <= p <= 1.0 for p in tails), df
+        assert all(b <= a for a, b in zip(tails, tails[1:])), df
 
 
 # --- correlate ----------------------------------------------------------------
