@@ -47,7 +47,9 @@ tracer can wrap them). ``phantom``, ``pipeline``, ``postprocess`` and
 ``preprocess`` are imported inside the commands that run them, scipy
 inside the functions that call it, and ``concurrent.futures`` only when
 a ``--jobs`` pool starts. ``synth``, ``quality`` and ``rank`` load no
-scipy at all. The package ``labench`` itself imports nothing.
+scipy at all, and ``evaluate`` loads ``scipy.ndimage`` only in a process
+that measures many surface voxels far from the other surface with its
+feature transform. The package ``labench`` itself imports nothing.
 
 Process exit: the executable (``python -m labench.cli`` and the
 ``labench`` script) is :func:`run`. When :func:`main` returns, it
@@ -402,9 +404,6 @@ def cmd_evaluate(args) -> int:
         rows = [(cid, *(getattr(c, col) for col in columns)) for cid, c in sorted(cases.items())]
         _write_table(args.out, ("case_id", *columns), rows, args.format)
 
-    if args.jobs > 1:
-        # the workers fork from this process: one import here serves them all
-        import scipy.ndimage  # noqa: F401
     return _run_paired("case", _evaluate_one, preds, truths, args.jobs, write)
 
 

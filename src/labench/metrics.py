@@ -20,15 +20,19 @@ over the grid. Each mask's projections run once per case. Every voxel
 outside a mask's boxes is background, so each mask is counted on its
 boxes and the two together on the meet of their hulls; only TN comes from
 the grid size. Diameters are hull extents along x. Surfaces are found per
-box and kept as voxel coordinates. scipy's exact feature transform of
-each surface runs on the overlap box W, the meet of the two hulls grown by
-``_GROW`` and clipped to their union, with the surface marked on W alone;
-surface voxels outside W are measured pair by pair. Every distance is
-formed with the float steps of ``distance_transform_edt`` and the smallest
-squared sum wins, so an exact tie across W's border takes the float
-minimum (bit-identical to the transform at dyadic spacing). W is the
-union of the hulls when they do not meet or the pairs would cost more
-than the transforms they save.
+box by numpy shifts over the six neighbours and kept as voxel coordinates.
+A surface voxel's distance to the other surface comes from a near search:
+the integer offsets within ``_REACH`` times the finest spacing, sorted by
+length, are tried from the voxel on a grid marking the other surface, and
+the first hit is the nearest. Every distance is formed with the float
+steps of ``distance_transform_edt``, and the search takes the float
+minimum: the transform's distance bit for bit at dyadic spacing, and at
+every other spacing the tests try. The voxels the search leaves (beyond
+the reach, or all the open ones when it stops early because most find
+nothing near) are measured pair by pair when the pairs are few, else by
+scipy's exact feature transform on the hull of the other surface and
+those voxels: the module's only scipy call, which nearby surfaces never
+reach.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTruth
-from .grids import CROSS6, Box, Mask, boxes, check_same_geometry, hull
+from .grids import Box, Mask, boxes, check_same_geometry, hull
 
 
 @dataclass(frozen=True)
@@ -68,15 +72,21 @@ def surface_voxels(m: Mask, parts: list[Box] | None = None) -> np.ndarray:
     """``(3, n)`` grid coordinates of the mask's surface voxels, in the
     order ``np.nonzero`` gives (x slowest). ``parts`` are the mask's
     :func:`labench.grids.boxes`, found here when not given. Each box is
-    eroded on its own, reading the voxels beyond its faces as the
-    background they are."""
-    from scipy import ndimage
+    eroded on its own by numpy shifts over its 6 neighbours, reading the
+    voxels beyond its faces as the background they are."""
     if parts is None:
         parts = boxes(m.bits, 1)
     found = []
+    inside = slice(1, -1)
     for box in parts:
         bits = m.bits[box]
-        at = np.array(np.nonzero(bits & ~ndimage.binary_erosion(bits, CROSS6, border_value=0)))
+        surface = bits.copy(order="K")
+        core = np.ones_like(surface[inside, inside, inside])
+        for ax in range(3):
+            for side in (slice(None, -2), slice(2, None)):
+                np.logical_and(core, bits[tuple(side if a == ax else inside for a in range(3))], out=core)
+        np.greater(surface[inside, inside, inside], core, out=surface[inside, inside, inside])
+        at = np.array(np.nonzero(surface))
         at += np.array([s.start for s in box])[:, None]
         found.append(at)
     if len(found) < 2:
@@ -110,9 +120,11 @@ def dice(a: Mask, b: Mask) -> float:
     return 2.0 * tp / denom if denom else 1.0
 
 
-_GROW = 4  # voxels the overlap box grows by on every side
+_REACH = 6  # reach of the near search, in units of the finest spacing
+_BATCH = 16  # offsets the near search tries at once
+_SHELLS = 64  # offsets tried before a search with three quarters open stops
 _PAIRS_PER_VOXEL = 8  # distance pairs that cost about one voxel of feature transform
-_CHUNK = 1 << 16  # distance pairs formed at once
+_CHUNK = 1 << 16  # distance pairs, or query-offset trials, formed at once
 
 
 def _sq_mm(offsets: np.ndarray, spacing) -> np.ndarray:
@@ -125,44 +137,96 @@ def _sq_mm(offsets: np.ndarray, spacing) -> np.ndarray:
     return np.add.reduce(d, axis=0)
 
 
-def _inside(points: np.ndarray, box: Box) -> np.ndarray:
-    """Which of the (3, n) ``points`` lie in ``box``."""
-    lo, hi = (np.array([getattr(s, end) for s in box])[:, None] for end in ("start", "stop"))
-    return ((lo <= points) & (points < hi)).all(axis=0)
+def _offsets(spacing) -> tuple[np.ndarray, np.ndarray]:
+    """Every (3, k) integer offset whose :func:`_sq_mm` is at most the
+    squared reach, stably sorted by it, and those squared lengths. An
+    offset left out is longer, as float, than every one kept."""
+    reach = _REACH * min(spacing)
+    r = np.array([int(reach / s) + 1 for s in spacing])
+    table = np.indices(2 * r + 1).reshape(3, -1) - r[:, None]
+    sq = _sq_mm(table, spacing)
+    keep = np.flatnonzero(sq <= reach * reach)
+    keep = keep[np.argsort(sq[keep], kind="stable")]
+    return table[:, keep], sq[keep]
 
 
-def _distances_to(surface: np.ndarray, source, query, box: Box, spacing) -> np.ndarray:
-    """Distance (mm) from each (3, m) ``query`` voxel to the nearest (3, n)
-    ``source`` voxel. ``surface`` marks the sources inside ``box`` on the
-    box; queries inside it take the feature transform of ``surface``, and
-    sources and queries outside it are measured pair by pair, about
-    ``_CHUNK`` pairs at a time."""
+def _span(*points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low corner, as a column, and shape of the hull of (3, n) voxel sets."""
+    lo = np.min([p.min(axis=1) for p in points], axis=0)
+    return lo[:, None], np.max([p.max(axis=1) for p in points], axis=0) + 1 - lo
+
+
+def _pairwise(source: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
+    """Smallest :func:`_sq_mm` from each (3, m) ``query`` voxel to the
+    (3, n) ``source`` voxels, about ``_CHUNK`` pairs at a time."""
+    d2 = np.empty(query.shape[1])
+    step = _CHUNK // source.shape[1] + 1
+    for i in range(0, d2.size, step):
+        d2[i : i + step] = _sq_mm(source[:, None] - query[:, i : i + step, None], spacing).min(axis=1)
+    return d2
+
+
+def _transformed(source: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
+    """:func:`_sq_mm` from each query voxel to the source voxel that
+    scipy's exact feature transform picks, run on the hull of both."""
     from scipy import ndimage
-    lo = np.array([s.start for s in box])[:, None]
-    src_in, qry_in = _inside(source, box), _inside(query, box)
+    lo, shape = _span(source, query)
+    grid = np.ones(tuple(shape), dtype=bool)
+    grid[tuple(source - lo)] = False
+    ft = ndimage.distance_transform_edt(grid, sampling=spacing, return_distances=False, return_indices=True)
+    at = query - lo
+    return _sq_mm(np.subtract(ft[(slice(None), *at)], at, out=at), spacing)
+
+
+def _near(source: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
+    """Smallest :func:`_sq_mm` from each (3, m) ``query`` voxel to the (3, n)
+    ``source`` voxels within reach of :func:`_offsets`; inf where none is
+    found. The queries in both the query hull and the source hull grown by
+    the reach try the offsets in order, ``_BATCH`` at a time, on the
+    sources marked on that box grown by the reach, and the first hit wins.
+    The search stops when over three quarters of its queries are still
+    open after ``_SHELLS`` offsets: the far side of a sponge-like mask."""
+    offsets, sq = _offsets(spacing)
+    reach = np.abs(offsets).max(axis=1)
+    lo = np.maximum(source.min(axis=1) - reach, query.min(axis=1)) - reach
+    shape = np.minimum(source.max(axis=1) + reach, query.max(axis=1)) + reach + 1 - lo
     d2 = np.full(query.shape[1], np.inf)
-    if src_in.any():
-        ft = ndimage.distance_transform_edt(
-            ~surface, sampling=spacing, return_distances=False, return_indices=True
-        )
-        at = np.compress(qry_in, query, axis=1) - lo
-        d2[qry_in] = _sq_mm(ft[(slice(None), *at)] - at, spacing)
-    for rows, src in ((qry_in, np.compress(~src_in, source, axis=1)), (~qry_in, source)):
-        rows = np.flatnonzero(rows)
-        step = _CHUNK // max(src.shape[1], 1) + 1
-        for i in range(0, rows.size if src.size else 0, step):
-            j = rows[i : i + step]
-            d2[j] = np.minimum(d2[j], _sq_mm(src[:, None] - query[:, j, None], spacing).min(axis=1))
+    if not (shape > 2 * reach).all():
+        return d2
+    marked = np.zeros(tuple(shape), dtype=bool)
+    at = source - lo[:, None]
+    marked[tuple(at[:, ((at >= 0) & (at < shape[:, None])).all(axis=0)])] = True
+    at = query - lo[:, None]
+    rows = np.flatnonzero(((at >= reach[:, None]) & (at < (shape - reach)[:, None])).all(axis=0))
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    cells, steps, flat = strides @ at[:, rows], strides @ offsets, marked.reshape(-1)
+    size, most = _CHUNK // _BATCH, 0.75 * rows.size
+    for k in range(0, steps.size, _BATCH):
+        if not rows.size or (k >= _SHELLS and rows.size > most):
+            break
+        found = np.empty(rows.size, dtype=bool)
+        for i in range(0, rows.size, size):
+            hit = flat[cells[i : i + size, None] + steps[k : k + _BATCH]]
+            got = hit.any(axis=1)
+            d2[rows[i : i + size][got]] = sq[k + hit[got].argmax(axis=1)]
+            found[i : i + size] = got
+        rows, cells = rows[~found], cells[~found]
+    return d2
+
+
+def _distances_to(source: np.ndarray, query: np.ndarray, spacing) -> np.ndarray:
+    """Distance (mm) from each (3, m) ``query`` voxel to the nearest (3, n)
+    ``source`` voxel: :func:`_near` where it finds one, else
+    :func:`_pairwise` or, when the pairs would cost more than the
+    transform, :func:`_transformed`."""
+    d2 = _near(source, query, spacing)
+    far = np.flatnonzero(d2 == np.inf)
+    if far.size:
+        query = query[:, far]
+        volume = math.prod(_span(source, query)[1])
+        fallback = _pairwise if source.shape[1] * far.size < _PAIRS_PER_VOXEL * volume else _transformed
+        d2[far] = fallback(source, query, spacing)
     return np.sqrt(d2)
-
-
-def _marked(points: np.ndarray, inside: np.ndarray, box: Box) -> np.ndarray:
-    """The (3, n) ``points`` that ``inside`` marks, which lie in ``box``, set
-    on a box-sized grid."""
-    lo = np.array([s.start for s in box])[:, None]
-    grid = np.zeros(tuple(s.stop - s.start for s in box), dtype=bool)
-    grid[tuple(np.compress(inside, points, axis=1) - lo)] = True
-    return grid
 
 
 def _hd_stsd(a: Mask, b: Mask, parts_a: list[Box], parts_b: list[Box]) -> tuple[float, float]:
@@ -172,26 +236,9 @@ def _hd_stsd(a: Mask, b: Mask, parts_a: list[Box], parts_b: list[Box]) -> tuple[
     The Hausdorff distance is the larger of the two directed worst cases;
     the mean runs over the distances of every A-surface voxel to B's
     surface and of every B-surface voxel to A's, in ``np.nonzero`` order.
-    Coordinates and W are taken from the union box's low corner.
     """
-    box_a, box_b = hull(parts_a), hull(parts_b)
-    union, meet = hull([box_a, box_b]), _meet(box_a, box_b)
-    o, n = [s.start for s in union], [s.stop - s.start for s in union]
-    pa, pb = (surface_voxels(m, ps) - np.array(o)[:, None] for m, ps in ((a, parts_a), (b, parts_b)))
-    whole = tuple(slice(0, k) for k in n)
-    w = whole if meet is None else tuple(
-        slice(max(s.start - x - _GROW, 0), min(s.stop - x + _GROW, k)) for s, x, k in zip(meet, o, n)
-    )
-    ina, inb = _inside(pa, w), _inside(pb, w)
-    na, nb, ka, kb = pa.shape[1], pb.shape[1], int(np.count_nonzero(ina)), int(np.count_nonzero(inb))
-    # per direction: queries inside W with sources outside, queries outside with all
-    pairs = ka * (nb - kb) + (na - ka) * nb + kb * (na - ka) + (nb - kb) * na
-    volume = math.prod(s.stop - s.start for s in w)
-    if meet is None or 2 * volume + pairs / _PAIRS_PER_VOXEL >= 2 * math.prod(n):
-        w, ina, inb = whole, np.ones(na, dtype=bool), np.ones(nb, dtype=bool)
-    spacing = a.spacing
-    a_to_b = _distances_to(_marked(pb, inb, w), pb, pa, w, spacing)
-    b_to_a = _distances_to(_marked(pa, ina, w), pa, pb, w, spacing)
+    pa, pb = surface_voxels(a, parts_a), surface_voxels(b, parts_b)
+    a_to_b, b_to_a = _distances_to(pb, pa, a.spacing), _distances_to(pa, pb, a.spacing)
     hd = float(max(a_to_b.max(), b_to_a.max()))
     return hd, float((a_to_b.sum() + b_to_a.sum()) / (a_to_b.size + b_to_a.size))
 

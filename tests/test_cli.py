@@ -533,7 +533,8 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 def test_cli_import_does_not_load_scipy_stats():
     # scipy is imported inside the functions that call it, so a CLI start loads
     # none of it (scipy.ndimage alone adds 0.15-0.35 s); synth, quality and
-    # rank never call it, evaluate, pipeline and postprocess do
+    # rank never call it, evaluate only for surfaces far apart, pipeline and
+    # postprocess always
     code = "import labench.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
@@ -564,9 +565,10 @@ def _two_quality_cases(directory):
 @pytest.mark.parametrize(
     "command, jobs",
     [("synth", "1"), ("synth", "2"), ("quality", "1"), ("quality", "2"),
-     pytest.param("rank", None, id="rank")],  # rank has no --jobs
+     ("evaluate", "1"), ("evaluate", "2"), pytest.param("rank", None, id="rank")],  # rank has no --jobs
 )
 def test_synth_and_quality_load_no_scipy(tmp_path, command, jobs):
+    # so do rank, and evaluate on surfaces within the near search's reach
     if command == "synth":
         argv = ["synth", "--out-dir", str(tmp_path / "out"), "--count", "2", "--dims", "40,40,28",
                 "--spacing", "1.0"]
@@ -574,6 +576,11 @@ def test_synth_and_quality_load_no_scipy(tmp_path, command, jobs):
         _two_quality_cases(tmp_path / "cases")
         cases = str(tmp_path / "cases")
         argv = ["quality", "--scans", cases, "--masks", cases, "--out", str(tmp_path / "q.csv")]
+    elif command == "evaluate":
+        for i in range(2):
+            _write_pair(tmp_path / "truth", f"c{i}", _blob())
+            _write_pair(tmp_path / "pred", f"c{i}", np.roll(_blob(), i + 1, axis=i))
+        argv = ["evaluate", str(tmp_path / "pred"), str(tmp_path / "truth"), "--out", str(tmp_path / "e.csv")]
     else:
         argv = _import_set_argv("rank", tmp_path)
         (tmp_path / "attrs.csv").write_text("team_id,cnn_count\nalpha,double\nbeta,single\n")
@@ -593,19 +600,28 @@ def test_synth_and_quality_load_no_scipy(tmp_path, command, jobs):
     assert result.returncode == 0, result.stderr
 
 
-def test_evaluate_pool_imports_scipy_before_forking(tmp_path):
-    # two workers fork from the parent, so the parent loads scipy.ndimage once
+def test_evaluate_loads_scipy_only_where_the_transform_runs(tmp_path):
+    # predictions of thresholded noise beside the truth: most of their
+    # surface lies beyond the near search's reach, so the feature transform
+    # measures it. At --jobs 1 the process loads scipy.ndimage for it; at
+    # --jobs 2 only the workers do, and the table is the same
+    rng = np.random.default_rng(5)
     for i in range(2):
-        _write_pair(tmp_path / "masks", f"c{i}", _blob())
-    masks = str(tmp_path / "masks")
-    argv = ["evaluate", masks, masks, "--out", str(tmp_path / "e.csv"), "--jobs", "2"]
-    code = (
-        "import sys, labench.cli\n"
-        f"assert labench.cli.main({argv!r}) == 0\n"
-        "assert 'scipy.ndimage' in sys.modules"
-    )
-    result = _run_python(code)
-    assert result.returncode == 0, result.stderr
+        pred = np.zeros((32, 28, 20), dtype=bool)
+        pred[12:30, 2:26, 2:18] = rng.random((18, 24, 16)) < 0.3
+        _write_pair(tmp_path / "truth", f"c{i}", _blob((32, 28, 20), (4, 6, 4), (14, 22, 16)))
+        _write_pair(tmp_path / "pred", f"c{i}", pred)
+    for jobs, loaded in (("1", True), ("2", False)):
+        argv = ["evaluate", str(tmp_path / "pred"), str(tmp_path / "truth"),
+                "--out", str(tmp_path / f"e{jobs}.csv"), "--jobs", jobs]
+        code = (
+            "import sys, labench.cli\n"
+            f"assert labench.cli.main({argv!r}) == 0\n"
+            f"assert ('scipy.ndimage' in sys.modules) == {loaded}"
+        )
+        result = _run_python(code)
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "e1.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
 
 
 # every command loads the CLI and what the tracer in perfbench/launch.py wraps on it
@@ -641,7 +657,7 @@ def _import_set_argv(command, tmp_path):
 @pytest.mark.parametrize(
     "command, own, pool_free",
     [
-        ("evaluate", (), False),  # scipy.ndimage loads concurrent.futures itself
+        ("evaluate", (), True),
         ("quality", (), True),
         ("rank", (), True),
         ("preprocess", ("preprocess",), True),

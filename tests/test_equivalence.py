@@ -5,12 +5,13 @@ foreground box; every value they return must equal, bit for bit, the one
 the full-grid code in ``tests/oracles.py`` computes, except the quality
 SNR and CR, which sum the background in another order and must agree to
 1e-12 relative. The quality foreground's numpy dilation must equal
-scipy's, box and region. Surface distances run the feature transform on
-the box where the two masks meet and measure the surface voxels outside
-it pair by pair; the tests force that split, by making pairs free in the
-cost guard, wherever the box is smaller than the union box.
+scipy's, box and region. Surface distances come from a near search of
+sorted offsets, and the surface voxels it leaves are measured pair by pair
+or by the feature transform; the tests force that split with a reach of
+one voxel, once with every fallback pair by pair and once by transform.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -222,38 +223,61 @@ def test_foreground_region_equals_scipy_on_thin_grids(margin):
         _assert_foreground_equal(np.asfortranarray(slab), margin)
 
 
-@pytest.fixture
-def forced_split(monkeypatch):
-    """Make pairs free in the cost guard, and note for each distance call
-    whether its transform box is smaller than the union box."""
-    monkeypatch.setattr(metrics, "_PAIRS_PER_VOXEL", math.inf)
-    split = []
-    distances_to = metrics._distances_to
-
-    def noting(surface, source, query, box, spacing):
-        # each face of the union box holds a surface voxel of one of the two
-        # masks, so the box is smaller exactly when some voxel lies outside it
-        points = np.hstack([source, query])
-        split.append(any(s.start > p.min() or s.stop <= p.max() for s, p in zip(box, points)))
-        return distances_to(surface, source, query, box, spacing)
-
-    monkeypatch.setattr(metrics, "_distances_to", noting)
-    return split
+# the near search's reach and the fallbacks' cost per regime: the default,
+# and a reach of one voxel with every far query measured pair by pair or by
+# the feature transform
+REGIMES = {
+    "default": {},
+    "pairs": {"_REACH": 1, "_PAIRS_PER_VOXEL": math.inf},
+    "transform": {"_REACH": 1, "_PAIRS_PER_VOXEL": 0},
+}
 
 
-def test_forced_split_equals_full_grid(case, forced_split):
+def _counted(count, name, call, *args):
+    count[name] += 1
+    return call(*args)
+
+
+def _in_each_regime(monkeypatch, check):
+    """Run ``check()`` in each regime; the calls of each exact fallback, by regime."""
+    calls = {}
+    for regime, settings in REGIMES.items():
+        count = calls[regime] = {"_pairwise": 0, "_transformed": 0}
+        with monkeypatch.context() as patch:
+            for attr, value in settings.items():
+                patch.setattr(metrics, attr, value)
+            for name in count:
+                patch.setattr(metrics, name, functools.partial(_counted, count, name, getattr(metrics, name)))
+            check()
+    return calls
+
+
+def test_forced_split_equals_full_grid(case, monkeypatch):
     _, truth, pred = case
-    for p in (pred, truth):
-        assert evaluate_case(p, truth) == full_grid_evaluate_case(p, truth)
+    want = [full_grid_evaluate_case(p, truth) for p in (pred, truth)]
+
+    def check():
+        assert [evaluate_case(p, truth) for p in (pred, truth)] == want
+
+    # a reach of one voxel leaves queries in both directions of the
+    # prediction against the truth, and none when the truth meets itself
+    calls = _in_each_regime(monkeypatch, check)
+    assert calls["pairs"] == {"_pairwise": 2, "_transformed": 0}
+    assert calls["transform"] == {"_pairwise": 0, "_transformed": 2}
 
 
-SPACINGS = [(0.7, 0.9, 1.3), (1.0, 1.1, 1.25), (1.25, 1.25, 1.25), (0.625, 0.625, 2.5)]
+SPACINGS = [
+    (0.7, 0.9, 1.3), (1.0, 1.1, 1.25), (1.25, 1.25, 1.25), (0.625, 0.625, 2.5),
+    (0.7, 0.7, 0.7), (1.1, 1.1, 2.3),
+]
 
 
-def test_split_equals_full_grid_on_random_pairs(forced_split):
+def test_split_equals_full_grid_on_random_pairs(monkeypatch):
     # blobs with rough surfaces, shifted apart by up to 10 voxels, with
-    # corner islands on either side, at non-dyadic and dyadic spacings
+    # corner islands on either side, at non-dyadic and dyadic spacings;
+    # equal spacings let offsets tie exactly and round apart as floats
     rng = np.random.default_rng(412314)
+    pairs = []
     for i in range(240):
         dims = tuple(int(n) for n in rng.integers(18, 30, size=3))
         spacing = SPACINGS[i % len(SPACINGS)]
@@ -263,6 +287,15 @@ def test_split_equals_full_grid_on_random_pairs(forced_split):
             for corner in rng.integers(0, 2, size=(int(rng.integers(1, 3)), 3)):
                 at = tuple(slice(0, 2) if c == 0 else slice(-2, None) for c in corner)
                 bits[at] = True
-        p, t = Mask(pred, spacing), Mask(truth, spacing)
-        assert evaluate_case(p, t) == full_grid_evaluate_case(p, t), (i, spacing)
-    assert sum(forced_split) >= 408  # of 480 calls
+        pairs.append((Mask(pred, spacing), Mask(truth, spacing)))
+
+    want = [full_grid_evaluate_case(p, t) for p, t in pairs]
+
+    def check():
+        for i, (p, t) in enumerate(pairs):
+            assert evaluate_case(p, t) == want[i], (i, p.spacing)
+
+    # a reach of one voxel leaves queries in every direction: 480 calls
+    calls = _in_each_regime(monkeypatch, check)
+    assert calls["pairs"]["_pairwise"] >= 480
+    assert calls["transform"]["_transformed"] >= 480

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from labench import metrics
 from labench.errors import DegenerateTruth, GeometryMismatch
 from labench.grids import Mask
 from labench.metrics import dice, evaluate_case, surface_voxels
@@ -16,6 +18,7 @@ from oracles import (
     counting_dice,
     counting_iou,
     counting_sens_spec,
+    full_grid_evaluate_case,
     surface_points,
 )
 
@@ -155,6 +158,73 @@ def test_distance_transform_equals_brute_force(rng):
         c = evaluate_case(a, b)
         assert c.hd_mm == pytest.approx(brute_force_hd(a, b), abs=1e-9)
         assert c.stsd_mm == pytest.approx(brute_force_stsd(a, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("spacing", [(0.5, 1.0, 2.0), (0.7, 0.9, 1.3), (0.7, 0.7, 0.7), (0.625, 0.625, 2.5)])
+def test_offsets_are_every_offset_up_to_the_longest_in_order(spacing):
+    # counted in a box twice as wide: an offset left out is longer, as float
+    offsets, sq = metrics._offsets(spacing)
+    r = 2 * np.abs(offsets).max(axis=1) + 1
+    wide = np.indices(2 * r + 1).reshape(3, -1) - r[:, None]
+    assert set(map(tuple, offsets.T)) == set(map(tuple, wide[:, metrics._sq_mm(wide, spacing) <= sq[-1]].T))
+    assert np.array_equal(sq, metrics._sq_mm(offsets, spacing))
+    assert (np.diff(sq) >= 0).all()
+    reach = metrics._REACH * min(spacing)  # the longest is the reach along the finest axis
+    assert sq[-1] == reach * reach
+    assert tuple(offsets[:, 0]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("shells", [None, math.inf], ids=["default", "every_offset"])
+@pytest.mark.parametrize("spacing", [(0.5, 1.0, 2.0), (0.7, 0.9, 1.3), (0.7, 0.7, 0.7)])
+def test_near_search_equals_brute_force(monkeypatch, spacing, shells):
+    # random sources; queries within the reach's box of a source, out to
+    # three times the reach, and on either side of the source hull grown
+    # by the reach; a single source first. Without the early stop, the
+    # search finds exactly the queries with a source within reach.
+    monkeypatch.setattr(metrics, "_PAIRS_PER_VOXEL", math.inf)
+    if shells:
+        monkeypatch.setattr(metrics, "_SHELLS", shells)
+    rng = np.random.default_rng(1231)
+    offsets, sq = metrics._offsets(spacing)
+    reach = np.abs(offsets).max(axis=1)
+    for n in (1, 2, 5, 40, 300):
+        source = rng.integers(0, 16, size=(3, n)) + 3 * reach[:, None]
+        lo, hi = source.min(axis=1), source.max(axis=1)
+        parts = [
+            source[:, rng.integers(0, n, size=300)] + rng.integers(-reach, reach + 1, size=(300, 3)).T,
+            rng.integers(lo - 3 * reach, hi + 3 * reach + 1, size=(100, 3)).T,
+        ]
+        for ax in range(3):
+            for at in (lo[ax] - reach[ax] - 1, lo[ax] - reach[ax], hi[ax] + reach[ax], hi[ax] + reach[ax] + 1):
+                edge = rng.integers(lo, hi + 1, size=(20, 3)).T
+                edge[ax] = at
+                parts.append(edge)
+        query = np.hstack(parts)
+        want = metrics._sq_mm(source[:, None] - query[:, :, None], spacing).min(axis=1)
+        near = metrics._near(source, query, spacing)
+        found = near < np.inf
+        assert found.any()
+        assert np.array_equal(near[found], want[found])
+        if shells:
+            assert np.array_equal(found, want <= sq[-1])
+        assert np.array_equal(metrics._distances_to(source, query, spacing), np.sqrt(want))
+
+
+def test_far_heavy_prediction_takes_the_transform_and_equals_full_grid(monkeypatch):
+    # thresholded noise in a box beside a blob truth: most of the noise's
+    # surface lies beyond the near search's reach of the truth
+    dims, spacing = (48, 40, 32), (0.7, 0.9, 1.3)
+    rng = np.random.default_rng(5)
+    truth = np.zeros(dims, dtype=bool)
+    truth[6:20, 8:30, 6:26] = True
+    pred = np.zeros(dims, dtype=bool)
+    pred[16:46, 4:38, 2:30] = rng.random((30, 34, 28)) < 0.3
+    p, t = Mask(pred, spacing), Mask(truth, spacing)
+    transformed = []
+    call = metrics._transformed
+    monkeypatch.setattr(metrics, "_transformed", lambda *args: transformed.append(1) or call(*args))
+    assert evaluate_case(p, t) == full_grid_evaluate_case(p, t)
+    assert transformed
 
 
 def test_evaluate_case_memory_is_bounded_by_the_box():
