@@ -20,7 +20,10 @@ reads. Every failure, argparse's usage errors included, is one line
 ``labench: error: <message>`` on stderr with exit code 1. An input that
 the library rejects raises a :class:`LabenchError`, which :func:`main`
 prints as ``<Type>: <message>``; any other exception, a bare
-``ValueError`` included, is a bug and escapes with its traceback.
+``ValueError`` included, is a bug and escapes with its traceback. Per
+case, evaluate and quality keep the same rule: a LabenchError is a ``failed
+case`` or ``failed scan`` line and exit 2; any other exception escapes,
+from a ``--jobs`` pool too.
 
 Every table (per-case metrics, scan quality, leaderboard, experiment
 curves, the synth manifest) goes through :func:`_write_table`. Its CSV
@@ -355,10 +358,10 @@ def _run_tasks(worker, tasks, jobs: int):
 
 
 def _catching(worker, task):
-    """Run one paired task; a failure becomes its ``Type: message`` text."""
+    """Run one paired task; a LabenchError becomes its ``Type: message`` text."""
     try:
         return task[0], worker(task), None
-    except Exception as exc:  # report per-item failures, keep going
+    except LabenchError as exc:  # an input the library rejects: report it, keep going
         return task[0], None, f"{type(exc).__name__}: {exc}"
 
 

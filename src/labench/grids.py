@@ -260,58 +260,29 @@ def on_box(m: Mask, reach: int, op) -> Mask:
     return Mask(out, m.spacing)
 
 
-def _pairwise_sum(part, lo: int, n: int) -> np.ndarray:
-    """The sum of ``part(lo)`` .. ``part(lo + n - 1)`` (n >= 1) in float64,
-    added in the order of numpy's pairwise sum: in turn below 8 terms, into
-    eight running sums combined as a tree up to 128, halved above that (the
-    first half a multiple of 8 long). One term comes back as ``part(lo)``."""
-    if n == 1:
-        return part(lo)
-    if n < 8:
-        res = np.add(part(lo), part(lo + 1), dtype=np.float64)
-        for i in range(lo + 2, lo + n):
-            res += part(i)
-        return res
-    if n <= 128:
-        r = [part(lo + j).astype(np.float64) for j in range(8)]
-        for i in range(8, n - n % 8, 8):
-            for j in range(8):
-                r[j] += part(lo + i + j)
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            r[a] += r[b]
-        for i in range(n - n % 8, n):
-            r[0] += part(lo + i)
-        return r[0]
-    half = n // 2 - n // 2 % 8
-    res = _pairwise_sum(part, lo, half)
-    res += _pairwise_sum(part, lo + half, n - half)
-    return res
-
-
 def _block_means(data: np.ndarray, axis: int, f: int) -> np.ndarray:
     """Float64 means of the runs of ``f`` entries along ``axis`` (the last
-    run may be shorter), bit for bit ``np.add.reduceat`` of the float64
-    data divided by the run lengths. reduceat adds each run's first entry
-    to the pairwise sum of the rest; here the k-th entries of every run
-    form one strided part, so each addition is one whole-array add."""
+    run may be shorter). A run's sum is its first entry plus the rest added
+    in turn, which is ``np.add.reduceat``'s order for runs of at most 8.
+    The k-th entries of every run form one strided part, added whole into
+    the front of one buffer, so a short last run takes only the parts it
+    holds. The buffer starts at -0.0, the identity of float addition, so a
+    run of one entry keeps its bits."""
     n = data.shape[axis]
+
+    def run(start, stop, step):
+        return (slice(None),) * axis + (slice(start, stop, step),)
+
     shape = list(data.shape)
     shape[axis] = -(-n // f)
-    out = np.empty(shape)
-    full = n - n % f
-    for lo, hi in ((0, full), (full, n)):
-        if lo == hi:
-            continue
-
-        def part(k, lo=lo, hi=hi):
-            return data[(slice(None),) * axis + (slice(lo + k, hi, f),)]
-
-        count = min(f, hi - lo)
-        acc = part(0).astype(np.float64)
-        if count > 1:
-            acc += _pairwise_sum(part, 1, count - 1)
-        np.divide(acc, count, out=out[(slice(None),) * axis + (slice(lo // f, -(-hi // f)),)])
-    return out
+    acc = np.full(shape, -0.0, order="F")
+    for k in range(1, f):
+        part = data[run(k, n, f)]
+        acc[run(0, part.shape[axis], 1)] += part
+    acc += data[run(0, n, f)]
+    counts = np.minimum(np.arange(n, 0, -f), f)  # f, ..., f, the last run's length
+    acc /= counts.reshape([-1 if a == axis else 1 for a in range(3)])
+    return acc
 
 
 def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
@@ -324,11 +295,14 @@ def downsample(v: Volume, factor: tuple[int, int, int]) -> Volume:
     means are generally fractional.
 
     Summation order: the blocks are reduced along x, then y, then z, each
-    time in float64, and every block sum equals ``np.add.reduceat`` over
-    the block (its first value plus numpy's pairwise sum of the rest), so
-    the result is bit for bit the whole-grid reduceat means. The work runs
-    over z-slabs of whole z-blocks, about ``_SLAB_VOXELS`` voxels each,
-    and widens the input to float64 one strided part at a time.
+    time in float64, and every block sum is its first value plus the rest
+    added in turn. For blocks of at most 8 along each axis this is
+    ``np.add.reduceat``'s order, so the result is bit for bit the
+    whole-grid reduceat means. Longer blocks of a float scan may differ
+    from them in the last bit (reduceat adds long runs pairwise); integer
+    scans sum exactly in any order. The work runs over z-slabs of whole
+    z-blocks, about ``_SLAB_VOXELS`` voxels each, and widens the input to
+    float64 one strided part at a time.
     """
     fx, fy, fz = (int(f) for f in factor)
     if min(fx, fy, fz) < 1:

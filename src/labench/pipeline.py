@@ -105,10 +105,7 @@ def localize_threshold(v: Volume, downsample_factor: int = 4) -> VoxelIndex:
     26-connected bright component, and maps its centroid back to full
     resolution (block centers), clamped to the volume bounds.
     """
-    f = int(downsample_factor)
-    if f < 1:
-        raise ValueError(f"downsample factor must be >= 1, got {downsample_factor}")
-    f = min(f, *v.dims)
+    f = min(int(downsample_factor), *v.dims)
     # looked up on the module, so a wrapper installed on grids.downsample
     # (a profiler, say) sees this call too
     small = grids.downsample(v, (f, f, f))

@@ -21,7 +21,8 @@ scipy's ``binary_dilation``, which the numpy shifts must equal.
 ``per_tile_clahe`` is CLAHE with one histogram and one mapping per tile in a
 loop, which the one-``bincount``-per-slice ``clahe_slicewise`` must equal bit
 for bit, and ``whole_grid_downsample`` the block means over the whole grid
-in float64 that the slab-wise ``downsample`` must equal.
+in float64 that the slab-wise ``downsample`` must equal; for blocks of at
+most 8 per axis both equal ``reduceat_downsample``, numpy's reduceat means.
 """
 
 import math
@@ -458,13 +459,31 @@ def per_tile_clahe(v: Volume, tiles: tuple[int, int], clip_limit: float) -> Volu
 
 
 def whole_grid_downsample(v: Volume, factor) -> Volume:
-    """``downsample`` as it was before it reduced z-slabs: block means over
-    the whole grid widened to float64."""
-    fx, fy, fz = factor
+    """Block means over the whole grid widened to float64, one axis at a
+    time in x, y, z order, in ``downsample``'s summation order: each
+    block's sum is its first value plus the last entry of
+    ``np.add.accumulate`` (which adds in turn) over the rest."""
     data = v.data.astype(np.float64)
-    for axis, f in enumerate((fx, fy, fz)):
-        if f == 1:
-            continue
+    for axis, f in enumerate(factor):
+        rows = np.moveaxis(data, axis, 0)
+        means = []
+        for lo in range(0, rows.shape[0], f):
+            block = rows[lo : lo + f]
+            total = block[0] + np.add.accumulate(block[1:])[-1] if len(block) > 1 else block[0]
+            means.append(total / len(block))
+        data = np.moveaxis(np.stack(means), 0, axis)
+
+    sx, sy, sz = v.spacing
+    fx, fy, fz = factor
+    return Volume(data.astype(np.float32), (sx * fx, sy * fy, sz * fz))
+
+
+def reduceat_downsample(v: Volume, factor) -> Volume:
+    """Block means over the whole grid widened to float64, each block summed
+    by ``np.add.reduceat``: its first value plus numpy's pairwise sum of
+    the rest, which adds in turn below 8 terms."""
+    data = v.data.astype(np.float64)
+    for axis, f in enumerate(factor):
         n = data.shape[axis]
         starts = np.arange(0, n, f)
         sums = np.add.reduceat(data, starts, axis=axis)
@@ -474,4 +493,5 @@ def whole_grid_downsample(v: Volume, factor) -> Volume:
         data = sums / counts.reshape(shape)
 
     sx, sy, sz = v.spacing
+    fx, fy, fz = factor
     return Volume(data.astype(np.float32), (sx * fx, sy * fy, sz * fz))

@@ -520,6 +520,26 @@ def test_a_value_error_inside_a_command_escapes_main(monkeypatch, tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_bug_inside_a_case_escapes_main(monkeypatch, tmp_path, capsys, jobs):
+    # a failed case is an input the library rejects; any other exception in
+    # a case's worker is a bug, so it escapes, from a --jobs pool too (the
+    # forked workers see the patched module)
+    from labench import cli
+
+    def broken(pred, truth):
+        raise IndexError("a bug")
+
+    monkeypatch.setattr(cli, "evaluate_case", broken)
+    preds, truths = tmp_path / "preds", tmp_path / "truths"
+    for i in range(2):
+        _write_pair(preds, f"case_{i}", _blob())
+        _write_pair(truths, f"case_{i}", _blob())
+    with pytest.raises(IndexError, match="a bug"):
+        main(["evaluate", str(preds), str(truths), "--out", str(tmp_path / "m.csv"), "--jobs", jobs])
+    assert "failed case" not in capsys.readouterr().err
+
+
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(labench.__file__).resolve().parents[1])
     return subprocess.run(

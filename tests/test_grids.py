@@ -11,7 +11,7 @@ from labench.errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacin
 from labench.grids import CROSS6, CUBE26, Mask, Volume, bbox, check_same_geometry, downsample
 from labench.nrrd_io import read_nrrd
 
-from oracles import whole_grid_downsample
+from oracles import reduceat_downsample, whole_grid_downsample
 
 
 def test_flat_is_x_fastest(tmp_path):
@@ -151,14 +151,18 @@ def test_structuring_elements_are_scipy_connectivities():
         assert np.array_equal(element, expected)
 
 
-def _assert_slabs_equal_whole_grid(monkeypatch, dims, order, factor):
+def _cancelling(dims, order, seed) -> Volume:
     # half the values are +-2**50, which cancel in many blocks and leave the
     # others' sum rounded to quarters in an order-dependent way, so that a
     # change in the float64 summation order shows in float32
-    rng = np.random.default_rng(sum(factor))
+    rng = np.random.default_rng(seed)
     big = rng.choice([-(2.0**50), 2.0**50], size=dims)
     data = np.where(rng.random(dims) < 0.5, big, rng.normal(0, 1, size=dims))
-    v = Volume(np.asarray(data.astype(np.float32), order=order), (0.5, 0.75, 1.25))
+    return Volume(np.asarray(data.astype(np.float32), order=order), (0.5, 0.75, 1.25))
+
+
+def _assert_slabs_equal_whole_grid(monkeypatch, dims, order, factor):
+    v = _cancelling(dims, order, sum(factor))
     expected = whole_grid_downsample(v, factor)
     plane = dims[0] * dims[1]
     for slab in (1, plane * factor[2] * 2, plane * factor[2] * 3):
@@ -174,16 +178,46 @@ def _assert_slabs_equal_whole_grid(monkeypatch, dims, order, factor):
 )
 def test_slab_downsample_equals_whole_grid(monkeypatch, order, factor):
     # slabs of 1 to 3 blocks; 23 slices leave a partial last block for most
-    # factors. Block sums follow numpy's pairwise order, which changes at 8
-    # terms: 9 gives 8 terms after the first, 16 gives 15 and a partial 6
+    # factors. Blocks of 9 or more (9, 16, 23) are where the in-turn order
+    # leaves numpy's pairwise one, which adds 8 or more terms in 8 running sums
     _assert_slabs_equal_whole_grid(monkeypatch, (13, 11, 23), order, factor)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_slab_downsample_equals_whole_grid_past_128_terms(monkeypatch, order):
-    # numpy's pairwise sum splits runs of more than 128 terms in halves: blocks
-    # of 150 give 149 terms after the first, the partial last block 9
+    # numpy's pairwise sum would split runs of more than 128 terms in halves;
+    # blocks of 150 give 149 terms after the first, the partial last block 9
     _assert_slabs_equal_whole_grid(monkeypatch, (8, 8, 310), order, (1, 1, 150))
+
+
+@pytest.mark.parametrize("f", range(1, 9))
+def test_downsample_up_to_8_per_axis_is_reduceat(f):
+    # up to 8 per axis, a block's first value plus the rest added in turn is
+    # numpy's reduceat order, so the means equal reduceat's bit for bit;
+    # 13, 11 and 23 leave a partial last block for f >= 2
+    for factor in ((f, f, f), (f, 1, 9 - f), (9 - f, f, 1)):
+        v = _cancelling((13, 11, 23), "F", f)
+        expected = reduceat_downsample(v, factor).data.view(np.uint32)
+        assert np.array_equal(whole_grid_downsample(v, factor).data.view(np.uint32), expected)
+        assert np.array_equal(downsample(v, factor).data.view(np.uint32), expected)
+
+
+@pytest.mark.parametrize("dtype, top", [(np.uint8, 256), (np.uint16, 4096)])
+@pytest.mark.parametrize("factor", [(9, 9, 9), (16, 16, 8), (3, 5, 23)])
+def test_integer_downsample_is_the_exact_mean(dtype, top, factor):
+    # integers sum exactly in float64 in any order, so the last-bit change
+    # of long float blocks cannot reach integer scans: every block is the
+    # float32 of its exact mean; 20, 19 and 50 leave partial last blocks
+    dims = (20, 19, 50)
+    data = np.random.default_rng(3).integers(0, top, size=dims).astype(dtype)
+    sums, counts = data.astype(np.int64), np.ones((1, 1, 1), dtype=np.int64)
+    for axis, f in enumerate(factor):
+        starts = np.arange(0, dims[axis], f)
+        sums = np.add.reduceat(sums, starts, axis=axis)
+        lengths = np.diff(np.append(starts, dims[axis]))
+        counts = counts * lengths.reshape([-1 if a == axis else 1 for a in range(3)])
+    out = downsample(Volume(data), factor)
+    assert np.array_equal(out.data.view(np.uint32), (sums / counts).astype(np.float32).view(np.uint32))
 
 
 def test_downsample_memory_is_bounded_by_the_slab(monkeypatch):

@@ -168,6 +168,11 @@ def test_localize_threshold_prefers_larger_component():
     assert all(abs(f - t) <= 1 for f, t in zip(found, (11, 15, 11)))
 
 
+def test_localize_threshold_rejects_a_zero_factor():
+    with pytest.raises(ValueError):
+        localize_threshold(_blob_volume()[0], 0)
+
+
 def test_localize_threshold_tie_goes_to_first_component_in_x_fastest_order():
     # two equal blobs: the one at high x, low z comes first in x-fastest
     # order, the one at low x, high z in C order
