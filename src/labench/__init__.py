@@ -12,6 +12,19 @@ executable in :mod:`cli` fronts all of it.
 The package itself imports none of these modules, so ``import labench``
 loads no numpy; import names from the module that defines them, e.g.
 ``from labench.metrics import evaluate_case``.
+
+Two defaults live here because the CLI parser shows them for every
+command, ``rank`` included, which loads no numpy:
+:data:`DEFAULT_ROI_SIZE`, the pipeline's crop in voxels (also
+``grids.DEFAULT_ROI_SIZE``), and :data:`DEFAULT_MARGIN`, the quality
+foreground's dilation margin in voxels (also ``quality.DEFAULT_MARGIN``).
 """
 
 __version__ = "0.1.0"
+
+# the pipeline's crop: the winning challenge pipelines' 240x160x96 voxels,
+# 150x100x60 mm at 0.625 mm
+DEFAULT_ROI_SIZE = (240, 160, 96)
+
+# voxels the quality foreground is dilated by around the cavity mask
+DEFAULT_MARGIN = 3

@@ -42,17 +42,20 @@ NotBinaryMask for any other value.
 Imports: each subcommand imports only its own modules. Every call is a
 process of its own, so a module it loads and never runs is start-up time
 paid on each call, and at desk-scale grids start-up is most of a
-command's time. This module loads what every command shares: the
-grids, NRRD I/O, metrics, quality and statistics functions it names at
-module level (``read_nrrd``, ``evaluate_case``, ``assess_quality``,
-``build_leaderboard`` and the rest, looked up at call time so that a
-tracer can wrap them). ``phantom``, ``pipeline``, ``postprocess`` and
-``preprocess`` are imported inside the commands that run them, scipy
-inside the functions that call it, and ``concurrent.futures`` only when
-a ``--jobs`` pool starts. ``synth``, ``quality`` and ``rank`` load no
-scipy at all, and ``evaluate`` loads ``scipy.ndimage`` only in a process
-that measures many surface voxels far from the other surface with its
-feature transform. The package ``labench`` itself imports nothing.
+command's time. At module level this module imports only ``errors`` and
+``stats``, so ``rank``, which reads and writes only CSV and JSON, loads
+no numpy. Every numpy-backed name is imported inside the function that
+uses it, scipy inside the functions that call it, and
+``concurrent.futures`` only when a ``--jobs`` pool starts. ``synth``,
+``quality`` and ``rank`` load no scipy at all, and ``evaluate`` loads
+``scipy.ndimage`` only in a process that measures many surface voxels
+far from the other surface with its feature transform. The exception is
+:data:`_TRACED`, the five names the tracer in ``perfbench/launch.py``
+swaps on this module: :func:`_bind_traced` binds each one not yet
+bound, so a wrapper set first is kept. :func:`main` calls it for every
+command but ``rank``, each ``--jobs`` worker when it starts, and the
+module ``__getattr__`` when one of the names is read first. The block
+goes when the tracer records spans instead of swapping names.
 
 Process exit: the executable (``python -m labench.cli`` and the
 ``labench`` script) is :func:`run`. When :func:`main` returns, it
@@ -72,6 +75,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import json
 import math
 import os
@@ -79,11 +83,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from . import DEFAULT_MARGIN, DEFAULT_ROI_SIZE
 from .errors import DegeneratePartition, LabenchError, MalformedCsv
-from .grids import DEFAULT_ROI_SIZE, check_same_geometry, checked_spacing, downsample
-from .metrics import CaseMetrics, dice, evaluate_case
-from .nrrd_io import read_nrrd, write_nrrd
-from .quality import DEFAULT_MARGIN, assess_quality, quality_distribution
 from .stats import (
     LEADERBOARD_METRICS,
     TeamResult,
@@ -92,6 +93,30 @@ from .stats import (
     correlate,
     leaderboard_from_summary,
 )
+
+# the names the tracer swaps on this module, by their module (see "Imports")
+_TRACED = {
+    "read_nrrd": "nrrd_io",
+    "write_nrrd": "nrrd_io",
+    "evaluate_case": "metrics",
+    "assess_quality": "quality",
+    "downsample": "grids",
+}
+
+
+def _bind_traced() -> None:
+    """Bind each name of :data:`_TRACED` that this module does not hold yet."""
+    for name, module in _TRACED.items():
+        if name not in globals():
+            globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_traced()
+    return globals()[name]
+
 
 # per-case CSV columns; the JSON form holds every CaseMetrics field
 CASE_CSV_COLUMNS = (
@@ -176,6 +201,8 @@ _sizes = _type("XxY sizes >= 1")(lambda text: [_numbers(entry, int, 1, (2,)) for
 
 @_type("1 or 3 numbers > 0")
 def _spacing(text: str) -> tuple[float, float, float]:
+    from .grids import checked_spacing
+
     values = _numbers(text, float, -math.inf, (1, 3))
     return checked_spacing(values * (3 // len(values)))
 
@@ -353,7 +380,9 @@ def _run_tasks(worker, tasks, jobs: int):
         return [worker(task) for task in tasks]
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    workers = min(jobs, len(tasks))
+    # a worker that is not forked from this process (spawn, forkserver) starts unbound
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_bind_traced) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -400,6 +429,8 @@ def cmd_evaluate(args) -> int:
     _require_out_dir(args.out, "--out")
 
     def write(cases):
+        from .metrics import CaseMetrics
+
         if args.format == "json":
             columns = tuple(f.name for f in fields(CaseMetrics))
         else:
@@ -547,6 +578,8 @@ def cmd_quality(args) -> int:
     _require_out_dir(args.out, "--out")
 
     def write(reports):
+        from .quality import quality_distribution
+
         rows = [(sid, r.snr, r.cr, r.het, r.band) for sid, r in sorted(reports.items())]
         _write_table(args.out, ("scan_id", "snr", "cr", "het", "band"), rows, args.format)
         if reports:
@@ -562,6 +595,7 @@ def cmd_quality(args) -> int:
 
 def cmd_preprocess(args) -> int:
     from . import preprocess
+    from .grids import check_same_geometry
 
     _require_out_dir(args.out, "--out")
     if args.mask_out:
@@ -643,6 +677,7 @@ def _build_segmenter(args, scan, truth):
     """The segmenter that ``--segmenter`` names; the options it needs were
     checked before any input was read."""
     from . import pipeline
+    from .grids import check_same_geometry
 
     if args.segmenter == "oracle":
         return pipeline.MaskSegmenter(truth)
@@ -666,6 +701,8 @@ def _center(args, scan, truth):
 
 def cmd_pipeline(args) -> int:
     from . import pipeline
+    from .grids import check_same_geometry
+    from .metrics import dice
 
     _require_out_dir(args.out, "--out")
     scan = read_nrrd(_require_file(args.scan, "scan"), as_mask=False)
@@ -856,6 +893,8 @@ def main(argv=None) -> int:
     for broken, message in _RULES.get(args.command, ()):
         if broken(args):
             return _fail(message.format_map(vars(args)))
+    if args.command != "rank":
+        _bind_traced()
     try:
         return args.func(args)
     except LabenchError as exc:  # an input the library rejects; anything else is a bug

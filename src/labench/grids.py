@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_ROI_SIZE  # the pipeline's default crop, which pipeline reads here
 from .errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
 
 VoxelIndex = tuple[int, int, int]
@@ -30,11 +31,6 @@ CROSS6 = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1
 CUBE26 = np.ones((3, 3, 3), dtype=bool)
 
 AXES = {"x": 0, "y": 1, "z": 2}
-
-# the pipeline's crop: the winning challenge pipelines' 240x160x96 voxels,
-# 150x100x60 mm at 0.625 mm. It lives here so the CLI parser can show it
-# without importing the pipeline.
-DEFAULT_ROI_SIZE = (240, 160, 96)
 
 _SLAB_VOXELS = 1 << 21  # voxels per float64 slab in downsample
 

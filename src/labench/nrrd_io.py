@@ -200,7 +200,8 @@ def read_nrrd(path, as_mask: bool) -> Grid:
 
     if not as_mask:
         return Volume(arr, spacing)
-    bits = arr != 0
+    # a uint8 0 or 1 is already a bool byte; the check below proves that is all it holds
+    bits = arr.view(bool) if dtype == np.uint8 else arr != 0
     # unsigned samples are non-negative, so a maximum of 1 leaves only 0 and 1
     if not (arr.max() <= 1 if dtype.kind == "u" else np.array_equal(arr == 1, bits)):
         raise NotBinaryMask(f"{path} is not a binary mask")

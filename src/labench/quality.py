@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_MARGIN
 from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask, NonFiniteIntensity
 from .grids import Box, Mask, Volume, bbox, check_same_geometry
 
 BANDS = ("high", "medium", "low")
-
-DEFAULT_MARGIN = 3
 
 
 @dataclass(frozen=True)

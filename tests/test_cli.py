@@ -644,11 +644,10 @@ def test_evaluate_loads_scipy_only_where_the_transform_runs(tmp_path):
     assert (tmp_path / "e1.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
 
 
-# every command loads the CLI and what the tracer in perfbench/launch.py wraps on it
-_CLI_MODULES = {
-    "labench", "labench.cli", "labench.errors", "labench.grids", "labench.metrics",
-    "labench.nrrd_io", "labench.quality", "labench.stats",
-}
+# rank loads the CLI alone; every other command also loads the modules of
+# the names the tracer in perfbench/launch.py wraps on it
+_RANK_MODULES = {"labench", "labench.cli", "labench.errors", "labench.stats"}
+_CLI_MODULES = _RANK_MODULES | {"labench.grids", "labench.metrics", "labench.nrrd_io", "labench.quality"}
 
 
 def _import_set_argv(command, tmp_path):
@@ -691,7 +690,8 @@ def test_each_command_imports_only_its_own_modules(tmp_path, command, own, pool_
     # a command is one process, so every module it loads and never runs is
     # start-up time on each call; without a pool there is no concurrent.futures
     argv = _import_set_argv(command, tmp_path)
-    want = sorted(_CLI_MODULES | {f"labench.{m}" for m in own})
+    base = _RANK_MODULES if command == "rank" else _CLI_MODULES
+    want = sorted(base | {f"labench.{m}" for m in own})
     code = (
         "import sys, labench.cli\n"
         f"assert labench.cli.main({argv!r}) == 0\n"
@@ -700,8 +700,51 @@ def test_each_command_imports_only_its_own_modules(tmp_path, command, own, pool_
     )
     if pool_free:
         code += "assert 'concurrent.futures' not in sys.modules\n"
+    if command == "rank":
+        code += "assert 'numpy' not in sys.modules\n"
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_names_bind_on_first_read_and_keep_a_wrapper(tmp_path):
+    # a bare import loads no numpy; reading a traced name on the module binds
+    # the library function, as the tracer's install() and monkeypatch do; a
+    # wrapper set before main is the function the command calls
+    cases = tmp_path / "cases"
+    _two_quality_cases(cases)
+    argv = ["evaluate", str(cases), str(cases), "--out", str(tmp_path / "m.csv")]
+    code = (
+        "import sys, labench.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "read = cli.read_nrrd\n"
+        "from labench.nrrd_io import read_nrrd\n"
+        "assert read is read_nrrd\n"
+        "paths = []\n"
+        "cli.read_nrrd = lambda path, as_mask: paths.append(path) or read(path, as_mask)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert len(paths) == 4, paths\n"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["evaluate", "quality"])
+def test_spawned_pool_workers_write_the_jobs_1_bytes(tmp_path, command):
+    # a spawned (or forkserver) worker imports the CLI afresh, with no traced
+    # name bound, so the pool binds them as each worker starts
+    cases = str(tmp_path / "cases")
+    _two_quality_cases(tmp_path / "cases")
+    inputs = [cases, cases] if command == "evaluate" else ["--scans", cases, "--masks", cases]
+    argvs = [[command, *inputs, "--out", str(tmp_path / f"out{jobs}"), "--jobs", jobs] for jobs in "12"]
+    code = (
+        "import multiprocessing, labench.cli\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert labench.cli.main(argv) == 0\n"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out1").read_bytes() == (tmp_path / "out2").read_bytes()
 
 
 def test_package_import_loads_no_module():
@@ -800,8 +843,9 @@ def test_pool_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, jobs, 
 
     class RecordingPool:
         # records max_workers and maps in this process: no worker starts
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             made.append(max_workers)
+            initializer()
 
         def __enter__(self):
             return self

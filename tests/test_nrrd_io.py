@@ -75,6 +75,19 @@ def test_mask_round_trip_is_bit_exact(tmp_path, rng):
     assert back == m
 
 
+@pytest.mark.parametrize("encoding", ["raw", "gzip"])
+def test_uint8_mask_reads_as_a_bool_view_of_the_payload(tmp_path, rng, encoding):
+    # once the maximum check proves a uint8 payload is 0/1, its bytes are
+    # the bits: no comparison pass, and no copy of the grid
+    data = (rng.random((24, 20, 12)) < 0.4).astype(np.uint8)
+    path = tmp_path / "m.nrrd"
+    write_nrrd(Volume(data), path, encoding=encoding)
+    bits = read_nrrd(path, as_mask=True).bits
+    assert bits.dtype == np.bool_ and np.array_equal(bits, data != 0)
+    assert not bits.flags.writeable and bits.flags.f_contiguous
+    assert bits.base is not None
+
+
 def test_all_false_mask_payload_is_zero_bytes(tmp_path):
     path = tmp_path / "empty.nrrd"
     write_nrrd(Mask(np.zeros((4, 4, 4), dtype=bool)), path)
