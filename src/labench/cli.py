@@ -46,16 +46,23 @@ command's time. At module level this module imports only ``errors`` and
 ``stats``, so ``rank``, which reads and writes only CSV and JSON, loads
 no numpy. Every numpy-backed name is imported inside the function that
 uses it, scipy inside the functions that call it, and
-``concurrent.futures`` only when a ``--jobs`` pool starts. ``synth``,
-``quality`` and ``rank`` load no scipy at all, and ``evaluate`` loads
-``scipy.ndimage`` only in a process that measures many surface voxels
-far from the other surface with its feature transform. The exception is
-:data:`_TRACED`, the five names the tracer in ``perfbench/launch.py``
+``concurrent.futures`` only when a ``--jobs`` pool starts. The exception
+is :data:`_TRACED`, the five names the tracer in ``perfbench/launch.py``
 swaps on this module: :func:`_bind_traced` binds each one not yet
 bound, so a wrapper set first is kept. :func:`main` calls it for every
 command but ``rank``, each ``--jobs`` worker when it starts, and the
 module ``__getattr__`` when one of the names is read first. The block
 goes when the tracer records spans instead of swapping names.
+
+``synth``, ``quality`` and ``rank`` load no scipy at all. The others
+load ``scipy.ndimage`` only where it does real work: ``evaluate`` in a
+process that measures many surface voxels far from the other surface
+with its feature transform; ``preprocess`` for its affine and elastic
+augmentations; ``postprocess`` for dilation, erosion, opening and
+closing, and for ``largest`` on a box it cannot prove one component
+(speckle, or an island inside another's box), so ``largest`` and
+``smooth`` on a compact mask load none; ``pipeline`` always, since its
+threshold segmenter closes with scipy.
 
 Process exit: the executable (``python -m labench.cli`` and the
 ``labench`` script) is :func:`run`. When :func:`main` returns, it

@@ -12,7 +12,9 @@ share across threads.
 The foreground is found from axis projections. :func:`boxes` gives tight
 boxes split on empty planes, which no surface or 26-connected component
 crosses, so stray islands far apart keep boxes of their own;
-:func:`bbox` is its one-box hull.
+:func:`bbox` is its one-box hull. :func:`grow` is the one numpy
+dilation step, by the cross or the cube, that the quality foreground and
+the largest-component flood take.
 """
 
 from __future__ import annotations
@@ -238,6 +240,23 @@ def bbox(bits: np.ndarray, pad: int = 0) -> Box | None:
     if box is None:
         return None
     return tuple(slice(max(s.start - pad, 0), min(s.stop + pad, n)) for s, n in zip(box, bits.shape))
+
+
+def grow(bits: np.ndarray, connectivity: int = 6) -> np.ndarray:
+    """``bits`` dilated once by the 6-connected cross or the 26-connected
+    cube, reading the voxels beyond the array's faces as unset: scipy's
+    ``binary_dilation(bits, CROSS6 or CUBE26)``. Each axis ORs in the
+    one-voxel shifts either way, without wrap-around; for the cube each
+    axis shifts what the axes before it grew, so the three steps span the
+    3x3x3 box."""
+    out = bits.copy(order="K")
+    for ax in range(3):
+        src = out if connectivity == 26 else bits
+        head = (slice(None),) * ax + (slice(1, None),)
+        tail = (slice(None),) * ax + (slice(None, -1),)
+        out[tail] |= src[head]
+        out[head] |= src[tail]
+    return out
 
 
 def on_box(m: Mask, reach: int, op) -> Mask:

@@ -8,7 +8,9 @@ change where the payload starts or lives (``data file``, ``line skip``,
 ``byte skip``) are rejected, as are big-endian data and non-orthogonal
 axes; other fields the reader does not use are ignored. A gzip payload
 is inflated to at most one byte past the header-implied size, which
-bounds the memory an oversized payload can take.
+bounds the memory an oversized payload can take; a header that implies
+2**63 bytes or more, which zlib cannot take as that bound, is a
+DimensionMismatch before anything is inflated.
 
 The payload raster order is x-fastest: the voxel ``[ix, iy, iz]`` of a
 grid is payload sample ``ix + iy*nx + iz*nx*ny``.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import gzip
 import re
+import sys
 import zlib
 from pathlib import Path
 
@@ -179,6 +182,8 @@ def read_nrrd(path, as_mask: bool) -> Grid:
             raise UnsupportedField(f"header field {name!r} is not supported")
 
     expected = sizes[0] * sizes[1] * sizes[2] * dtype.itemsize
+    if expected >= sys.maxsize:  # past what zlib can bound an inflate by, and what any file holds
+        raise DimensionMismatch(f"header implies {expected} payload bytes, more than a file can hold")
     payload = memoryview(blob)[offset:]
     if encoding in ("gzip", "gz"):
         inflater = zlib.decompressobj(wbits=31)

@@ -3,12 +3,22 @@
 These mirror the post-processing column of the challenge methods table:
 keep-largest-component, dilation/erosion, and smoothing.
 
-:func:`largest_component` labels each of the mask's
+:func:`largest_component` takes each of the mask's
 :func:`labench.grids.boxes` on its own, so stray islands far apart cost
-their own boxes, not the grid-wide box between them. Every other operator
-is one :func:`labench.grids.on_box` call around one scipy call, with its
-own reach, so it runs on the foreground box. Each equals the operator over
-the whole grid, and returns an x-fastest grid.
+their own boxes, not the grid-wide box between them. It takes them in
+descending foreground count and stops at the first that holds fewer
+voxels than the largest component found, so small islands cost only
+their count. A compact box that a flood fills (:func:`_whole`) is one
+component; every other box is labelled by ``scipy.ndimage.label``, the
+only labeller. :func:`smooth_surface` counts each 3x3x3 neighbourhood as
+separable numpy sums, equal to scipy's ``convolve``. So on a compact mask
+``largest`` and ``smooth`` load no scipy, whose ``ndimage`` import
+(0.25 s or more) would dwarf their few milliseconds of work; the tests hold
+both to the scipy operators over the whole grid. Dilation, erosion,
+opening and closing are each one :func:`labench.grids.on_box` call around
+one scipy call, with its own reach, so they run on the foreground box.
+Each operator equals itself over the whole grid, and returns an
+x-fastest grid.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CROSS6, CUBE26, Mask, boxes, on_box
+from .grids import CROSS6, CUBE26, Mask, boxes, grow, on_box
 
 
 @dataclass(frozen=True)
@@ -52,30 +62,71 @@ def _first(box, labels: np.ndarray, ids, dims):
     return int(np.ravel_multi_index(at, dims, order="F")), box, labels, flat[i]
 
 
+def _whole(bits: np.ndarray, count: int, connectivity: int) -> bool:
+    """Whether the ``count`` set voxels of the box ``bits`` are one component.
+
+    The box must be compact, with at most half its voxels touching a
+    background 6-neighbour (the voxels beyond its faces read as
+    background), and a flood from its first x-fastest voxel, one
+    :func:`labench.grids.grow` by the ``connectivity`` element kept inside
+    the mask per step, must reach every voxel. Step k works only on the
+    voxels within k of the seed along each axis, all that k steps can
+    reach. The guard is one pass over the box. It keeps the flood, a pass
+    per step, off speckle, whose many small components the flood would
+    cross before it failed."""
+    inner = (slice(1, -1),) * 3
+    core = bits[inner].size - np.count_nonzero(grow(~bits)[inner])  # set, with six set neighbours
+    if 2 * (count - core) > count:
+        return False
+    seed = np.unravel_index(np.argmax(bits.ravel(order="F")), bits.shape, order="F")
+    reached = np.zeros_like(bits)
+    reached[seed] = True
+    size, steps = 1, 0
+    while size < count:
+        steps += 1
+        near = tuple(slice(max(at - steps, 0), at + steps + 1) for at in seed)  # what the steps can reach
+        reached[near] = grow(reached[near], connectivity) & bits[near]
+        size, grew = np.count_nonzero(reached[near]), size
+        if size == grew:
+            return False
+    return True
+
+
 def largest_component(m: Mask, connectivity: int = 26) -> Mask:
     """Keep only the largest connected foreground component.
 
     Size ties are broken by the smallest minimum x-fastest linear index.
     An empty mask passes through unchanged. Each of the mask's
     :func:`labench.grids.boxes` (gap 1, which no component crosses) is
-    labelled on its own, so the labels are box-sized.
+    taken on its own, in descending foreground count, until a box holds
+    fewer voxels than the largest component found, so it can neither win
+    nor tie. A box that :func:`_whole` proves one component has its count
+    as its size; any other is labelled by scipy, with box-sized labels.
     """
     if connectivity not in (6, 26):
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-    parts = boxes(m.bits, 1)
+    parts = [(int(np.count_nonzero(m.bits[box])), box) for box in boxes(m.bits, 1)]
     if not parts:
         return m
-    from scipy import ndimage
+    # per box taken: its largest size, the box, its labels and the labels of that size
+    top, labelled = 0, []
+    for count, box in sorted(parts, key=lambda part: -part[0]):
+        if count < top:
+            break
+        bits = m.bits[box]
+        if _whole(bits, count, connectivity):
+            labels, ids = bits, [True]
+        else:
+            from scipy import ndimage
 
-    # per box: its largest size, the box, its labels and the labels of that size
-    labelled = []
-    for box in parts:
-        labels, _ = ndimage.label(m.bits[box], structure=CROSS6 if connectivity == 6 else CUBE26)
-        sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
-        labelled.append((sizes.max(), box, labels, np.flatnonzero(sizes == sizes.max()) + 1))
-    top = max(entry[0] for entry in labelled)
+            labels, _ = ndimage.label(bits, structure=CROSS6 if connectivity == 6 else CUBE26)
+            sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
+            count = sizes.max()
+            ids = np.flatnonzero(sizes == count) + 1
+        top = max(top, count)
+        labelled.append((count, box, labels, ids))
     tied = [entry[1:] for entry in labelled if entry[0] == top]
-    if len(tied) == 1 and tied[0][2].size == 1:
+    if len(tied) == 1 and len(tied[0][2]) == 1:
         box, labels, (best,) = tied[0]
     else:
         _, box, labels, best = min((_first(*entry, m.dims) for entry in tied), key=lambda f: f[0])
@@ -127,14 +178,32 @@ def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    from scipy import ndimage
 
     def smoothed(bits):
         for _ in range(iterations):
-            new = ndimage.convolve(bits.astype(np.uint8), CUBE26, mode="nearest") >= 14
+            new = _cube_counts(bits) >= 14
             if np.array_equal(new, bits):
                 break
             bits = new
         return bits
 
     return on_box(m, iterations + 1, smoothed)
+
+
+def _cube_counts(bits: np.ndarray) -> np.ndarray:
+    """The number of set voxels in the 3x3x3 box around each voxel of
+    ``bits``, where voxels beyond a face replicate the nearest edge voxel:
+    ``ndimage.convolve(bits.astype(np.uint8), CUBE26, mode="nearest")``,
+    as one ``uint8`` sum of three shifted copies per axis (at most 27)."""
+    counts = bits.astype(np.uint8)
+    for ax in range(3):
+        part, counts = counts, counts.copy(order="K")
+
+        def at(s):
+            return (slice(None),) * ax + (s,)
+
+        counts[at(slice(1, None))] += part[at(slice(None, -1))]
+        counts[at(slice(None, -1))] += part[at(slice(1, None))]
+        counts[at(slice(None, 1))] += part[at(slice(None, 1))]  # the edges count themselves again
+        counts[at(slice(-1, None))] += part[at(slice(-1, None))]
+    return counts

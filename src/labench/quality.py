@@ -38,7 +38,7 @@ import numpy as np
 
 from . import DEFAULT_MARGIN
 from .errors import DegenerateContrast, EmptyBackground, EmptyInput, EmptyMask, NonFiniteIntensity
-from .grids import Box, Mask, Volume, bbox, check_same_geometry
+from .grids import Box, Mask, Volume, bbox, check_same_geometry, grow
 
 BANDS = ("high", "medium", "low")
 
@@ -64,8 +64,8 @@ def foreground_region(bits: np.ndarray, margin: int) -> tuple[Box, np.ndarray]:
     """The box of ``bits`` grown by ``margin`` voxels and, inside it, ``bits``
     dilated ``margin`` times by the 6-connected cross: the quality foreground.
     The dilation cannot reach past the box, so it equals the full-grid one.
-    Each round ORs the region with its one-voxel shifts along each axis,
-    without wrap-around: ``binary_dilation`` by ``CROSS6``, ``border_value=0``."""
+    Each round is one :func:`labench.grids.grow` by the cross:
+    ``binary_dilation`` by ``CROSS6``, ``border_value=0``."""
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
     box = bbox(bits, pad=margin)
@@ -73,13 +73,7 @@ def foreground_region(bits: np.ndarray, margin: int) -> tuple[Box, np.ndarray]:
         raise EmptyMask("quality assessment needs a non-empty cavity mask")
     region = bits[box]
     for _ in range(margin):
-        grown = region.copy(order="K")
-        for ax in range(3):
-            head = (slice(None),) * ax + (slice(1, None),)
-            tail = (slice(None),) * ax + (slice(None, -1),)
-            grown[tail] |= region[head]
-            grown[head] |= region[tail]
-        region = grown
+        region = grow(region)
     return box, region
 
 

@@ -553,8 +553,8 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
 def test_cli_import_does_not_load_scipy_stats():
     # scipy is imported inside the functions that call it, so a CLI start loads
     # none of it (scipy.ndimage alone adds 0.15-0.35 s); synth, quality and
-    # rank never call it, evaluate only for surfaces far apart, pipeline and
-    # postprocess always
+    # rank never call it, evaluate only for surfaces far apart, postprocess
+    # for morphology and boxes it cannot prove one component, pipeline always
     code = "import labench.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
@@ -642,6 +642,47 @@ def test_evaluate_loads_scipy_only_where_the_transform_runs(tmp_path):
         result = _run_python(code)
         assert result.returncode == 0, result.stderr
     assert (tmp_path / "e1.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
+
+
+def test_postprocess_of_a_compact_mask_loads_no_scipy(tmp_path):
+    # the blob's box is proven one component and the corner cubes' boxes hold
+    # too few voxels to look at, so nothing is labelled; smoothing counts by numpy
+    bits = _blob((32, 30, 20), (8, 8, 5), (20, 20, 15))
+    bits[1:4, 1:4, 1:4] = bits[-4:-1, -4:-1, -4:-1] = True
+    _write_pair(tmp_path, "c", bits)
+    out = tmp_path / "out.nrrd"
+    argv = ["postprocess", str(tmp_path / "c_label.nrrd"), "--ops", "largest:26", "smooth:1", "--out", str(out)]
+    code = (
+        "import sys, labench.cli\n"
+        f"assert labench.cli.main({argv!r}) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    cleaned = read_nrrd(out, as_mask=True).bits
+    assert cleaned.any() and not (cleaned & ~_blob((32, 30, 20), (8, 8, 5), (20, 20, 15))).any()
+
+
+@pytest.mark.parametrize("command", ["dilate", "pipeline"])
+def test_morphology_and_pipeline_still_load_scipy_ndimage(tmp_path, command):
+    # dilation is scipy's; the pipeline's threshold segmenter closes its mask
+    # with scipy, and labels the speckle that noise leaves after Otsu
+    bits = _blob((32, 30, 20), (8, 8, 5), (20, 20, 15))
+    scan = np.random.default_rng(4).normal(100.0, 60.0, bits.shape) + 200.0 * bits
+    _write_pair(tmp_path, "c", bits, scan=scan.astype(np.float32))
+    out = str(tmp_path / "out.nrrd")
+    if command == "dilate":
+        argv = ["postprocess", str(tmp_path / "c_label.nrrd"), "--ops", "dilate", "--out", out]
+    else:
+        argv = ["pipeline", "--scan", str(tmp_path / "c.nrrd"), "--roi", "24,24,16", "--out", out]
+    code = (
+        "import sys, labench.cli\n"
+        f"assert labench.cli.main({argv!r}) == 0\n"
+        "assert 'scipy.ndimage' in sys.modules"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
 
 
 # rank loads the CLI alone; every other command also loads the modules of

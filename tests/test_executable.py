@@ -6,6 +6,7 @@ These tests check its exit codes, that its stderr lines and written files
 are complete, and that they match an in-process ``main`` call.
 """
 
+import gzip
 import os
 import subprocess
 import sys
@@ -72,6 +73,20 @@ def test_missing_input_directory_exits_1(tmp_path):
         f"labench: error: prediction directory {str(tmp_path / 'none')!r} is not a directory\n"
     )
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_gzip_mask_of_impossible_size_exits_1_without_a_traceback(tmp_path):
+    # sizes implying 10**20 bytes are named before anything is inflated
+    path = tmp_path / "huge.nrrd"
+    header = "NRRD0004\ntype: unsigned char\ndimension: 3\nsizes: 100000000000000000000 1 1\nencoding: gzip\n\n"
+    path.write_bytes(header.encode() + gzip.compress(bytes(8)))
+    result = _labench("postprocess", path, "--ops", "largest", "--out", tmp_path / "out.nrrd")
+    assert result.returncode == 1
+    assert result.stderr.decode() == (
+        "labench: error: DimensionMismatch: header implies 100000000000000000000 payload bytes,"
+        " more than a file can hold\n"
+    )
+    assert not (tmp_path / "out.nrrd").exists()
 
 
 def test_unpaired_case_exits_2_after_writing_the_paired_ones(tmp_path):

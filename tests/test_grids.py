@@ -341,3 +341,16 @@ def test_bbox_matches_nonzero_extents(dims, density, pad, fortran, seed):
     if fortran:
         bits = np.asfortranarray(bits)
     assert _as_extents(bbox(bits, pad)) == _extents(bits, pad)
+
+
+@pytest.mark.parametrize("connectivity, structure", [(6, CROSS6), (26, CUBE26)])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 4, 2), (2, 7, 1), (9, 6, 5)])
+def test_grow_is_binary_dilation(rng, connectivity, structure, dims):
+    # one step of the flood and of the quality foreground's dilation; the
+    # voxels beyond the faces read as unset, a C-ordered input included
+    for p in (0.05, 0.3, 0.8):
+        bits = rng.random(dims) < p
+        for layout in (bits, np.asfortranarray(bits)):
+            grown = grids.grow(layout, connectivity)
+            assert np.array_equal(grown, ndimage.binary_dilation(bits, structure))
+            assert not np.shares_memory(grown, layout)

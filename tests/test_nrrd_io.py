@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from labench.errors import (
     DimensionMismatch,
+    LabenchError,
     MissingHeaderField,
     NonPositiveSpacing,
     NotBinaryMask,
@@ -374,3 +375,61 @@ def test_round_trip_property(tmp_path_factory, dims, dtype, encoding, seed):
     path = tmp_path_factory.mktemp("rt") / "v.nrrd"
     write_nrrd(v, path, encoding=encoding)
     assert read_nrrd(path, as_mask=False) == v
+
+
+@pytest.mark.parametrize("encoding", ["raw", "gzip"])
+def test_sizes_past_what_zlib_can_bound_are_a_dimension_mismatch(tmp_path, encoding):
+    # 10**20 bytes is past the 2**63 - 1 that bounds a gzip inflate, so the
+    # header is rejected before the payload is read
+    path = tmp_path / "huge.nrrd"
+    payload = gzip.compress(bytes(8)) if encoding == "gzip" else bytes(8)
+    _write(path, ["NRRD0004", "type: unsigned char", "dimension: 3", "sizes: 100000000000000000000 1 1",
+                  f"encoding: {encoding}"], payload)
+    with pytest.raises(DimensionMismatch):
+        read_nrrd(path, as_mask=True)
+
+
+_NUMBERS = ["0", "-0", "-1", "1e-320", "nan", "-nan", "inf", "-inf", "1e999", "0x10", "1_0", "", "one"]
+_header_values = {
+    "type": st.sampled_from(["unsigned char", "uchar", "unsigned short", "float", "double", "int", "block", ""]),
+    "dimension": st.sampled_from(["3", "03", "2", "4", "-3", "three", ""]),
+    "sizes": st.one_of(
+        st.tuples(*[st.integers(1, 2**70)] * 3).map(lambda n: " ".join(map(str, n))),
+        st.lists(st.integers(-(2**70), 2**70), min_size=0, max_size=4).map(lambda n: " ".join(map(str, n))),
+        st.lists(st.sampled_from(["2", "-2", "0", "2.0", "1e3", "x", "9" * 5000]), min_size=3, max_size=3)
+        .map(" ".join),
+    ),
+    "encoding": st.sampled_from(["raw", "gzip", "gz", "GZIP", "ascii", "hex", "bzip2", ""]),
+    "endian": st.sampled_from(["little", "big", "LITTLE", "middle", ""]),
+    "spacings": st.lists(st.sampled_from(["1", "0.5", *_NUMBERS]), min_size=2, max_size=4).map(" ".join),
+    "space directions": st.lists(
+        st.lists(st.sampled_from(["1", "0", *_NUMBERS]), min_size=2, max_size=4).map(lambda c: f"({','.join(c)})")
+        | st.just("none"),
+        min_size=2,
+        max_size=4,
+    ).map(" ".join),
+    "data file": st.just("payload.raw"),
+    "line skip": st.sampled_from(["0", "1", "-1"]),
+    "byte skip": st.sampled_from(["0", "-1"]),
+}
+# the unsupported fields' unspaced spellings
+_header_values.update({name.replace(" ", ""): _header_values[name] for name in ("data file", "line skip", "byte skip")})
+
+
+@pytest.mark.parametrize("encoding", ["raw", "gzip"])
+@pytest.mark.parametrize("field", sorted(_header_values))
+@given(data=st.data(), as_mask=st.booleans())
+def test_header_fuzz_raises_only_labench_errors(tmp_path_factory, field, encoding, data, as_mask):
+    # the drawn value replaces (or joins) the field in a valid 2x2x2 mask
+    # header over a raw or gzip payload; whatever it is, only a named error escapes
+    header = {"type": "unsigned char", "dimension": "3", "sizes": "2 2 2", "spacings": "1 1 1",
+              "encoding": encoding}
+    header[field] = data.draw(_header_values[field], label=field)
+    payload = bytes([0, 1] * 4)
+    path = tmp_path_factory.mktemp("fuzz") / "f.nrrd"
+    _write(path, ["NRRD0004", *(f"{k}: {v}" for k, v in header.items())],
+           gzip.compress(payload) if encoding == "gzip" else payload)
+    try:
+        read_nrrd(path, as_mask=as_mask)
+    except LabenchError:
+        pass

@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from labench import postprocess
 from labench.grids import Mask, boxes
 from labench.metrics import surface_voxels
 from labench.postprocess import (
@@ -387,3 +389,131 @@ def test_largest_component_memory_follows_the_islands():
         tracemalloc.stop()
     assert out.count == 40 * 40 * 25
     assert peak < 2 * bits.size
+
+
+# --- boxes proven one component, and the smoothing counts ---------------------------
+
+_DIMS = (24, 22, 18)
+
+
+def _cuboid(lo, hi):
+    bits = np.zeros(_DIMS, dtype=bool)
+    bits[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+    return bits
+
+
+def _paths():
+    """Masks that each send ``largest_component`` down one path, with that
+    path: ``_whole``'s answer for each box it takes, the number of
+    ``ndimage.label`` calls, and whether a flood step ran."""
+    x, y, z = np.indices(_DIMS)
+    blob = (x - 11) ** 2 + (y - 10) ** 2 + (z - 8) ** 2 <= 36
+    corners = _cuboid((0, 0, 0), (2, 2, 2)) | _cuboid((21, 19, 15), _DIMS)
+    # a thick hollow cube holding an island in its hollow, 1-2 voxels off the walls
+    hollow = _cuboid((2, 2, 2), (22, 20, 16)) & ~_cuboid((9, 8, 6), (15, 14, 10))
+    speckle = np.zeros(_DIMS, dtype=bool)
+    speckle[2:20, 2:20, 2:16] = np.random.default_rng(5).random((18, 18, 14)) < 0.3
+    # equal cubes in two boxes (10 a side, the smallest cube the guard lets
+    # through): the first box along x holds the later x-fastest voxels, so
+    # the tie goes to the second box
+    tied = _cuboid((0, 2, 8), (10, 12, 18)) | _cuboid((13, 2, 0), (23, 12, 10))
+    faces = _cuboid((0, 0, 0), (10, 10, 10)) | _cuboid((16, 14, 10), _DIMS)
+    return {
+        "blob": (blob, [True], 0, True),
+        "islands-skipped": (blob | corners, [True], 0, True),
+        "island-in-the-box": (hollow | _cuboid((11, 10, 7), (13, 12, 9)), [False], 1, True),
+        "speckle": (speckle, [False], 1, False),
+        "thin-slab": (_cuboid((2, 2, 2), (4, 20, 16)), [False], 1, False),
+        "tie": (tied, [True, True], 0, True),
+        "grid-faces": (faces, [True], 0, True),
+    }
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@pytest.mark.parametrize("name", list(_paths()))
+def test_each_path_of_largest_component_equals_full_grid(monkeypatch, name, connectivity):
+    # a box proven whole is never labelled, and boxes holding fewer voxels
+    # than the largest component are never looked at; speckle and a slab
+    # with every voxel on its surface fail the guard and reach the labeller
+    # with no flood step; a box the flood cannot fill is labelled
+    bits, answers, labelled, flooded = _paths()[name]
+    m = mask_from(bits)
+    expected = full_grid_largest_component(m, connectivity)
+    seen = {"whole": [], "label": 0, "grow": 0}
+    whole, grow, label = postprocess._whole, postprocess.grow, ndimage.label
+
+    def recorded_whole(*args):
+        seen["whole"].append(whole(*args))
+        return seen["whole"][-1]
+
+    def counted_grow(*args):
+        seen["grow"] += 1
+        return grow(*args)
+
+    def counted_label(*args, **kwargs):
+        seen["label"] += 1
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(postprocess, "_whole", recorded_whole)
+    monkeypatch.setattr(postprocess, "grow", counted_grow)
+    monkeypatch.setattr(ndimage, "label", counted_label)
+    assert largest_component(m, connectivity) == expected
+    # each _whole call grows once for its guard; any further grow is a flood step
+    assert (seen["whole"], seen["label"], seen["grow"] > len(seen["whole"])) == (answers, labelled, flooded)
+
+
+def _piece(rng, shape, kind):
+    """A ball filling ``shape``, the same ball hollow with an island at its
+    centre, or speckle."""
+    if kind == "speckle":
+        return rng.random(shape) < 0.3
+    x, y, z = np.ogrid[tuple(slice(0, n) for n in shape)]
+    q = sum(((c - (n - 1) / 2) / (n / 2)) ** 2 for c, n in zip((x, y, z), shape))
+    if kind == "ball":
+        return q <= 1
+    return (q <= 1) & (q > 0.3) | (q < 0.02)
+
+
+# piece kinds, balls twice as likely; copies are three of one small ball, whose sizes tie
+_KINDS = ["ball", "ball", "hollow", "copies", "speckle"]
+
+
+@st.composite
+def _component_masks(draw):
+    """Grids of one to three pieces, each flush with a grid face or
+    anywhere, in C or Fortran order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dims = tuple(int(n) for n in rng.integers(4, 28, size=3))
+    bits = np.zeros(dims, dtype=bool)
+    for kind in draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3)):
+        if kind == "copies":
+            shape = [int(rng.integers(1, min(n, 12) + 1)) for n in dims]
+        else:
+            shape = [int(rng.integers(n // 3, n + 1)) for n in dims]
+        piece = _piece(rng, shape, "ball" if kind == "copies" else kind)
+        for _ in range(3 if kind == "copies" else 1):
+            at = [int(rng.choice([0, n - s, rng.integers(0, n - s + 1)])) for s, n in zip(shape, dims)]
+            bits[tuple(slice(a, a + s) for a, s in zip(at, shape))] |= piece
+    return np.asfortranarray(bits) if draw(st.booleans()) else bits
+
+
+@settings(max_examples=100)
+@given(_component_masks(), st.sampled_from([6, 26]))
+def test_largest_component_equals_full_grid_on_drawn_masks(bits, connectivity):
+    m = mask_from(bits)
+    assert largest_component(m, connectivity) == full_grid_largest_component(m, connectivity)
+
+
+@settings(max_examples=100)
+@given(_component_masks(), st.integers(1, 3))
+def test_smoothing_equals_full_grid_on_drawn_masks(bits, iterations):
+    m = mask_from(bits)
+    assert smooth_surface(m, iterations) == full_grid_smooth_surface(m, iterations)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 5, 2), (2, 2, 7), (9, 6, 5)])
+def test_cube_counts_equal_the_edge_replicated_convolution(rng, dims):
+    for p in (0.2, 0.5, 0.9):
+        bits = rng.random(dims) < p
+        expected = ndimage.convolve(bits.astype(np.uint8), np.ones((3, 3, 3), dtype=np.uint8), mode="nearest")
+        assert np.array_equal(postprocess._cube_counts(bits), expected)
