@@ -15,9 +15,9 @@ loads no numpy; import names from the module that defines them, e.g.
 
 Two defaults live here because the CLI parser shows them for every
 command, ``rank`` included, which loads no numpy:
-:data:`DEFAULT_ROI_SIZE`, the pipeline's crop in voxels (also
-``grids.DEFAULT_ROI_SIZE``), and :data:`DEFAULT_MARGIN`, the quality
-foreground's dilation margin in voxels (also ``quality.DEFAULT_MARGIN``).
+:data:`DEFAULT_ROI_SIZE`, the pipeline's crop in voxels, and
+:data:`DEFAULT_MARGIN`, the quality foreground's dilation margin in
+voxels (also ``quality.DEFAULT_MARGIN``).
 """
 
 __version__ = "0.1.0"

@@ -46,13 +46,13 @@ command's time. At module level this module imports only ``errors`` and
 ``stats``, so ``rank``, which reads and writes only CSV and JSON, loads
 no numpy. Every numpy-backed name is imported inside the function that
 uses it, scipy inside the functions that call it, and
-``concurrent.futures`` only when a ``--jobs`` pool starts. The exception
-is :data:`_TRACED`, the five names the tracer in ``perfbench/launch.py``
-swaps on this module: :func:`_bind_traced` binds each one not yet
-bound, so a wrapper set first is kept. :func:`main` calls it for every
-command but ``rank``, each ``--jobs`` worker when it starts, and the
-module ``__getattr__`` when one of the names is read first. The block
-goes when the tracer records spans instead of swapping names.
+``concurrent.futures`` only when a ``--jobs`` pool starts. The commands
+reach four library functions through functions of this module with the
+same names and parameters (:func:`read_nrrd`, :func:`write_nrrd`,
+:func:`evaluate_case`, :func:`assess_quality`), each of which imports
+its library function when called. They are here for the tracer in
+``perfbench/launch.py``, which wraps them by name on this module, and
+they go with the name swapping when it records spans instead.
 
 ``synth``, ``quality`` and ``rank`` load no scipy at all. The others
 load ``scipy.ndimage`` only where it does real work: ``evaluate`` in a
@@ -82,7 +82,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import importlib
 import json
 import math
 import os
@@ -101,28 +100,30 @@ from .stats import (
     leaderboard_from_summary,
 )
 
-# the names the tracer swaps on this module, by their module (see "Imports")
-_TRACED = {
-    "read_nrrd": "nrrd_io",
-    "write_nrrd": "nrrd_io",
-    "evaluate_case": "metrics",
-    "assess_quality": "quality",
-    "downsample": "grids",
-}
+
+# the library functions the commands call, looked up here by the tracer (see "Imports")
+def read_nrrd(path, as_mask: bool):
+    from . import nrrd_io
+
+    return nrrd_io.read_nrrd(path, as_mask)
 
 
-def _bind_traced() -> None:
-    """Bind each name of :data:`_TRACED` that this module does not hold yet."""
-    for name, module in _TRACED.items():
-        if name not in globals():
-            globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+def write_nrrd(grid, path, encoding: str = "raw") -> None:
+    from . import nrrd_io
+
+    nrrd_io.write_nrrd(grid, path, encoding)
 
 
-def __getattr__(name: str):
-    if name not in _TRACED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_traced()
-    return globals()[name]
+def evaluate_case(pred, truth):
+    from . import metrics
+
+    return metrics.evaluate_case(pred, truth)
+
+
+def assess_quality(scan, la, margin: int = DEFAULT_MARGIN):
+    from . import quality
+
+    return quality.assess_quality(scan, la, margin)
 
 
 # per-case CSV columns; the JSON form holds every CaseMetrics field
@@ -387,9 +388,7 @@ def _run_tasks(worker, tasks, jobs: int):
         return [worker(task) for task in tasks]
     import concurrent.futures
 
-    workers = min(jobs, len(tasks))
-    # a worker that is not forked from this process (spawn, forkserver) starts unbound
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_bind_traced) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -601,8 +600,7 @@ def cmd_quality(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    from . import preprocess
-    from .grids import check_same_geometry
+    from . import grids, preprocess
 
     _require_out_dir(args.out, "--out")
     if args.mask_out:
@@ -612,10 +610,10 @@ def cmd_preprocess(args) -> int:
     mask = None
     if args.mask:
         mask = read_nrrd(_require_file(args.mask, "mask"), as_mask=True)
-        check_same_geometry(volume, mask)
+        grids.check_same_geometry(volume, mask)
 
     if args.downsample:
-        volume = downsample(volume, args.downsample)
+        volume = grids.downsample(volume, args.downsample)
     if args.normalize:
         volume = preprocess.normalize_intensity(volume)
     if args.clahe:
@@ -900,8 +898,6 @@ def main(argv=None) -> int:
     for broken, message in _RULES.get(args.command, ()):
         if broken(args):
             return _fail(message.format_map(vars(args)))
-    if args.command != "rank":
-        _bind_traced()
     try:
         return args.func(args)
     except LabenchError as exc:  # an input the library rejects; anything else is a bug

@@ -14,7 +14,8 @@ boxes split on empty planes, which no surface or 26-connected component
 crosses, so stray islands far apart keep boxes of their own;
 :func:`bbox` is its one-box hull. :func:`grow` is the one numpy
 dilation step, by the cross or the cube, that the quality foreground and
-the largest-component flood take.
+the largest-component flood take, and :func:`surface` the one surface
+predicate, which the metrics and the largest-component guard take.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DEFAULT_ROI_SIZE  # the pipeline's default crop, which pipeline reads here
 from .errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacing
 
 VoxelIndex = tuple[int, int, int]
@@ -256,6 +256,16 @@ def grow(bits: np.ndarray, connectivity: int = 6) -> np.ndarray:
         tail = (slice(None),) * ax + (slice(None, -1),)
         out[tail] |= src[head]
         out[head] |= src[tail]
+    return out
+
+
+def surface(bits: np.ndarray) -> np.ndarray:
+    """The set voxels of ``bits`` with an unset 6-neighbour, reading the
+    voxels beyond the array's faces as unset: every set face voxel, and
+    each inner one that :func:`grow` of the unset voxels reaches."""
+    out = bits.copy(order="K")
+    inner = (slice(1, -1),) * 3
+    out[inner] &= grow(~bits)[inner]
     return out
 
 

@@ -20,7 +20,7 @@ over the grid. Each mask's projections run once per case. Every voxel
 outside a mask's boxes is background, so each mask is counted on its
 boxes and the two together on the meet of their hulls; only TN comes from
 the grid size. Diameters are hull extents along x. Surfaces are found per
-box by numpy shifts over the six neighbours and kept as voxel coordinates.
+box by :func:`labench.grids.surface` and kept as voxel coordinates.
 A surface voxel's distance to the other surface comes from a near search:
 the integer offsets within ``_REACH`` times the finest spacing, sorted by
 length, are tried from the voxel on a grid marking the other surface, and
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTruth
-from .grids import Box, Mask, boxes, check_same_geometry, hull
+from .grids import Box, Mask, boxes, check_same_geometry, hull, surface
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,14 @@ class CaseMetrics:
 def surface_voxels(m: Mask, parts: list[Box] | None = None) -> np.ndarray:
     """``(3, n)`` grid coordinates of the mask's surface voxels, in the
     order ``np.nonzero`` gives (x slowest). ``parts`` are the mask's
-    :func:`labench.grids.boxes`, found here when not given. Each box is
-    eroded on its own by numpy shifts over its 6 neighbours, reading the
-    voxels beyond its faces as the background they are."""
+    :func:`labench.grids.boxes`, found here when not given. Each box
+    takes :func:`labench.grids.surface` on its own, which reads the voxels
+    beyond its faces as the background they are."""
     if parts is None:
         parts = boxes(m.bits, 1)
     found = []
-    inside = slice(1, -1)
     for box in parts:
-        bits = m.bits[box]
-        surface = bits.copy(order="K")
-        core = np.ones_like(surface[inside, inside, inside])
-        for ax in range(3):
-            for side in (slice(None, -2), slice(2, None)):
-                np.logical_and(core, bits[tuple(side if a == ax else inside for a in range(3))], out=core)
-        np.greater(surface[inside, inside, inside], core, out=surface[inside, inside, inside])
-        at = np.array(np.nonzero(surface))
+        at = np.array(np.nonzero(surface(m.bits[box])))
         at += np.array([s.start for s in box])[:, None]
         found.append(at)
     if len(found) < 2:

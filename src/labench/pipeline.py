@@ -24,10 +24,9 @@ import math
 
 import numpy as np
 
-from . import grids
+from . import DEFAULT_ROI_SIZE, grids
 from .errors import EmptyMask, NoForeground, NonFiniteIntensity, RoiTooSmall
 from .grids import (
-    DEFAULT_ROI_SIZE,
     Box,
     Grid,
     Mask,

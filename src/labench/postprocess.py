@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CROSS6, CUBE26, Mask, boxes, grow, on_box
+from .grids import CROSS6, CUBE26, Mask, boxes, grow, on_box, surface
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,15 @@ def _first(box, labels: np.ndarray, ids, dims):
 def _whole(bits: np.ndarray, count: int, connectivity: int) -> bool:
     """Whether the ``count`` set voxels of the box ``bits`` are one component.
 
-    The box must be compact, with at most half its voxels touching a
-    background 6-neighbour (the voxels beyond its faces read as
-    background), and a flood from its first x-fastest voxel, one
-    :func:`labench.grids.grow` by the ``connectivity`` element kept inside
-    the mask per step, must reach every voxel. Step k works only on the
+    The box must be compact, with at most half its voxels on its
+    :func:`labench.grids.surface`, and a flood from its first x-fastest
+    voxel, one :func:`labench.grids.grow` by the ``connectivity`` element
+    kept inside the mask per step, must reach every voxel. Step k works only on the
     voxels within k of the seed along each axis, all that k steps can
     reach. The guard is one pass over the box. It keeps the flood, a pass
     per step, off speckle, whose many small components the flood would
     cross before it failed."""
-    inner = (slice(1, -1),) * 3
-    core = bits[inner].size - np.count_nonzero(grow(~bits)[inner])  # set, with six set neighbours
-    if 2 * (count - core) > count:
+    if 2 * np.count_nonzero(surface(bits)) > count:
         return False
     seed = np.unravel_index(np.argmax(bits.ravel(order="F")), bits.shape, order="F")
     reached = np.zeros_like(bits)

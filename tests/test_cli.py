@@ -685,10 +685,8 @@ def test_morphology_and_pipeline_still_load_scipy_ndimage(tmp_path, command):
     assert result.returncode == 0, result.stderr
 
 
-# rank loads the CLI alone; every other command also loads the modules of
-# the names the tracer in perfbench/launch.py wraps on it
+# rank loads the CLI alone; every other command also loads the modules it runs
 _RANK_MODULES = {"labench", "labench.cli", "labench.errors", "labench.stats"}
-_CLI_MODULES = _RANK_MODULES | {"labench.grids", "labench.metrics", "labench.nrrd_io", "labench.quality"}
 
 
 def _import_set_argv(command, tmp_path):
@@ -717,13 +715,13 @@ def _import_set_argv(command, tmp_path):
 @pytest.mark.parametrize(
     "command, own, pool_free",
     [
-        ("evaluate", (), True),
-        ("quality", (), True),
+        ("evaluate", ("grids", "metrics", "nrrd_io"), True),
+        ("quality", ("grids", "nrrd_io", "quality"), True),
         ("rank", (), True),
-        ("preprocess", ("preprocess",), True),
-        ("postprocess", ("postprocess",), False),
-        ("pipeline", ("pipeline", "postprocess"), False),
-        ("synth", ("phantom",), True),
+        ("preprocess", ("grids", "nrrd_io", "preprocess"), True),
+        ("postprocess", ("grids", "nrrd_io", "postprocess"), False),
+        ("pipeline", ("grids", "metrics", "nrrd_io", "pipeline", "postprocess"), False),
+        ("synth", ("grids", "nrrd_io", "phantom", "quality"), True),
     ],
     ids=["evaluate", "quality", "rank", "preprocess", "postprocess", "pipeline", "synth"],
 )
@@ -731,8 +729,7 @@ def test_each_command_imports_only_its_own_modules(tmp_path, command, own, pool_
     # a command is one process, so every module it loads and never runs is
     # start-up time on each call; without a pool there is no concurrent.futures
     argv = _import_set_argv(command, tmp_path)
-    base = _RANK_MODULES if command == "rank" else _CLI_MODULES
-    want = sorted(base | {f"labench.{m}" for m in own})
+    want = sorted(_RANK_MODULES | {f"labench.{m}" for m in own})
     code = (
         "import sys, labench.cli\n"
         f"assert labench.cli.main({argv!r}) == 0\n"
@@ -747,10 +744,10 @@ def test_each_command_imports_only_its_own_modules(tmp_path, command, own, pool_
     assert result.returncode == 0, result.stderr
 
 
-def test_traced_names_bind_on_first_read_and_keep_a_wrapper(tmp_path):
-    # a bare import loads no numpy; reading a traced name on the module binds
-    # the library function, as the tracer's install() and monkeypatch do; a
-    # wrapper set before main is the function the command calls
+def test_traced_names_load_no_numpy_and_keep_a_wrapper(tmp_path):
+    # a bare import, and reading a traced name on the module as the tracer's
+    # install() and monkeypatch do, load no numpy; a wrapper set before main
+    # is the function the command calls
     cases = tmp_path / "cases"
     _two_quality_cases(cases)
     argv = ["evaluate", str(cases), str(cases), "--out", str(tmp_path / "m.csv")]
@@ -758,8 +755,7 @@ def test_traced_names_bind_on_first_read_and_keep_a_wrapper(tmp_path):
         "import sys, labench.cli as cli\n"
         "assert 'numpy' not in sys.modules\n"
         "read = cli.read_nrrd\n"
-        "from labench.nrrd_io import read_nrrd\n"
-        "assert read is read_nrrd\n"
+        "assert 'numpy' not in sys.modules\n"
         "paths = []\n"
         "cli.read_nrrd = lambda path, as_mask: paths.append(path) or read(path, as_mask)\n"
         f"assert cli.main({argv!r}) == 0\n"
@@ -771,8 +767,8 @@ def test_traced_names_bind_on_first_read_and_keep_a_wrapper(tmp_path):
 
 @pytest.mark.parametrize("command", ["evaluate", "quality"])
 def test_spawned_pool_workers_write_the_jobs_1_bytes(tmp_path, command):
-    # a spawned (or forkserver) worker imports the CLI afresh, with no traced
-    # name bound, so the pool binds them as each worker starts
+    # a spawned (or forkserver) worker imports the CLI afresh and runs the
+    # commands' functions without an initializer
     cases = str(tmp_path / "cases")
     _two_quality_cases(tmp_path / "cases")
     inputs = [cases, cases] if command == "evaluate" else ["--scans", cases, "--masks", cases]
@@ -884,9 +880,8 @@ def test_pool_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, jobs, 
 
     class RecordingPool:
         # records max_workers and maps in this process: no worker starts
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             made.append(max_workers)
-            initializer()
 
         def __enter__(self):
             return self

@@ -11,7 +11,7 @@ from labench.errors import FactorExceedsDim, GeometryMismatch, NonPositiveSpacin
 from labench.grids import CROSS6, CUBE26, Mask, Volume, bbox, check_same_geometry, downsample
 from labench.nrrd_io import read_nrrd
 
-from oracles import reduceat_downsample, whole_grid_downsample
+from oracles import _full_grid_surface, reduceat_downsample, whole_grid_downsample
 
 
 def test_flat_is_x_fastest(tmp_path):
@@ -354,3 +354,15 @@ def test_grow_is_binary_dilation(rng, connectivity, structure, dims):
             grown = grids.grow(layout, connectivity)
             assert np.array_equal(grown, ndimage.binary_dilation(bits, structure))
             assert not np.shares_memory(grown, layout)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 5, 4), (6, 2, 5), (2, 2, 7), (9, 8, 7)])
+def test_surface_is_the_full_grid_surface(rng, dims):
+    # the metrics' and the largest-component guard's surface: every set
+    # voxel of a box 1 or 2 voxels thick lies on it, and a filled box keeps
+    # its core out; the voxels beyond the faces read as unset
+    for bits in (np.ones(dims, dtype=bool), *(rng.random(dims) < p for p in (0.1, 0.5, 0.9))):
+        for layout in (np.ascontiguousarray(bits), np.asfortranarray(bits)):
+            found = grids.surface(layout)
+            assert np.array_equal(found, _full_grid_surface(bits))
+            assert not np.shares_memory(found, layout)

@@ -14,7 +14,8 @@ from labench.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _launch(tmp_path, name, *labench_args):
+def _spans(tmp_path, name, *labench_args):
+    """The spans that a traced ``labench`` run of ``labench_args`` records."""
     spans = tmp_path / f"{name}.json"
     env = dict(os.environ, PERFBENCH_SPAWN_NS=str(time.monotonic_ns()))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -24,7 +25,11 @@ def _launch(tmp_path, name, *labench_args):
         capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
-    return {span[0] for span in json.loads(spans.read_text())}
+    return json.loads(spans.read_text())
+
+
+def _launch(tmp_path, name, *labench_args):
+    return {span[0] for span in _spans(tmp_path, name, *labench_args)}
 
 
 def test_launcher_traces_synth_pipeline_and_postprocess(tmp_path):
@@ -71,3 +76,28 @@ def test_launcher_traces_evaluate_quality_and_rank(tmp_path):
     assert {"cli.quality", "quality.assess_quality"} <= names
     names = _launch(tmp_path, "rank", "rank", "--metrics", tmp_path / "m.csv", "--out-dir", tmp_path / "board")
     assert {"cli.rank", "stats.build_leaderboard"} <= names
+
+
+def test_each_traced_call_records_one_span(tmp_path):
+    # a function the CLI calls and the launcher's wrapper of it never both
+    # record one call: the counts match the calls, and no span sits inside
+    # a span of its own name
+    cohort = tmp_path / "cohort"
+    assert main([
+        "synth", "--out-dir", str(cohort), "--count", "2", "--dims", "24,24,24", "--spacing", "1.0",
+        "--tier-fractions", "0.5,0.5,0.0",
+    ]) == 0
+    downsample = _spans(
+        tmp_path, "downsample", "preprocess", cohort / "case_000.nrrd", "--downsample", "2,2,1",
+        "--out", tmp_path / "small.nrrd",
+    )
+    assert [span[0] for span in downsample].count("grids.downsample") == 1
+    evaluate = _spans(tmp_path, "evaluate", "evaluate", cohort, cohort, "--out", tmp_path / "m.csv", "--jobs", "1")
+    names = [span[0] for span in evaluate]
+    assert names.count("nrrd_io.read_mask") == 4
+    assert names.count("metrics.evaluate_case.team") == 2
+    for spans in (downsample, evaluate):
+        for name, _, _, parent, *_ in spans:
+            while parent is not None:
+                assert spans[parent][0] != name
+                parent = spans[parent][3]
