@@ -61,8 +61,11 @@ with its feature transform; ``preprocess`` for its affine and elastic
 augmentations; ``postprocess`` for dilation, erosion, opening and
 closing, and for ``largest`` on a box it cannot prove one component
 (speckle, or an island inside another's box), so ``largest`` and
-``smooth`` on a compact mask load none; ``pipeline`` always, since its
-threshold segmenter closes with scipy.
+``smooth`` on a compact mask load none; ``pipeline`` where a threshold
+stage runs, since the threshold localizer labels its downsampled Otsu
+mask and the threshold segmenter labels and closes its own, so with the
+oracle or fixed localizer and the oracle or external segmenter it loads
+none.
 
 Process exit: the executable (``python -m labench.cli`` and the
 ``labench`` script) is :func:`run`. When :func:`main` returns, it

@@ -163,11 +163,8 @@ def _runs(occupied: np.ndarray, gap: int) -> list[tuple[int, int]]:
     at = np.flatnonzero(occupied)
     if at.size == 0:
         return []
-    first, last = int(at[0]), int(at[-1])
-    if last + 1 - first - at.size < gap:  # too few empty entries for a split
-        return [(first, last + 1)]
-    cut = np.flatnonzero(np.diff(at) > gap)
-    return list(zip([first, *(at[cut + 1]).tolist()], [*(at[cut] + 1).tolist(), last + 1]))
+    cut = np.diff(at) > gap
+    return list(zip([int(at[0]), *at[1:][cut].tolist()], [*(at[:-1][cut] + 1).tolist(), int(at[-1]) + 1]))
 
 
 _MAX_BOXES = 64  # boxes past which regions stay whole, so per-box overhead stays bounded
@@ -221,8 +218,8 @@ def boxes(bits: np.ndarray, gap: int) -> list[Box]:
 
 def hull(parts: list[Box]) -> Box | None:
     """The smallest box holding every box of ``parts``; None when there are none."""
-    if len(parts) < 2:
-        return parts[0] if parts else None
+    if not parts:
+        return None
     return tuple(
         slice(min(p[ax].start for p in parts), max(p[ax].stop for p in parts)) for ax in range(3)
     )

@@ -18,7 +18,6 @@ grid is payload sample ``ix + iy*nx + iz*nx*ny``.
 
 from __future__ import annotations
 
-import gzip
 import re
 import sys
 import zlib
@@ -218,7 +217,8 @@ def write_nrrd(grid: Grid, path, encoding: str = "raw") -> None:
 
     Masks are stored as unsigned char 0/1. ``read_nrrd(write_nrrd(g))``
     reproduces ``g`` bit-exactly for both encodings; gzip output is
-    byte-stable across runs (fixed mtime and compression level).
+    byte-stable across runs and Python versions: zlib writes its header,
+    with mtime 0 and OS byte 03, where ``gzip.compress``'s varies.
     """
     if encoding not in ("raw", "gzip"):
         raise UnsupportedEncoding(f"unsupported encoding {encoding!r}")
@@ -230,7 +230,8 @@ def write_nrrd(grid: Grid, path, encoding: str = "raw") -> None:
     dtype = arr.dtype
     payload = arr.ravel(order="F").astype(dtype.newbyteorder("<"), copy=False)
     if encoding == "gzip":
-        payload = gzip.compress(payload, compresslevel=6, mtime=0)
+        deflater = zlib.compressobj(6, zlib.DEFLATED, 31)
+        payload = deflater.compress(payload) + deflater.flush()
 
     lines = [
         "NRRD0004",

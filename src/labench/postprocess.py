@@ -11,7 +11,8 @@ voxels than the largest component found, so small islands cost only
 their count. A compact box that a flood fills (:func:`_whole`) is one
 component; every other box is labelled by ``scipy.ndimage.label``, the
 only labeller. :func:`smooth_surface` counts each 3x3x3 neighbourhood as
-separable numpy sums, equal to scipy's ``convolve``. So on a compact mask
+separable numpy sums over a copy padded by its edge voxels, equal to
+scipy's ``convolve`` with ``mode="nearest"``. So on a compact mask
 ``largest`` and ``smooth`` load no scipy, whose ``ndimage`` import
 (0.25 s or more) would dwarf their few milliseconds of work; the tests hold
 both to the scipy operators over the whole grid. Dilation, erosion,
@@ -123,6 +124,7 @@ def largest_component(m: Mask, connectivity: int = 26) -> Mask:
         top = max(top, count)
         labelled.append((count, box, labels, ids))
     tied = [entry[1:] for entry in labelled if entry[0] == top]
+    # one winner skips _first's pass over its labels: 199 ms, not 269, on pipeline's 576 Otsu patch
     if len(tied) == 1 and len(tied[0][2]) == 1:
         box, labels, (best,) = tied[0]
     else:
@@ -178,10 +180,7 @@ def smooth_surface(m: Mask, iterations: int = 1) -> Mask:
 
     def smoothed(bits):
         for _ in range(iterations):
-            new = _cube_counts(bits) >= 14
-            if np.array_equal(new, bits):
-                break
-            bits = new
+            bits = _cube_counts(bits) >= 14
         return bits
 
     return on_box(m, iterations + 1, smoothed)
@@ -191,16 +190,9 @@ def _cube_counts(bits: np.ndarray) -> np.ndarray:
     """The number of set voxels in the 3x3x3 box around each voxel of
     ``bits``, where voxels beyond a face replicate the nearest edge voxel:
     ``ndimage.convolve(bits.astype(np.uint8), CUBE26, mode="nearest")``,
-    as one ``uint8`` sum of three shifted copies per axis (at most 27)."""
-    counts = bits.astype(np.uint8)
-    for ax in range(3):
-        part, counts = counts, counts.copy(order="K")
-
-        def at(s):
-            return (slice(None),) * ax + (s,)
-
-        counts[at(slice(1, None))] += part[at(slice(None, -1))]
-        counts[at(slice(None, -1))] += part[at(slice(1, None))]
-        counts[at(slice(None, 1))] += part[at(slice(None, 1))]  # the edges count themselves again
-        counts[at(slice(-1, None))] += part[at(slice(-1, None))]
-    return counts
+    as three ``uint8`` sums along each axis of a copy padded by its edge
+    voxels (at most 27)."""
+    c = np.pad(bits.astype(np.uint8), 1, mode="edge")
+    c = c[:-2] + c[1:-1] + c[2:]
+    c = c[:, :-2] + c[:, 1:-1] + c[:, 2:]
+    return c[:, :, :-2] + c[:, :, 1:-1] + c[:, :, 2:]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from labench import metrics
 from labench.errors import DegenerateTruth, GeometryMismatch
-from labench.grids import Mask
+from labench.grids import Mask, boxes
 from labench.metrics import dice, evaluate_case, surface_voxels
 
 from conftest import mask_from, random_blob_mask
@@ -109,18 +109,34 @@ def test_degenerate_truth():
 
 def test_surface_definition_matches_neighbor_enumeration(rng):
     m = random_blob_mask(rng, dims=(16, 16, 16))
-    ours = set(map(tuple, surface_voxels(m).T))
+    ours = set(map(tuple, surface_voxels(m, boxes(m.bits, 1)).T))
     oracle = set(map(tuple, surface_points(m).astype(int)))
     assert ours == oracle
 
 
 def test_surface_includes_grid_border():
     # in a 2-thick grid every voxel has an out-of-grid 6-neighbor
-    assert surface_voxels(mask_from(np.ones((2, 4, 4)))).shape == (3, 2 * 4 * 4)
+    slab = mask_from(np.ones((2, 4, 4)))
+    assert surface_voxels(slab, boxes(slab.bits, 1)).shape == (3, 2 * 4 * 4)
     # in a full 3x3x3 grid only the center voxel is interior
-    surf = surface_voxels(mask_from(np.ones((3, 3, 3))))
+    full = mask_from(np.ones((3, 3, 3)))
+    surf = surface_voxels(full, boxes(full.bits, 1))
     assert (1, 1, 1) not in set(map(tuple, surf.T.tolist()))
     assert surf.shape == (3, 26)
+
+
+def test_surface_of_interleaved_boxes_is_c_ordered_in_nonzero_order():
+    # two blobs side by side along y share their x range, so their boxes
+    # interleave in x-slowest order and the voxels must be sorted together
+    bits = np.zeros((12, 20, 8), dtype=bool)
+    bits[2:9, 1:7, 1:6] = True
+    bits[3:11, 10:18, 2:7] = True
+    m = mask_from(bits)
+    parts = boxes(m.bits, 1)
+    assert len(parts) == 2
+    at = surface_voxels(m, parts)
+    assert np.array_equal(at, surface_points(m).T)
+    assert at.flags.c_contiguous
 
 
 def test_hausdorff_examples():
@@ -210,7 +226,7 @@ def test_near_search_equals_brute_force(monkeypatch, spacing, shells):
         assert np.array_equal(metrics._distances_to(source, query, spacing), np.sqrt(want))
 
 
-def test_far_heavy_prediction_takes_the_transform_and_equals_full_grid(monkeypatch):
+def _far_heavy() -> tuple[Mask, Mask]:
     # thresholded noise in a box beside a blob truth: most of the noise's
     # surface lies beyond the near search's reach of the truth
     dims, spacing = (48, 40, 32), (0.7, 0.9, 1.3)
@@ -219,12 +235,31 @@ def test_far_heavy_prediction_takes_the_transform_and_equals_full_grid(monkeypat
     truth[6:20, 8:30, 6:26] = True
     pred = np.zeros(dims, dtype=bool)
     pred[16:46, 4:38, 2:30] = rng.random((30, 34, 28)) < 0.3
-    p, t = Mask(pred, spacing), Mask(truth, spacing)
+    return Mask(pred, spacing), Mask(truth, spacing)
+
+
+def test_far_heavy_prediction_takes_the_transform_and_equals_full_grid(monkeypatch):
+    p, t = _far_heavy()
     transformed = []
     call = metrics._transformed
     monkeypatch.setattr(metrics, "_transformed", lambda *args: transformed.append(1) or call(*args))
     assert evaluate_case(p, t) == full_grid_evaluate_case(p, t)
     assert transformed
+
+
+def test_far_heavy_prediction_keeps_one_copy_of_the_far_queries():
+    # 6,559 of the prediction's 8,640 surface voxels go to the transform; one
+    # copy of them (24 B each) peaks at 20.2 bytes per grid voxel, and a
+    # second would lift that to 22.7
+    p, t = _far_heavy()
+    evaluate_case(p, t)  # scipy's first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        evaluate_case(p, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21.5 * p.nvox
 
 
 def test_evaluate_case_memory_is_bounded_by_the_box():

@@ -355,6 +355,17 @@ def test_gzip_output_is_byte_stable(tmp_path, rng):
     assert (tmp_path / "a.nrrd").read_bytes() == (tmp_path / "b.nrrd").read_bytes()
 
 
+def test_gzip_output_is_zlibs_own_stream(tmp_path, rng):
+    # gzip.compress writes its own header, OS byte ff, on some Python
+    # versions and zlib's, OS byte 03, on others; zlib's is the same on all
+    data = rng.integers(0, 4, size=(7, 6, 5)).astype(np.uint8)
+    write_nrrd(Volume(data), tmp_path / "v.nrrd", encoding="gzip")
+    payload = (tmp_path / "v.nrrd").read_bytes().split(b"\n\n", 1)[1]
+    assert payload[:10] == bytes.fromhex("1f8b0800000000000003")
+    deflater = zlib.compressobj(6, zlib.DEFLATED, 31)
+    assert payload == deflater.compress(data.ravel(order="F").tobytes()) + deflater.flush()
+
+
 _dims = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
 
 

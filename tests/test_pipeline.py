@@ -4,7 +4,7 @@ import pytest
 from labench.errors import EmptyMask, NoForeground, NonFiniteIntensity
 from labench.grids import Mask, Volume
 from labench.metrics import dice
-from labench.phantom import default_phantom_spec, generate
+from labench.phantom import cohort_member, default_phantom_spec, generate
 from labench.pipeline import (
     MaskSegmenter,
     ThresholdSegmenter,
@@ -245,6 +245,25 @@ def test_smoothed_threshold_segment_equals_one_from_the_default_filter_output():
     assert not want.is_empty
     assert np.array_equal(got.bits, want.bits)
     assert got.bits.flags.f_contiguous
+
+
+@pytest.mark.parametrize("tier", ["high", "medium"])
+def test_smoothing_rescues_the_threshold_segmenter_on_noisy_members(tier):
+    # voxel noise breaks the Otsu mask into speckle, whose largest component
+    # misses most of the atrium; a Gaussian of one voxel first restores it
+    from scipy import ndimage
+
+    from labench.postprocess import StructuringElement, close_mask, largest_component
+
+    v, m = cohort_member(default_phantom_spec((96, 96, 40)), 7, tier)
+    center, roi = localize_oracle(m), (48, 40, 24)
+    assert dice(run_pipeline(v, center, ThresholdSegmenter(), roi), m) < 0.1
+    assert dice(run_pipeline(v, center, ThresholdSegmenter(smooth_sigma=1.0), roi), m) >= 0.9
+    patch, box = crop(v, center, roi)
+    smooth = ndimage.gaussian_filter(patch.data.astype(np.float64), 1.0)
+    raw = Mask(smooth > otsu_threshold(smooth), patch.spacing)
+    want = close_mask(largest_component(raw, connectivity=26), StructuringElement("cross", 1))
+    assert ThresholdSegmenter(smooth_sigma=1.0)(patch, box) == want
 
 
 def test_fixed_center_on_off_center_phantom_matches_inbox_bound():

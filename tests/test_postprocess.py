@@ -354,7 +354,8 @@ def test_opening_in_box_equals_full_grid(rng, kind, radius):
 
 def test_surface_in_box_equals_full_grid(rng):
     for bits in _islands(rng):
-        assert np.array_equal(surface_voxels(mask_from(bits)), np.argwhere(_full_grid_surface(bits)).T)
+        m = mask_from(bits)
+        assert np.array_equal(surface_voxels(m, boxes(m.bits, 1)), np.argwhere(_full_grid_surface(bits)).T)
 
 
 def test_largest_component_memory_is_bounded_by_the_box():
