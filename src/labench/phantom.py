@@ -213,7 +213,8 @@ def _draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
     The background is drawn in x-slabs of at most ``_SLAB_VOXELS`` straight
     into an x-fastest float32 grid; the generator consumes its stream
     sample by sample, so the slabs equal one whole-grid draw, and the cast
-    on assignment rounds as ``astype(np.float32)`` does."""
+    on assignment rounds as ``astype(np.float32)`` does. The foreground is
+    scattered on its box, in the whole grid's nonzero order."""
     rng = np.random.default_rng(spec.seed)
     nx, ny, nz = spec.dims
     data = np.empty(spec.dims, dtype=np.float32, order="F")
@@ -221,9 +222,12 @@ def _draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
     for x0 in range(0, nx, step):
         slab = data[x0 : x0 + step]
         slab[...] = rng.normal(spec.mu_bg, spec.sigma_bg, size=slab.shape)
-    n_fg = int(np.count_nonzero(bits))
-    if n_fg:
-        data[bits] = rng.normal(spec.mu_fg, spec.sigma_fg, size=n_fg)
+    box = bbox(bits)
+    if box is not None:
+        # a boolean index walks C order: on the whole x-fastest grid that
+        # pass costs 40x the box's at 576
+        inside = bits[box]
+        data[box][inside] = rng.normal(spec.mu_fg, spec.sigma_fg, size=int(np.count_nonzero(inside)))
     return Volume(data, spec.spacing), Mask(bits, spec.spacing)
 
 
