@@ -8,7 +8,9 @@ numerical quadrature of the density. The full-grid ``evaluate_case`` and
 was confined to the foreground box; the box path must match them exactly.
 ``full_grid_voxelize`` and ``one_shot_draw`` are the phantom voxelization over
 the whole grid and the scan drawn in one piece, which the boxed voxelization
-and the slab draw of :mod:`labench.phantom` must equal bit for bit, and
+and the in-place draw of :mod:`labench.phantom` must equal bit for bit
+(``float64_one_shot_draw`` is the float64 draw that the float32 one
+replaced), and
 ``two_pass_cohort``, built on them, the cohort composition that
 ``generate_cohort`` must reproduce bit for bit. ``full_grid_smooth_surface``, ``full_grid_close_mask``,
 ``full_grid_largest_component``, ``full_grid_dilate``, ``full_grid_erode`` and
@@ -261,7 +263,22 @@ def full_grid_voxelize(spec: PhantomSpec) -> np.ndarray:
 
 
 def one_shot_draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
-    """``phantom._draw`` as it was before the background was drawn in slabs:
+    """``phantom._draw`` as one whole-grid float32 draw: standard normals in
+    x-fastest order, scaled and shifted in float32, then the foreground's
+    scattered through the whole-grid mask."""
+    rng = np.random.default_rng(spec.seed)
+    n = math.prod(spec.dims)
+    data = rng.standard_normal(n, dtype=np.float32).reshape(spec.dims, order="F")
+    data = data * np.float32(spec.sigma_bg) + np.float32(spec.mu_bg)
+    n_fg = int(np.count_nonzero(bits))
+    if n_fg:
+        fg = rng.standard_normal(n_fg, dtype=np.float32)
+        data[bits] = fg * np.float32(spec.sigma_fg) + np.float32(spec.mu_fg)
+    return Volume(data, spec.spacing), Mask(bits, spec.spacing)
+
+
+def float64_one_shot_draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
+    """``phantom._draw`` as it was before the noise was drawn in float32:
     one whole-grid float64 draw, cast to float32 at the end."""
     rng = np.random.default_rng(spec.seed)
     data = rng.normal(spec.mu_bg, spec.sigma_bg, size=spec.dims)

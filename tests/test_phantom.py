@@ -7,7 +7,6 @@ import pytest
 from scipy import ndimage
 
 from labench.errors import GeometryOutOfBounds, InfeasibleTier
-from labench import phantom
 from labench.phantom import (
     PhantomSpec,
     Tube,
@@ -21,7 +20,7 @@ from labench.phantom import (
     tier_counts,
 )
 from labench.quality import assess_quality
-from oracles import full_grid_voxelize, one_shot_draw, two_pass_cohort
+from oracles import float64_one_shot_draw, full_grid_voxelize, one_shot_draw, two_pass_cohort
 
 DESK_DIMS = (72, 72, 48)
 DESK_SPACING = (1.0, 1.0, 1.0)
@@ -225,29 +224,34 @@ def test_voxelize_and_draw_equal_the_whole_grid_oracles(name, seed):
     assert mask.bits.tobytes() == expected.tobytes()
 
 
-def test_slab_draw_with_a_remainder_equals_the_one_shot_draw(monkeypatch):
+def test_float32_draw_keeps_the_float64_draws_law():
     spec = _jittered_spec(_ORACLE_BASES["anisotropic"], 3)
-    ny, nz = spec.dims[1:]
-    # 5 x-rows per slab over 48 rows: nine full slabs and one of 3 rows
-    monkeypatch.setattr(phantom, "_SLAB_VOXELS", 5 * ny * nz + ny)
     bits = _voxelize(spec)
-    volume, _ = _draw(spec, bits)
-    want, _ = one_shot_draw(spec, bits)
-    assert volume.data.tobytes() == want.data.tobytes()
-    assert volume.data.flags.f_contiguous
+    new, _ = _draw(spec, bits)
+    old, _ = float64_one_shot_draw(spec, bits)
+    assert new.data.tobytes() != old.data.tobytes()
+    for region, mu, sigma in (
+        (~bits, spec.mu_bg, spec.sigma_bg),
+        (bits, spec.mu_fg, spec.sigma_fg),
+    ):
+        n = int(np.count_nonzero(region))
+        for volume in (new, old):
+            x = volume.data[region].astype(np.float64)
+            # five standard errors of the sample mean and deviation
+            assert abs(x.mean() - mu) < 5 * sigma / math.sqrt(n)
+            assert abs(x.std() - sigma) < 5 * sigma / math.sqrt(2 * n)
 
 
 def test_cohort_member_memory_is_bounded_by_the_scan():
-    # the float32 scan and the mask span the grid; the noise slab and the
-    # voxelization stay smaller than the grid
+    # the float32 scan and the mask span the grid; the noise is drawn into
+    # the scan, and the voxelization stays smaller than the grid
     base = default_phantom_spec(dims=(256, 256, 64), spacing=(1.0, 1.0, 1.0))
     nvox = 256 * 256 * 64
-    assert nvox > phantom._SLAB_VOXELS
     tracemalloc.start()
     try:
         _, mask = cohort_member(base, 7, "high")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * nvox
+    assert peak < 6 * nvox
     assert mask.bits.flags.f_contiguous  # written without a transposing copy
