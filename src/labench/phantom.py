@@ -205,29 +205,28 @@ def _voxelize(spec: PhantomSpec) -> np.ndarray:
     return solid
 
 
+def _normal(rng: np.random.Generator, n: int, mu: float, sigma: float) -> np.ndarray:
+    """n float32 normal draws: standard normals scaled and shifted in place."""
+    x = rng.standard_normal(n, dtype=np.float32)
+    x *= np.float32(sigma)
+    x += np.float32(mu)
+    return x
+
+
 def _draw(spec: PhantomSpec, bits: np.ndarray) -> tuple[Volume, Mask]:
     """Scan intensities for the voxelized spec, from ``spec.seed``.
 
-    The background is drawn as float32 standard normals straight into the
-    flat view of an x-fastest float32 grid, then scaled by ``sigma_bg`` and
-    shifted by ``mu_bg`` in place; the foreground is drawn the same way into
-    a buffer of its own and scattered on its box, in the whole grid's
-    nonzero order."""
+    The background is one float32 draw in x-fastest order, which is the
+    scan's own float32 grid; the foreground is a second draw, scattered on
+    the mask's box in the whole grid's nonzero order."""
     rng = np.random.default_rng(spec.seed)
-    flat = np.empty(math.prod(spec.dims), dtype=np.float32)
-    rng.standard_normal(out=flat, dtype=np.float32)
-    flat *= np.float32(spec.sigma_bg)
-    flat += np.float32(spec.mu_bg)
-    data = flat.reshape(spec.dims, order="F")
+    data = _normal(rng, math.prod(spec.dims), spec.mu_bg, spec.sigma_bg).reshape(spec.dims, order="F")
     box = bbox(bits)
     if box is not None:
         # a boolean index walks C order: on the whole x-fastest grid that
         # pass costs 40x the box's at 576
         inside = bits[box]
-        fg = rng.standard_normal(int(np.count_nonzero(inside)), dtype=np.float32)
-        fg *= np.float32(spec.sigma_fg)
-        fg += np.float32(spec.mu_fg)
-        data[box][inside] = fg
+        data[box][inside] = _normal(rng, int(np.count_nonzero(inside)), spec.mu_fg, spec.sigma_fg)
     return Volume(data, spec.spacing), Mask(bits, spec.spacing)
 
 

@@ -8,8 +8,8 @@ numerical quadrature of the density. The full-grid ``evaluate_case`` and
 was confined to the foreground box; the box path must match them exactly.
 ``full_grid_voxelize`` and ``one_shot_draw`` are the phantom voxelization over
 the whole grid and the scan drawn in one piece, which the boxed voxelization
-and the in-place draw of :mod:`labench.phantom` must equal bit for bit
-(``float64_one_shot_draw`` is the float64 draw that the float32 one
+and the boxed float32 draw of :mod:`labench.phantom` must equal bit for
+bit (``float64_one_shot_draw`` is the float64 draw that the float32 one
 replaced), and
 ``two_pass_cohort``, built on them, the cohort composition that
 ``generate_cohort`` must reproduce bit for bit. ``full_grid_smooth_surface``, ``full_grid_close_mask``,

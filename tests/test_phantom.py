@@ -185,7 +185,7 @@ def test_variation_jitters_geometry():
     assert len(counts) == 3  # all three geometries differ
 
 
-# --- boxed voxelization and slab draw against the whole-grid oracles ------------------
+# --- boxed voxelization and boxed draw against the whole-grid oracles -----------------
 
 # attached inside the body, leaving the grid on the high x side
 _TUBE_OUT_HIGH = Tube((30.0, 20.0, 14.0), (1.0, 0.2, 0.1), 3.0, 20.0)
