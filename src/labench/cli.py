@@ -6,7 +6,7 @@ postprocess, pipeline, experiment {offset|patch-size}, synth. Exit codes:
 or were unpaired; the rest were processed and written).
 
 A subcommand takes only the shared options it reads: ``--jobs`` (worker
-processes; ``LABENCH_JOBS``, an integer >= 1, is the default and is
+threads; ``LABENCH_JOBS``, an integer >= 1, is the default and is
 checked only when ``--jobs`` is not given) on evaluate, quality and
 synth; ``--format csv|json`` on evaluate, quality and both experiments;
 ``--seed`` on preprocess (augmentation) and synth; ``--encoding raw|gzip``
@@ -23,7 +23,7 @@ prints as ``<Type>: <message>``; any other exception, a bare
 ``ValueError`` included, is a bug and escapes with its traceback. Per
 case, evaluate and quality keep the same rule: a LabenchError is a ``failed
 case`` or ``failed scan`` line and exit 2; any other exception escapes,
-from a ``--jobs`` pool too.
+from a ``--jobs`` thread too.
 
 Every table (per-case metrics, scan quality, leaderboard, experiment
 curves, the synth manifest) goes through :func:`_write_table`. Its CSV
@@ -46,7 +46,7 @@ command's time. At module level this module imports only ``errors`` and
 ``stats``, so ``rank``, which reads and writes only CSV and JSON, loads
 no numpy. Every numpy-backed name is imported inside the function that
 uses it, scipy inside the functions that call it, and
-``concurrent.futures`` only when a ``--jobs`` pool starts. The commands
+``concurrent.futures`` only when ``--jobs`` starts threads. The commands
 reach four library functions through functions of this module with the
 same names and parameters (:func:`read_nrrd`, :func:`write_nrrd`,
 :func:`evaluate_case`, :func:`assess_quality`), each of which imports
@@ -73,11 +73,11 @@ flushes stdout and stderr and ends the process with ``os._exit``, which
 skips the interpreter's teardown: freeing every module and object, about
 0.1 s in a process that loaded scipy. Nothing is lost, because by then
 every file written is closed (each write is a ``with open(...)`` block
-or ``Path.write_text``), every ``--jobs`` pool has joined its workers
-(the ``with ProcessPoolExecutor`` block), and labench registers no
-``atexit`` handler. A ``SystemExit`` or an exception from :func:`main`
-exits through the interpreter as usual. In-process callers use
-:func:`main`, which returns the exit code.
+or ``Path.write_text``), every ``--jobs`` thread has been joined (the
+``with ThreadPoolExecutor`` block), and labench registers no ``atexit``
+handler. A ``SystemExit`` or an exception from :func:`main` exits
+through the interpreter as usual. In-process callers use :func:`main`,
+which returns the exit code.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
         "jobs": dict(
             type=_positive,
             default=os.environ.get("LABENCH_JOBS", "1"),
-            help="worker processes (env LABENCH_JOBS)",
+            help="worker threads (env LABENCH_JOBS)",
         ),
     }
     for name in names:
@@ -391,7 +391,7 @@ def _run_tasks(worker, tasks, jobs: int):
         return [worker(task) for task in tasks]
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 

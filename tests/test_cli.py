@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -523,8 +524,8 @@ def test_a_value_error_inside_a_command_escapes_main(monkeypatch, tmp_path, caps
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_bug_inside_a_case_escapes_main(monkeypatch, tmp_path, capsys, jobs):
     # a failed case is an input the library rejects; any other exception in
-    # a case's worker is a bug, so it escapes, from a --jobs pool too (the
-    # forked workers see the patched module)
+    # a case's worker is a bug, so it escapes, from a --jobs pool too (its
+    # threads call the patched module function)
     from labench import cli
 
     def broken(pred, truth):
@@ -623,21 +624,21 @@ def test_synth_and_quality_load_no_scipy(tmp_path, command, jobs):
 def test_evaluate_loads_scipy_only_where_the_transform_runs(tmp_path):
     # predictions of thresholded noise beside the truth: most of their
     # surface lies beyond the near search's reach, so the feature transform
-    # measures it. At --jobs 1 the process loads scipy.ndimage for it; at
-    # --jobs 2 only the workers do, and the table is the same
+    # measures it. The one process loads scipy.ndimage for it at --jobs 1
+    # and on --jobs 2's threads, and the table is the same
     rng = np.random.default_rng(5)
     for i in range(2):
         pred = np.zeros((32, 28, 20), dtype=bool)
         pred[12:30, 2:26, 2:18] = rng.random((18, 24, 16)) < 0.3
         _write_pair(tmp_path / "truth", f"c{i}", _blob((32, 28, 20), (4, 6, 4), (14, 22, 16)))
         _write_pair(tmp_path / "pred", f"c{i}", pred)
-    for jobs, loaded in (("1", True), ("2", False)):
+    for jobs in ("1", "2"):
         argv = ["evaluate", str(tmp_path / "pred"), str(tmp_path / "truth"),
                 "--out", str(tmp_path / f"e{jobs}.csv"), "--jobs", jobs]
         code = (
             "import sys, labench.cli\n"
             f"assert labench.cli.main({argv!r}) == 0\n"
-            f"assert ('scipy.ndimage' in sys.modules) == {loaded}"
+            "assert 'scipy.ndimage' in sys.modules"
         )
         result = _run_python(code)
         assert result.returncode == 0, result.stderr
@@ -765,23 +766,87 @@ def test_traced_names_load_no_numpy_and_keep_a_wrapper(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("command", ["evaluate", "quality"])
-def test_spawned_pool_workers_write_the_jobs_1_bytes(tmp_path, command):
-    # a spawned (or forkserver) worker imports the CLI afresh and runs the
-    # commands' functions without an initializer
-    cases = str(tmp_path / "cases")
-    _two_quality_cases(tmp_path / "cases")
-    inputs = [cases, cases] if command == "evaluate" else ["--scans", cases, "--masks", cases]
-    argvs = [[command, *inputs, "--out", str(tmp_path / f"out{jobs}"), "--jobs", jobs] for jobs in "12"]
-    code = (
-        "import multiprocessing, labench.cli\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        f"for argv in {argvs!r}:\n"
-        "    assert labench.cli.main(argv) == 0\n"
-    )
-    result = _run_python(code)
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "out1").read_bytes() == (tmp_path / "out2").read_bytes()
+def _jobs_inputs(command, root):
+    """The argv of ``command`` over five cases, up to its output path, for a
+    --jobs comparison. evaluate and quality get one input the library
+    rejects and one unpaired id beside four good cases."""
+    if command == "synth":
+        return ["synth", "--count", "5", "--dims", "40,40,28", "--spacing", "1.0", "--out-dir"]
+    left, right = root / "left", root / "right"
+    left.mkdir(parents=True)
+    for i in range(5):
+        bits = _blob(lo=(4 + i % 3, 5, 3), hi=(13, 14 - i % 2, 9))
+        _write_pair(right, f"c{i}", bits)
+        if command == "evaluate":
+            write_nrrd(Mask(np.roll(bits, i, axis=i % 3)), left / f"c{i}.nrrd")
+        else:
+            scan = np.where(bits, 300.0 + 40 * i, 100.0 + 5 * i).astype(np.float32)
+            write_nrrd(Volume(scan), left / f"c{i}.nrrd")
+    (left / "c2.nrrd").write_bytes(b"NRRD0004\ntype: unsigned char\n")  # truncated: a failed case
+    write_nrrd(Volume(np.ones((8, 8, 4), dtype=np.float32)), left / "only_left.nrrd")
+    if command == "evaluate":
+        return ["evaluate", str(left), str(right), "--out"]
+    return ["quality", "--scans", str(left), "--masks", str(right), "--out"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "quality", "synth"])
+def test_threaded_jobs_write_the_jobs_1_bytes(tmp_path, capsys, command):
+    # more cases than threads, switching threads often: the files, the
+    # stderr lines and the exit code are those of --jobs 1
+    argv = _jobs_inputs(command, tmp_path / "in")
+    runs, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"out{jobs}"
+            code = main([*argv, str(out), "--jobs", jobs])
+            files = sorted(out.rglob("*")) if out.is_dir() else [out]
+            runs[jobs] = code, capsys.readouterr().err, {f.relative_to(out): f.read_bytes() for f in files}
+    finally:
+        sys.setswitchinterval(interval)
+    expected_code = 0 if command == "synth" else 2
+    assert runs["1"][0] == expected_code
+    assert len(runs["1"][2]) == (11 if command == "synth" else 1)  # 5 scans, 5 masks, manifest
+    if command != "synth":
+        assert ": unpaired " in runs["1"][1] and ": only_left\n" in runs["1"][1]
+        assert ": failed " in runs["1"][1] and ": c2: " in runs["1"][1]
+    assert runs["2"] == runs["1"]
+    assert runs["3"] == runs["1"]
+
+
+def test_jobs_n_runs_n_cases_at_once_and_joins_them(tmp_path, monkeypatch):
+    # the first two cases wait for each other, so a serial runner breaks the
+    # barrier instead of hanging; run() may call os._exit only once every
+    # worker thread has ended
+    from labench import cli
+
+    lock, barrier = threading.Lock(), threading.Barrier(2, timeout=10)
+    state = {"calls": 0, "running": 0, "peak": 0}
+    real = cli.evaluate_case
+
+    def counting(pred, truth):
+        with lock:
+            state["calls"] += 1
+            first_two = state["calls"] <= 2
+            state["running"] += 1
+            state["peak"] = max(state["peak"], state["running"])
+        try:
+            if first_two:
+                barrier.wait()
+            return real(pred, truth)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    monkeypatch.setattr(cli, "evaluate_case", counting)
+    preds, truths = tmp_path / "preds", tmp_path / "truths"
+    for i in range(4):
+        _write_pair(preds, f"case_{i}", _blob(lo=(4, 4, 2), hi=(13, 13, 9 - i)))
+        _write_pair(truths, f"case_{i}", _blob(lo=(4, 4, 2), hi=(13, 13, 9)))
+    assert main(["evaluate", str(preds), str(truths), "--out", str(tmp_path / "m.csv"), "--jobs", "2"]) == 0
+    assert state["calls"] == 4
+    assert state["peak"] == 2
+    assert threading.active_count() == 1
 
 
 def test_package_import_loads_no_module():
@@ -879,7 +944,7 @@ def test_pool_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, jobs, 
     made = []
 
     class RecordingPool:
-        # records max_workers and maps in this process: no worker starts
+        # records max_workers and maps on the calling thread: no worker starts
         def __init__(self, max_workers):
             made.append(max_workers)
 
@@ -892,7 +957,7 @@ def test_pool_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, jobs, 
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     preds, truths = tmp_path / "preds", tmp_path / "truths"
     for i in range(3):
         _write_pair(preds, f"case_{i}", _blob(lo=(4, 4, 2), hi=(13, 13, 9 - i)))
